@@ -44,15 +44,15 @@ def _passes(lhs: float, rhs: float) -> bool:
     return bool(lhs <= rhs + INEQ_TOL * max(1.0, abs(rhs)))
 
 
-def _resolve_kappa(g: MagneticGraph, n: float, kappa, kind: str) -> float:
+def _resolve_kappa(g: MagneticGraph, n: float, kappa) -> float:
     if kappa == "auto" or kappa is None:
-        return kappa_max(g, n, kind).kappa_max
+        return kappa_max(g, n).kappa_max
     return float(kappa)
 
 
-def _normalized_eigenpairs(g: MagneticGraph, kind: str):
+def _normalized_eigenpairs(g: MagneticGraph):
     """Nontrivial eigenpairs of -Laplacian, each scaled to max |f| = 1."""
-    spec = spectrum(g, kind)
+    spec = spectrum(g)
     out = []
     for i, lam in enumerate(spec.eigenvalues):
         if lam <= TRIVIAL_EIGENVALUE:
@@ -79,21 +79,20 @@ class HarnackRecord:
                 "passed": self.passed}
 
 
-def harnack_check(g: MagneticGraph, n: float, kappa="auto",
-                  kind: str = "magnetic") -> list[HarnackRecord]:
+def harnack_check(g: MagneticGraph, n: float, kappa="auto") -> list[HarnackRecord]:
     """Check the eigenfunction Harnack inequality for every nontrivial eigenpair.
 
-    kappa = "auto" certifies the tightest instance, kappa_max(g, n, kind).
-    Eigenvalues below 1e-12 are skipped as trivial. Magnetic kind requires a
-    connected graph.
+    kappa = "auto" certifies the tightest instance, kappa_max(g, n).
+    Eigenvalues below 1e-12 are skipped as trivial. Requires a connected
+    graph.
     """
-    if kind == "magnetic" and not is_connected(g):
+    if not is_connected(g):
         raise PreconditionError("connected")
-    kap = _resolve_kappa(g, n, kappa, kind)
+    kap = _resolve_kappa(g, n, kappa)
     invn = 0.0 if n == math.inf else 1.0 / n
     records = []
-    for i, lam, f in _normalized_eigenpairs(g, kind):
-        lhs = float(energy(g, f, kind).max())
+    for i, lam, f in _normalized_eigenpairs(g):
+        lhs = float(energy(g, f).max())
         rhs = ((8.0 - 2.0 * invn) * lam - 4.0 * kap)
         records.append(HarnackRecord(eigen_index=i, lam=lam, lhs=lhs, rhs=rhs,
                                      slack=rhs - lhs, passed=_passes(lhs, rhs)))
@@ -122,8 +121,8 @@ class AlphaRecord:
                 "passed": self.passed}
 
 
-def alpha_bound_check(g: MagneticGraph, n: float, kappa: float, alpha: float,
-                      kind: str = "magnetic") -> list[AlphaRecord]:
+def alpha_bound_check(g: MagneticGraph, n: float, kappa: float,
+                      alpha: float) -> list[AlphaRecord]:
     """Per-eigenpair, per-vertex check of the alpha-parameterized energy bound.
 
     An eigenpair is applicable when alpha > 2 - 2 kappa / lambda; a denominator
@@ -133,11 +132,11 @@ def alpha_bound_check(g: MagneticGraph, n: float, kappa: float, alpha: float,
     """
     invn = 0.0 if n == math.inf else 1.0 / n
     records = []
-    for i, lam, f in _normalized_eigenpairs(g, kind):
+    for i, lam, f in _normalized_eigenpairs(g):
         applicable = alpha > 2.0 - 2.0 * kappa / lam
         denom = (alpha - 2.0) * lam + 2.0 * kappa
         ill = abs(denom) <= 1e-8 * max(1.0, lam)
-        lhs = energy(g, f, kind) + alpha * lam * np.abs(f) ** 2
+        lhs = energy(g, f) + alpha * lam * np.abs(f) ** 2
         if applicable and not ill:
             rhs = ((alpha * alpha - 4.0 * invn) * lam + 2.0 * kappa * alpha) / denom * lam
             passed = bool(all(_passes(float(v), rhs) for v in lhs))
@@ -211,11 +210,11 @@ def eigenvalue_lower_bound(g: MagneticGraph, n: float, kappa="auto",
     girth = magnetic_girth(g, budget=budget)
     if girth == math.inf:
         raise PreconditionError("finite magnetic girth")
-    kap = _resolve_kappa(g, n, kappa, "magnetic")
+    kap = _resolve_kappa(g, n, kappa)
     d = g.max_degree
     dia = int(diameter(g))
     length = 2 * dia + g.ell * int(girth)
-    lam_min = float(spectrum(g, "magnetic").eigenvalues[0])
+    lam_min = float(spectrum(g).eigenvalues[0])
     lift_dia = int(diameter(build_lift(g).graph))
     bound = _curvature_path_bound(kap, d, n, length ** 2, length ** 2)
     bound_alt = _curvature_path_bound(kap, d, n, length ** 2,
@@ -255,15 +254,16 @@ class CheegerBoundRecord:
                 "curvature_lower_vacuous": self.curvature_lower_vacuous}
 
 
-def cheeger_bound_check(g: MagneticGraph, n: float,
+def cheeger_bound_check(g: MagneticGraph, n: float, kappa="auto",
                         budget: int = DEFAULT_BUDGET) -> CheegerBoundRecord:
     """Verify the Cheeger sandwich with the exact Cheeger number.
 
-    The curvature/path lower bound additionally needs the eigenvalue-bound
-    hypotheses (connected, unbalanced, entire, finite girth); when they fail
-    it is recorded as not applicable rather than raised.
+    The curvature/path lower bound uses kappa ("auto" = kappa_max(g, n)) and
+    additionally needs the eigenvalue-bound hypotheses (connected,
+    unbalanced, entire, finite girth); when they fail it is recorded as not
+    applicable rather than raised.
     """
-    lam = float(spectrum(g, "magnetic").eigenvalues[0])
+    lam = float(spectrum(g).eigenvalues[0])
     h1 = cheeger_number(g, mode="exact", budget=budget).h1
     d = g.max_degree
     lower = 0.5 * lam
@@ -275,7 +275,7 @@ def cheeger_bound_check(g: MagneticGraph, n: float,
     if is_connected(g) and not status.balanced and status.entire:
         girth = magnetic_girth(g, budget=budget)
         if girth != math.inf:
-            kap = kappa_max(g, n, "magnetic").kappa_max
+            kap = _resolve_kappa(g, n, kappa)
             length = 2 * int(diameter(g)) + g.ell * int(girth)
             invn = 0.0 if n == math.inf else 1.0 / n
             curvature_lower = (1.0 + 4.0 * kap * d * length ** 2) / (
@@ -398,21 +398,22 @@ def verify_report(g: MagneticGraph, n: float = 2.0, kappa="auto",
     """Run every applicable inequality check on one graph.
 
     Requires a connected graph. kappa = "auto" uses the certified
-    kappa_max(n, magnetic); every eigenpair gets one alpha record at the
-    reduction value alpha = 4 - 2 kappa / lambda. Bound checks whose
-    hypotheses fail, and Cheeger checks over budget, are recorded as skipped.
+    kappa_max(g, n), and every check gets the same kappa; every eigenpair
+    gets one alpha record at the reduction value alpha = 4 - 2 kappa / lambda.
+    Bound checks whose hypotheses fail, and Cheeger checks over budget, are
+    recorded as skipped.
     """
     if not is_connected(g):
         raise PreconditionError("connected")
     status = signature_status(g)
-    kap = _resolve_kappa(g, n, kappa, "magnetic")
+    kap = _resolve_kappa(g, n, kappa)
     girth = magnetic_girth(g, budget=budget)
 
-    harnack = harnack_check(g, n, kap, "magnetic")
+    harnack = harnack_check(g, n, kap)
     alpha_records = []
     for rec in harnack:
         a = 4.0 - 2.0 * kap / rec.lam
-        for arec in alpha_bound_check(g, n, kap, a, "magnetic"):
+        for arec in alpha_bound_check(g, n, kap, a):
             if arec.eigen_index == rec.eigen_index:
                 alpha_records.append(arec)
 
@@ -428,7 +429,7 @@ def verify_report(g: MagneticGraph, n: float = 2.0, kappa="auto",
 
     cheeger_rec, cheeger_skip = None, None
     try:
-        cheeger_rec = cheeger_bound_check(g, n, budget=budget)
+        cheeger_rec = cheeger_bound_check(g, n, kap, budget=budget)
     except SizeError as exc:
         cheeger_skip = f"budget: {exc}"
 

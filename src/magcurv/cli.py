@@ -134,7 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_spectrum(args) -> int:
     g = _read_graph(args.input)
-    spec = spectrum(g, "magnetic")
+    spec = spectrum(g)
     if args.json:
         _emit_json(spec.to_json_dict())
     else:
@@ -146,7 +146,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_curvature(args) -> int:
     g = _read_graph(args.input)
-    result = kappa_max(g, args.n, "magnetic")
+    result = kappa_max(g, args.n)
     if args.json:
         _emit_json(result.to_json_dict())
     else:
@@ -212,7 +212,7 @@ def _cmd_cheeger(args) -> int:
 def _cmd_harnack(args) -> int:
     g = _read_graph(args.input)
     kappa = args.kappa if args.kappa is not None else "auto"
-    records = harnack_check(g, args.n, kappa, "magnetic")
+    records = harnack_check(g, args.n, kappa)
     if args.json:
         _emit_json({"n": args.n, "records": [r.to_json_dict() for r in records]})
     else:

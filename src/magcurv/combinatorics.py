@@ -94,7 +94,7 @@ def shortest_generating_closed_walk(g: MagneticGraph) -> int | float:
             for y, _, s in g.neighbors(x):
                 e2 = (e + s) % ell
                 if y == root and math.gcd(e2, ell) == 1:
-                    found = min(found, dist[x, e] + 1)
+                    found = min(found, int(dist[x, e]) + 1)
                 if dist[y, e2] < 0:
                     dist[y, e2] = dist[x, e] + 1
                     queue.append((y, e2))

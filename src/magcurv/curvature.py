@@ -56,7 +56,6 @@ class CDFunctionCheck:
 
     n: float
     kappa: float
-    kind: str
     slack: np.ndarray      # (N,) or (N, B) real
     passed: np.ndarray     # same shape, bool
 
@@ -65,8 +64,7 @@ class CDFunctionCheck:
         return bool(self.passed.all())
 
 
-def cd_check_function(g: MagneticGraph, f, n: float, kappa: float,
-                      kind: str = "magnetic") -> CDFunctionCheck:
+def cd_check_function(g: MagneticGraph, f, n: float, kappa: float) -> CDFunctionCheck:
     """Does this particular f satisfy CD(n, kappa) at every vertex?
 
     slack(x) = gamma2(f)(x) - (1/n)|Lf(x)|^2 - kappa * gamma(f)(x); a vertex
@@ -75,14 +73,14 @@ def cd_check_function(g: MagneticGraph, f, n: float, kappa: float,
     """
     invn = _inv_n(n)
     vals = as_vertex_function(g, f)
-    L = laplacian_matrix(g, kind)
-    g2 = np.real(gamma2(g, vals, kind=kind))
-    g1 = np.real(gamma(g, vals, kind=kind))
+    L = laplacian_matrix(g)
+    g2 = np.real(gamma2(g, vals))
+    g1 = np.real(gamma(g, vals))
     lf2 = np.abs(L @ vals) ** 2
     slack = g2 - invn * lf2 - kappa * g1
     scale = np.maximum(1.0, np.abs(g2) + invn * lf2 + abs(kappa) * g1)
     passed = slack >= -SLACK_TOL * scale
-    return CDFunctionCheck(n=n, kappa=kappa, kind=kind, slack=slack, passed=passed)
+    return CDFunctionCheck(n=n, kappa=kappa, slack=slack, passed=passed)
 
 
 @dataclass(frozen=True)
@@ -91,7 +89,6 @@ class CDGraphCheck:
 
     n: float
     kappa: float
-    kind: str
     min_eigenvalues: np.ndarray   # (N,) real
     thresholds: np.ndarray        # (N,) real, PSD acceptance cutoffs (negative)
     passed: bool
@@ -101,7 +98,7 @@ def _cd_matrix(forms: FormFamily, x: int, invn: float, kappa: float) -> np.ndarr
     return forms.gamma2[x] - invn * forms.lap_square[x] - kappa * forms.gamma[x]
 
 
-def cd_check_graph(g: MagneticGraph, n: float, kappa: float, kind: str = "magnetic",
+def cd_check_graph(g: MagneticGraph, n: float, kappa: float,
                    forms: FormFamily | None = None) -> CDGraphCheck:
     """Exact graph-wide CD(n, kappa) decision via per-vertex PSD tests.
 
@@ -110,7 +107,7 @@ def cd_check_graph(g: MagneticGraph, n: float, kappa: float, kind: str = "magnet
     """
     invn = _inv_n(n)
     if forms is None:
-        forms = form_family(g, kind)
+        forms = form_family(g)
     n_vert = g.num_vertices
     mins = np.empty(n_vert)
     cuts = np.empty(n_vert)
@@ -119,7 +116,7 @@ def cd_check_graph(g: MagneticGraph, n: float, kappa: float, kind: str = "magnet
         mins[x] = eigs[0]
         cuts[x] = -PSD_TOL * max(1.0, float(np.abs(eigs).max()))
     passed = bool(np.all(mins >= cuts))
-    return CDGraphCheck(n=n, kappa=kappa, kind=kind, min_eigenvalues=mins,
+    return CDGraphCheck(n=n, kappa=kappa, min_eigenvalues=mins,
                         thresholds=cuts, passed=passed)
 
 
@@ -133,7 +130,6 @@ class CurvatureResult:
     """
 
     n: float
-    kind: str
     per_vertex: np.ndarray          # (N,) real, possibly -inf
     kappa_max: float
     witness_vertex: int
@@ -202,12 +198,12 @@ def _vertex_kappa(A: np.ndarray, G: np.ndarray) -> tuple[float, np.ndarray]:
     return float(vals[0]), wit
 
 
-def kappa_max(g: MagneticGraph, n: float, kind: str = "magnetic",
+def kappa_max(g: MagneticGraph, n: float,
               forms: FormFamily | None = None) -> CurvatureResult:
     """Optimal kappa(n) per vertex and graph-wide, by the reduced-pencil route."""
     invn = _inv_n(n)
     if forms is None:
-        forms = form_family(g, kind)
+        forms = form_family(g)
     per = np.empty(g.num_vertices)
     wits = []
     for x in range(g.num_vertices):
@@ -216,13 +212,13 @@ def kappa_max(g: MagneticGraph, n: float, kind: str = "magnetic",
         per[x] = kx
         wits.append(wit)
     argmin = int(np.argmin(per))
-    return CurvatureResult(n=n, kind=kind, per_vertex=per,
+    return CurvatureResult(n=n, per_vertex=per,
                            kappa_max=float(per[argmin]), witness_vertex=argmin,
                            witnesses=tuple(wits))
 
 
-def kappa_max_bisect(g: MagneticGraph, n: float, kind: str = "magnetic",
-                     tol: float = 1e-9, forms: FormFamily | None = None,
+def kappa_max_bisect(g: MagneticGraph, n: float, tol: float = 1e-9,
+                     forms: FormFamily | None = None,
                      max_doublings: int = 80) -> float:
     """Graph-wide optimal kappa by bisection with cd_check_graph as the oracle.
 
@@ -230,10 +226,10 @@ def kappa_max_bisect(g: MagneticGraph, n: float, kind: str = "magnetic",
     """
     _inv_n(n)
     if forms is None:
-        forms = form_family(g, kind)
+        forms = form_family(g)
 
     def ok(k: float) -> bool:
-        return cd_check_graph(g, n, k, kind, forms=forms).passed
+        return cd_check_graph(g, n, k, forms=forms).passed
 
     hi = 1.0
     for _ in range(max_doublings):

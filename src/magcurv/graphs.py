@@ -3,7 +3,9 @@
 The phase of an oriented edge lives in the cyclic group of ell-th roots of
 unity and is stored as an integer exponent, never as a floating-point complex
 number, so group operations along paths and cycles stay exact. The complex
-value exp(2*pi*1j*s/ell) is materialized only when matrices are assembled.
+value exp(2*pi*1j*s/ell) is materialized only in the oriented-edge table that
+every operator is assembled from. A plain graph is one whose exponents are all
+0; ``untwisted()`` gives that graph for any signature.
 
 Vertices are 0-indexed integers; the edge order of the input document fixes
 the summation / matrix-row order everywhere downstream. Graphs are immutable
@@ -16,6 +18,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -43,6 +46,22 @@ class Edge(NamedTuple):
     v: int
     w: float
     s: int
+
+
+class OrientedEdges(NamedTuple):
+    """One row per oriented edge x -> y: x in vertex order, y in ``neighbors(x)`` order.
+
+    (T f)[r] = sigma_xy f(y) - f(x) and W[x, r] = p_xy / d_x on the rows
+    leaving x, so the Laplacian is f -> W (T f), the local energy is
+    W |T f|^2 and the first form is gamma(u, v) = W ((T u) * conj(T v)) / 2.
+    ``coef[r]`` is the Laplacian entry M[x, y] = p_xy * sigma_xy / d_x.
+    """
+
+    src: np.ndarray   # (R,) int, x of each row, nondecreasing
+    dst: np.ndarray   # (R,) int, y of each row
+    T: np.ndarray     # (R, N) complex
+    W: np.ndarray     # (N, R) real
+    coef: np.ndarray  # (R,) complex
 
 
 class SignatureStatus(NamedTuple):
@@ -119,6 +138,30 @@ class MagneticGraph:
     def phase(self, s: int) -> complex:
         """Complex value of a stored exponent."""
         return complex(np.exp(2j * np.pi * (s % self.ell) / self.ell))
+
+    def untwisted(self) -> MagneticGraph:
+        """The same graph with every exponent 0; its operators are the plain ones."""
+        return MagneticGraph(num_vertices=self.num_vertices, ell=self.ell,
+                             edges=tuple(e._replace(s=0) for e in self.edges))
+
+    @cached_property
+    def oriented_edges(self) -> OrientedEdges:
+        """The oriented-edge table every operator is assembled from, built once."""
+        n, d = self.num_vertices, self.degrees
+        xs, ys, ws, ps = zip(*[(x, y, w, self.phase(s)) for x in range(n)
+                               for y, w, s in self.neighbors(x)])
+        src, dst, r = np.array(xs), np.array(ys), np.arange(len(xs))
+        T = np.zeros((len(xs), n), dtype=complex)
+        T[r, dst] = ps
+        T[r, src] = -1.0
+        W = np.zeros((n, len(xs)))
+        W[src, r] = [w / d[x] for x, w in zip(xs, ws)]
+        # Scalar on purpose: a vectorized expression rounds differently, and
+        # the verify output is pinned to the bits of these Laplacian entries.
+        coef = np.array([w * p / d[x] for x, w, p in zip(xs, ws, ps)])
+        for arr in (src, dst, T, W, coef):
+            arr.flags.writeable = False
+        return OrientedEdges(src=src, dst=dst, T=T, W=W, coef=coef)
 
     def to_document(self) -> dict:
         return {

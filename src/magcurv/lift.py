@@ -126,8 +126,8 @@ def verify_lift_identities(g: MagneticGraph, trials: int = 100,
     rng = np.random.default_rng(seed)
     lift = build_lift(g)
     n, ell = g.num_vertices, g.ell
-    L_base = laplacian_matrix(g, "magnetic")
-    L_lift = laplacian_matrix(lift.graph, "plain")
+    L_base = laplacian_matrix(g)
+    L_lift = laplacian_matrix(lift.graph)
     roots = np.exp(2j * np.pi * np.arange(ell) / ell)
 
     max_energy = 0.0
@@ -135,8 +135,8 @@ def verify_lift_identities(g: MagneticGraph, trials: int = 100,
     for _ in range(trials):
         f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         fh = lift_function(g, f)
-        e_base = energy(g, f, "magnetic")
-        e_lift = energy(lift.graph, fh, "plain")
+        e_base = energy(g, f)
+        e_lift = energy(lift.graph, fh)
         diff = np.abs(e_lift - np.repeat(e_base, ell))
         max_energy = max(max_energy, float(diff.max()) / max(1.0, float(e_base.max())))
         lap_base = L_base @ f
@@ -146,7 +146,7 @@ def verify_lift_identities(g: MagneticGraph, trials: int = 100,
         max_lap = max(max_lap, float(np.abs(lap_lift - expected).max()) / denom)
 
     max_eig = 0.0
-    spec = spectrum(g, "magnetic")
+    spec = spectrum(g)
     for i in range(n):
         lam = spec.eigenvalues[i]
         fh = lift_function(g, spec.eigenvectors[:, i])

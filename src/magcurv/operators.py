@@ -1,9 +1,12 @@
 """Laplacian assembly, local energy, curvature quadratic forms, and spectra.
 
 Everything uses the degree-normalized convention: row x of the magnetic
-Laplacian is M[x][x] = -1, M[x][y] = p_xy * sigma_xy / d_x for y ~ x. Forms
-are realized as one Hermitian N x N matrix per vertex, so "for every complex
-function f" quantifiers downstream reduce to positive-semidefiniteness tests.
+Laplacian is M[x][x] = -1, M[x][y] = p_xy * sigma_xy / d_x for y ~ x. There
+is one operator; the plain Laplacian is the magnetic one of g.untwisted().
+All of them are assembled from the graph's cached oriented-edge table
+(MagneticGraph.oriented_edges). Forms are realized as one Hermitian N x N
+matrix per vertex, so "for every complex function f" quantifiers downstream
+reduce to positive-semidefiniteness tests.
 
 Dense matrices throughout: target graphs are desk scale (a few hundred
 vertices after lifting), so sparse machinery is deliberately omitted.
@@ -19,7 +22,6 @@ from .errors import NumericalError, ValidationError
 from .graphs import MagneticGraph
 
 __all__ = [
-    "KINDS",
     "FormFamily",
     "SpectralData",
     "laplacian_matrix",
@@ -31,14 +33,7 @@ __all__ = [
     "as_vertex_function",
 ]
 
-KINDS = ("plain", "magnetic")
-
 HERMITIZE_GUARD = 1e-12
-
-
-def _check_kind(kind: str):
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
 
 
 def as_vertex_function(g: MagneticGraph, values) -> np.ndarray:
@@ -52,80 +47,48 @@ def as_vertex_function(g: MagneticGraph, values) -> np.ndarray:
     return f
 
 
-def _oriented_phase(g: MagneticGraph, s: int, kind: str) -> complex:
-    return 1.0 + 0.0j if kind == "plain" else g.phase(s)
-
-
-def _difference_stencil(g: MagneticGraph, kind: str):
-    """Oriented-edge difference operator T and the averaging map W back to vertices.
-
-    Row r of T evaluates sigma_xy f(y) - f(x) for the r-th oriented edge
-    (x fixed outer order, neighbors in stored order); W[x, r] = p_r / d_x for
-    rows leaving x. Then the Laplacian is f -> W (T f), the local energy is
-    W |T f|^2, and the first form is gamma(u, v) = W ((T u) * conj(T v)) / 2.
-    """
-    rows = []
-    for x in range(g.num_vertices):
-        for y, w, s in g.neighbors(x):
-            rows.append((x, y, w, s))
-    nr = len(rows)
-    T = np.zeros((nr, g.num_vertices), dtype=complex)
-    W = np.zeros((g.num_vertices, nr))
-    for r, (x, y, w, s) in enumerate(rows):
-        T[r, y] = _oriented_phase(g, s, kind)
-        T[r, x] = -1.0
-        W[x, r] = w / g.degrees[x]
-    return T, W
-
-
-def laplacian_matrix(g: MagneticGraph, kind: str = "magnetic") -> np.ndarray:
-    """Dense (magnetic) Laplacian; -M is similar to a Hermitian matrix with
+def laplacian_matrix(g: MagneticGraph) -> np.ndarray:
+    """Dense magnetic Laplacian; -M is similar to a Hermitian matrix with
     spectrum in [0, 2] under conjugation by sqrt(degrees)."""
-    _check_kind(kind)
-    n = g.num_vertices
-    M = np.zeros((n, n), dtype=complex)
-    for x in range(n):
-        M[x, x] = -1.0
-        for y, w, s in g.neighbors(x):
-            M[x, y] = w * _oriented_phase(g, s, kind) / g.degrees[x]
+    edges = g.oriented_edges
+    M = np.zeros((g.num_vertices, g.num_vertices), dtype=complex)
+    M[edges.src, edges.dst] = edges.coef
+    np.fill_diagonal(M, -1.0)
     return M
 
 
-def energy(g: MagneticGraph, f, kind: str = "magnetic") -> np.ndarray:
+def energy(g: MagneticGraph, f) -> np.ndarray:
     """Local energy |grad f|^2(x) = (1/d_x) sum_y p_xy |sigma_xy f(y) - f(x)|^2."""
-    _check_kind(kind)
     vals = as_vertex_function(g, f)
-    T, W = _difference_stencil(g, kind)
-    return W @ (np.abs(T @ vals) ** 2)
+    edges = g.oriented_edges
+    return edges.W @ (np.abs(edges.T @ vals) ** 2)
 
 
-def gamma(g: MagneticGraph, u, v=None, kind: str = "magnetic") -> np.ndarray:
+def gamma(g: MagneticGraph, u, v=None) -> np.ndarray:
     """First curvature form gamma(u, v) per vertex; gamma(f) = energy(f) / 2.
 
     Sesquilinear: linear in u, conjugate-linear in v.
     """
-    _check_kind(kind)
     uu = as_vertex_function(g, u)
     vv = uu if v is None else as_vertex_function(g, v)
-    T, W = _difference_stencil(g, kind)
-    return 0.5 * (W @ ((T @ uu) * np.conj(T @ vv)))
+    edges = g.oriented_edges
+    return 0.5 * (edges.W @ ((edges.T @ uu) * np.conj(edges.T @ vv)))
 
 
-def gamma2(g: MagneticGraph, u, v=None, kind: str = "magnetic") -> np.ndarray:
+def gamma2(g: MagneticGraph, u, v=None) -> np.ndarray:
     """Iterated curvature form, evaluated pointwise by operator composition:
 
         2 gamma2(u, v) = Delta_plain[gamma(u, v)] - gamma(u, Lv) - gamma(Lu, v)
 
-    where L is the (magnetic) Laplacian and the outer Delta is always the
-    plain one, since gamma(u, v) is an ordinary vertex function.
+    where L is the magnetic Laplacian and the outer Delta is the plain one,
+    the Laplacian of g.untwisted(), since gamma(u, v) is an ordinary vertex
+    function.
     """
-    _check_kind(kind)
     uu = as_vertex_function(g, u)
     vv = uu if v is None else as_vertex_function(g, v)
-    L = laplacian_matrix(g, kind)
-    L_plain = laplacian_matrix(g, "plain")
-    first = L_plain @ gamma(g, uu, vv, kind)
-    return 0.5 * (first - gamma(g, uu, L @ vv, kind) - gamma(g, L @ uu, vv, kind))
+    L = laplacian_matrix(g)
+    first = laplacian_matrix(g.untwisted()) @ gamma(g, uu, vv)
+    return 0.5 * (first - gamma(g, uu, L @ vv) - gamma(g, L @ uu, vv))
 
 
 @dataclass(frozen=True)
@@ -133,56 +96,45 @@ class FormFamily:
     """Per-vertex Hermitian quadratic forms: f* gamma[x] f = gamma(f, f)(x),
     f* gamma2[x] f = gamma2(f, f)(x), f* lap_square[x] f = |(Lf)(x)|^2."""
 
-    kind: str
     gamma: np.ndarray       # (N, N, N) complex, index [x]
     gamma2: np.ndarray      # (N, N, N) complex
     lap_square: np.ndarray  # (N, N, N) complex
 
-    def to_json_dict(self) -> dict:
-        def enc(stack):
-            return [[[[float(z.real), float(z.imag)] for z in row] for row in m] for m in stack]
-        return {
-            "kind": self.kind,
-            "gamma": enc(self.gamma),
-            "gamma2": enc(self.gamma2),
-            "lap_square": enc(self.lap_square),
-        }
 
-
-def form_family(g: MagneticGraph, kind: str = "magnetic") -> FormFamily:
+def form_family(g: MagneticGraph) -> FormFamily:
     """Assemble the per-vertex Hermitian forms.
 
-    gamma[x] comes from the pointwise sesquilinear sum; lap_square[x] is
-    L* E_x L for the coordinate projector E_x; gamma2[x] composes the first
-    form with the Laplacian per the defining recursion, with the outer
-    Laplacian acting plainly on the matrix family {gamma[y]}. The result is
-    forced Hermitian by averaging, guarded by a residue check.
+    gamma[x] = T_x^H diag(W[x]) T_x / 2 over the oriented-edge rows T_x
+    leaving x; lap_square[x] is L* E_x L for the coordinate projector E_x;
+    gamma2[x] composes the first form with the Laplacian per the defining
+    recursion, with the outer Laplacian acting plainly on the matrix family
+    {gamma[y]}. The result is forced Hermitian by averaging, guarded by a
+    residue check.
     """
-    _check_kind(kind)
     n = g.num_vertices
-    d = g.degrees
-    M = laplacian_matrix(g, kind)
+    edges = g.oriented_edges
+    offsets = np.searchsorted(edges.src, np.arange(n + 1))
+    M = laplacian_matrix(g)
 
     G = np.zeros((n, n, n), dtype=complex)
     for x in range(n):
-        acc = np.zeros((n, n), dtype=complex)
-        for y, w, s in g.neighbors(x):
-            a = np.zeros(n, dtype=complex)
-            a[y] = np.conj(_oriented_phase(g, s, kind))
-            a[x] = -1.0
-            acc += (w / (2.0 * d[x])) * np.outer(a, np.conj(a))
-        G[x] = acc
+        rows = slice(offsets[x], offsets[x + 1])
+        # T_x is supported on x and its neighbors. Each rank-one term is
+        # exactly Hermitian; the builtin sum adds them in row order, where
+        # np.sum may pair them, so the block is exactly Hermitian too.
+        cols = np.append(x, edges.dst[rows])
+        Tx = edges.T[rows][:, cols]
+        terms = Tx.conj()[:, :, None] * Tx[:, None, :]
+        G[x][np.ix_(cols, cols)] = sum(0.5 * edges.W[x, rows, None, None] * terms)
 
-    Q = np.zeros((n, n, n), dtype=complex)
-    for x in range(n):
-        Q[x] = np.outer(np.conj(M[x]), M[x])
+    Q = np.conj(M)[:, :, None] * M[:, None, :]
 
     Mh = M.conj().T
     G2 = np.zeros((n, n, n), dtype=complex)
     for x in range(n):
         lap_of_g = -G[x].copy()
-        for y, w, s in g.neighbors(x):
-            lap_of_g += (w / d[x]) * G[y]
+        for r in range(offsets[x], offsets[x + 1]):
+            lap_of_g += edges.W[x, r] * G[edges.dst[r]]
         raw = 0.5 * (lap_of_g - Mh @ G[x] - G[x] @ M)
         herm = 0.5 * (raw + raw.conj().T)
         resid = np.linalg.norm(raw - raw.conj().T)
@@ -193,7 +145,7 @@ def form_family(g: MagneticGraph, kind: str = "magnetic") -> FormFamily:
 
     for arr in (G, G2, Q):
         arr.flags.writeable = False
-    return FormFamily(kind=kind, gamma=G, gamma2=G2, lap_square=Q)
+    return FormFamily(gamma=G, gamma2=G2, lap_square=Q)
 
 
 @dataclass(frozen=True)
@@ -202,7 +154,6 @@ class SpectralData:
     eigenvectors (columns), orthonormal under the degree inner product
     <f, g> = sum_x d_x f(x) conj(g(x))."""
 
-    kind: str
     eigenvalues: np.ndarray   # (N,) float, ascending
     eigenvectors: np.ndarray  # (N, N) complex, column i pairs with eigenvalue i
 
@@ -212,17 +163,15 @@ class SpectralData:
             col = self.eigenvectors[:, i]
             vecs.append([[float(z.real), float(z.imag)] for z in col])
         return {
-            "kind": self.kind,
             "eigenvalues": [float(v) for v in self.eigenvalues],
             "eigenvectors": vecs,
         }
 
 
-def spectrum(g: MagneticGraph, kind: str = "magnetic") -> SpectralData:
+def spectrum(g: MagneticGraph) -> SpectralData:
     """Full Hermitian eigendecomposition of -Laplacian via the similarity
     transform D^{1/2} (-M) D^{-1/2}."""
-    _check_kind(kind)
-    M = laplacian_matrix(g, kind)
+    M = laplacian_matrix(g)
     root = np.sqrt(g.degrees)
     H = -(root[:, None] * M / root[None, :])
     H = 0.5 * (H + H.conj().T)
@@ -233,4 +182,4 @@ def spectrum(g: MagneticGraph, kind: str = "magnetic") -> SpectralData:
     F = U / root[:, None]
     w.flags.writeable = False
     F.flags.writeable = False
-    return SpectralData(kind=kind, eigenvalues=w, eigenvectors=F)
+    return SpectralData(eigenvalues=w, eigenvectors=F)

@@ -30,9 +30,8 @@ _CURVATURE_CACHE: dict = {}
 def certified_curvature(corpus, i):
     """(forms, kappa_max result) at n = 2 for corpus graph i, memoized."""
     if i not in _CURVATURE_CACHE:
-        forms = form_family(corpus[i], "magnetic")
-        _CURVATURE_CACHE[i] = (forms, kappa_max(corpus[i], 2.0, "magnetic",
-                                                forms=forms))
+        forms = form_family(corpus[i])
+        _CURVATURE_CACHE[i] = (forms, kappa_max(corpus[i], 2.0, forms=forms))
     return _CURVATURE_CACHE[i]
 
 
@@ -92,15 +91,15 @@ def test_criterion_3_curvature_certificates(corpus):
         forms, cert = certified_curvature(corpus, i)
         km = cert.kappa_max
         eps = 1e-6 * max(1.0, abs(km))
-        if not cd_check_graph(g, 2.0, km - eps, "magnetic", forms=forms).passed:
+        if not cd_check_graph(g, 2.0, km - eps, forms=forms).passed:
             failures.append(f"bracket-low[{i}]")
-        if cd_check_graph(g, 2.0, km + eps, "magnetic", forms=forms).passed:
+        if cd_check_graph(g, 2.0, km + eps, forms=forms).passed:
             failures.append(f"bracket-high[{i}]")
-        kb = kappa_max_bisect(g, 2.0, "magnetic", forms=forms)
+        kb = kappa_max_bisect(g, 2.0, forms=forms)
         if abs(km - kb) > 1e-6:
             failures.append(f"pencil-vs-bisect[{i}]={abs(km - kb):.2e}")
         fs = random_functions(g, 1000, seed=1000 + i)
-        if not cd_check_function(g, fs, 2.0, km, "magnetic").all_passed:
+        if not cd_check_function(g, fs, 2.0, km).all_passed:
             failures.append(f"random-f[{i}]")
     report(3, "curvature certificate soundness", failures,
            time.monotonic() - t0, budget=120.0)
@@ -124,7 +123,7 @@ def test_criterion_4_harnack_property(corpus):
     assert len(qualifying) >= 100, "corpus lost its unbalanced-entire majority"
     for i in qualifying:
         _, cert = certified_curvature(corpus, i)
-        for rec in harnack_check(corpus[i], 2.0, cert.kappa_max, "magnetic"):
+        for rec in harnack_check(corpus[i], 2.0, cert.kappa_max):
             if rec.slack < -1e-9:
                 failures.append(f"graph[{i}] lambda={rec.lam:.6f} "
                                 f"slack={rec.slack:.2e}")
@@ -140,9 +139,9 @@ def test_criterion_5_alpha_reduction(corpus):
         g = corpus[i]
         _, cert = certified_curvature(corpus, i)
         kap = cert.kappa_max
-        for hrec in harnack_check(g, 2.0, kap, "magnetic"):
+        for hrec in harnack_check(g, 2.0, kap):
             alpha = 4.0 - 2.0 * kap / hrec.lam
-            arecs = alpha_bound_check(g, 2.0, kap, alpha, "magnetic")
+            arecs = alpha_bound_check(g, 2.0, kap, alpha)
             arec = next(r for r in arecs if r.eigen_index == hrec.eigen_index)
             if not arec.applicable or arec.ill_conditioned:
                 failures.append(f"graph[{i}] inapplicable at reduction alpha")

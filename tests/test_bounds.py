@@ -13,14 +13,14 @@ from magcurv.operators import energy, spectrum
 
 
 def test_harnack_b3_plain(b3):
-    records = harnack_check(b3, 2.0, "auto", "plain")
+    records = harnack_check(b3.untwisted(), 2.0, "auto")
     assert len(records) == 2  # the two lambda = 3/2 eigenpairs
     assert all(abs(r.lam - 1.5) <= 1e-12 for r in records)
     assert all(r.passed for r in records)
 
 
 def test_harnack_t3_magnetic(t3):
-    records = harnack_check(t3, 2.0, "auto", "magnetic")
+    records = harnack_check(t3, 2.0, "auto")
     assert len(records) == 3
     np.testing.assert_allclose(sorted(r.lam for r in records), [0.5, 0.5, 2.0],
                                atol=1e-12)
@@ -30,19 +30,19 @@ def test_harnack_t3_magnetic(t3):
 def test_harnack_requires_connected():
     g = from_edge_list(4, 2, [(0, 1, 1.0, 1), (2, 3, 1.0, 1)])
     with pytest.raises(PreconditionError):
-        harnack_check(g, 2.0, "auto", "magnetic")
+        harnack_check(g, 2.0, "auto")
 
 
 def test_harnack_scaling_invariance(t3):
     """Both sides of the raw inequality are quadratic in f: scaling f by 10
     scales the slack by 100 and never flips the verdict."""
-    spec = spectrum(t3, "magnetic")
-    kap = kappa_max(t3, 2.0, "magnetic").kappa_max
+    spec = spectrum(t3)
+    kap = kappa_max(t3, 2.0).kappa_max
     f = spec.eigenvectors[:, 2]
     lam = spec.eigenvalues[2]
     for scale in (1.0, 10.0):
         fs = scale * f
-        lhs = float(energy(t3, fs, "magnetic").max())
+        lhs = float(energy(t3, fs).max())
         rhs = ((8.0 - 1.0) * lam - 4.0 * kap) * float(np.abs(fs).max()) ** 2
         if scale == 1.0:
             base_slack = rhs - lhs
@@ -54,41 +54,43 @@ def test_harnack_scaling_invariance(t3):
 
 def test_harnack_rhs_nonnegative_when_active(small_corpus):
     for g in small_corpus[:10]:
-        records = harnack_check(g, 2.0, "auto", "magnetic")
+        records = harnack_check(g, 2.0, "auto")
         for r in records:
             if r.lhs > 1e-12:
                 assert r.rhs >= -1e-9
 
 
 def test_alpha_reduction_matches_harnack(t3, b3):
-    for g, kind in ((t3, "magnetic"), (b3, "plain")):
-        kap = kappa_max(g, 2.0, kind).kappa_max
-        for hrec in harnack_check(g, 2.0, kap, kind):
+    for g in (t3, b3.untwisted()):
+        kap = kappa_max(g, 2.0).kappa_max
+        for hrec in harnack_check(g, 2.0, kap):
             alpha = 4.0 - 2.0 * kap / hrec.lam
-            arecs = alpha_bound_check(g, 2.0, kap, alpha, kind)
+            arecs = alpha_bound_check(g, 2.0, kap, alpha)
             arec = next(r for r in arecs if r.eigen_index == hrec.eigen_index)
             assert arec.applicable and not arec.ill_conditioned
             assert abs(arec.rhs - hrec.rhs) <= 1e-12 * max(1.0, abs(hrec.rhs))
 
 
 def test_alpha_grid_b3(b3):
-    kap = kappa_max(b3, 2.0, "plain").kappa_max
+    plain = b3.untwisted()
+    kap = kappa_max(plain, 2.0).kappa_max
     for alpha in (3.0, 4.0, 5.0, 6.0):
-        for rec in alpha_bound_check(b3, 2.0, kap, alpha, "plain"):
+        for rec in alpha_bound_check(plain, 2.0, kap, alpha):
             assert rec.applicable
             assert rec.passed
 
 
 def test_alpha_boundary_is_ill_conditioned(b3):
-    kap = kappa_max(b3, 2.0, "plain").kappa_max
+    plain = b3.untwisted()
+    kap = kappa_max(plain, 2.0).kappa_max
     lam = 1.5
     alpha = 2.0 - 2.0 * kap / lam + 1e-9
-    recs = alpha_bound_check(b3, 2.0, kap, alpha, "plain")
+    recs = alpha_bound_check(plain, 2.0, kap, alpha)
     assert all(r.ill_conditioned for r in recs if abs(r.lam - lam) < 1e-9)
 
 
 def test_alpha_below_threshold_reported_not_raised(t3):
-    recs = alpha_bound_check(t3, 2.0, 0.0, -5.0, "magnetic")
+    recs = alpha_bound_check(t3, 2.0, 0.0, -5.0)
     assert all(not r.applicable for r in recs)
 
 
@@ -160,6 +162,17 @@ def test_cheeger_bound_c4sigma(c4sigma):
     rec = cheeger_bound_check(c4sigma, 2.0)
     assert rec.lower_passed and rec.upper_passed
     assert rec.curvature_lower_passed
+
+
+def test_cheeger_bound_uses_given_kappa(t3):
+    # t3: d = 2, diameter 1, ell = 2, girth 3, so the path length is 8
+    auto = verify_report(t3, 2.0).cheeger.curvature_lower
+    rec = verify_report(t3, 2.0, kappa=-1.0).cheeger
+    direct = cheeger_bound_check(t3, 2.0, kappa=-1.0)
+    assert rec.curvature_lower == direct.curvature_lower != auto
+    want = (1.0 - 4.0 * 2.0 * 64.0) / (2.0 * 14.0 * 64.0)
+    assert abs(rec.curvature_lower - want) <= 1e-15
+    assert rec.curvature_lower_vacuous
 
 
 def test_cheeger_bound_balanced_degenerates(b3):

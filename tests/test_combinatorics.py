@@ -77,6 +77,8 @@ def test_girth_examples(t3, b3, c4sigma):
     assert magnetic_girth(t3) == 3
     assert magnetic_girth(c4sigma) == 4
     assert magnetic_girth(b3) == math.inf  # signature not entire
+    walk = shortest_generating_closed_walk(t3)
+    assert walk == 3 and type(walk) is int
 
 
 def test_girth_two_n_cycles():
@@ -104,6 +106,7 @@ def test_closed_walk_is_lower_bound(small_corpus):
     for g in small_corpus:
         girth = magnetic_girth(g)
         walk = shortest_generating_closed_walk(g)
+        assert walk == math.inf or type(walk) is int
         if girth != math.inf:
             assert walk <= girth
             assert girth >= 3

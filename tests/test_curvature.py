@@ -26,7 +26,7 @@ def test_dimension_parameter_validation(t3):
 def test_constant_function_trivial_pass(b3):
     f = np.ones(3, dtype=complex)
     for n, kap in ((2.0, 5.0), (math.inf, -3.0), (4.0, 0.0)):
-        chk = cd_check_function(b3, f, n, kap, "plain")
+        chk = cd_check_function(b3.untwisted(), f, n, kap)
         assert chk.all_passed
         assert np.abs(chk.slack).max() <= 1e-14
 
@@ -34,61 +34,61 @@ def test_constant_function_trivial_pass(b3):
 def test_single_edge_kappa_at_infinity(single_edge):
     """The reduced pencil gives kappa = 2 on an isolated edge at n = inf;
     cross-checked against a dense grid of CD decisions."""
-    result = kappa_max(single_edge, math.inf, "plain")
+    plain = single_edge.untwisted()
+    result = kappa_max(plain, math.inf)
     np.testing.assert_allclose(result.per_vertex, [2.0, 2.0], atol=1e-9)
     # grid-search oracle around the reported optimum
     for kap in np.linspace(1.5, 2.5, 21):
         expected = kap <= result.kappa_max + 1e-9
-        got = cd_check_graph(single_edge, math.inf, float(kap), "plain").passed
+        got = cd_check_graph(plain, math.inf, float(kap)).passed
         if abs(kap - result.kappa_max) > 1e-6:
             assert got == expected
-    assert abs(kappa_max_bisect(single_edge, math.inf, "plain")
+    assert abs(kappa_max_bisect(plain, math.inf)
                - result.kappa_max) <= 1e-6
 
 
 def test_pencil_vs_bisection_b3_t3(t3, b3):
     for g in (b3, t3):
-        for kind in ("plain", "magnetic"):
-            pencil = kappa_max(g, 2.0, kind).kappa_max
-            bisect = kappa_max_bisect(g, 2.0, kind)
+        for h in (g.untwisted(), g):
+            pencil = kappa_max(h, 2.0).kappa_max
+            bisect = kappa_max_bisect(h, 2.0)
             assert abs(pencil - bisect) <= 1e-6
 
 
 def test_bracketing_property(t3, b3, c4sigma):
     for g in (t3, b3, c4sigma):
-        forms = form_family(g, "magnetic")
-        km = kappa_max(g, 2.0, "magnetic", forms=forms).kappa_max
+        forms = form_family(g)
+        km = kappa_max(g, 2.0, forms=forms).kappa_max
         eps = 1e-6 * max(1.0, abs(km))
-        assert cd_check_graph(g, 2.0, km - eps, "magnetic", forms=forms).passed
-        assert not cd_check_graph(g, 2.0, km + eps, "magnetic", forms=forms).passed
+        assert cd_check_graph(g, 2.0, km - eps, forms=forms).passed
+        assert not cd_check_graph(g, 2.0, km + eps, forms=forms).passed
 
 
 def test_very_negative_kappa_passes(single_edge):
-    assert cd_check_graph(single_edge, 2.0, -1e6, "plain").passed
+    assert cd_check_graph(single_edge.untwisted(), 2.0, -1e6).passed
 
 
 def test_graph_certificate_controls_functions(t3):
-    km = kappa_max(t3, 2.0, "magnetic").kappa_max
+    km = kappa_max(t3, 2.0).kappa_max
     fs = random_functions(t3, 1000, seed=17)
-    chk = cd_check_function(t3, fs, 2.0, km, "magnetic")
+    chk = cd_check_function(t3, fs, 2.0, km)
     assert chk.all_passed
 
 
 def test_witness_fails_just_above_kappa_max(t3):
-    result = kappa_max(t3, 2.0, "magnetic")
+    result = kappa_max(t3, 2.0)
     x = result.witness_vertex
     wit = result.witnesses[x]
-    chk = cd_check_function(t3, wit, 2.0, result.kappa_max + 1.0, "magnetic")
+    chk = cd_check_function(t3, wit, 2.0, result.kappa_max + 1.0)
     assert not bool(chk.passed[x])
 
 
 def test_all_ones_fails_above_vertex_kappa_t3(t3):
     # on this triangle the constant function already witnesses the optimum
-    result = kappa_max(t3, 2.0, "magnetic")
+    result = kappa_max(t3, 2.0)
     f = np.ones(3, dtype=complex)
     for x in range(3):
-        chk = cd_check_function(t3, f, 2.0, float(result.per_vertex[x]) + 1.0,
-                                "magnetic")
+        chk = cd_check_function(t3, f, 2.0, float(result.per_vertex[x]) + 1.0)
         if not bool(chk.passed[x]):
             break
     else:
@@ -100,8 +100,8 @@ def test_monotone_in_dimension():
     for _ in range(8):
         g = random_magnetic_graph(int(rng.integers(3, 8)), 0.6,
                                   int(rng.choice([2, 3, 4])), rng=rng)
-        forms = form_family(g, "magnetic")
-        ks = [kappa_max(g, n, "magnetic", forms=forms).kappa_max
+        forms = form_family(g)
+        ks = [kappa_max(g, n, forms=forms).kappa_max
               for n in (2.0, 3.0, 5.0, math.inf)]
         for a, b in zip(ks, ks[1:]):
             assert a <= b + 1e-9
@@ -110,9 +110,9 @@ def test_monotone_in_dimension():
 @given(graph_strategy(max_vertices=6))
 @settings(max_examples=15, deadline=None)
 def test_pencil_vs_bisection_random(g):
-    forms = form_family(g, "magnetic")
-    pencil = kappa_max(g, 2.0, "magnetic", forms=forms).kappa_max
-    bisect = kappa_max_bisect(g, 2.0, "magnetic", forms=forms)
+    forms = form_family(g)
+    pencil = kappa_max(g, 2.0, forms=forms).kappa_max
+    bisect = kappa_max_bisect(g, 2.0, forms=forms)
     assert abs(pencil - bisect) <= 1e-6
 
 
@@ -123,13 +123,13 @@ def test_kappa_max_relabeling_invariant():
         perm = rng.permutation(6)
         relabeled = from_edge_list(
             6, 3, [(int(perm[e.u]), int(perm[e.v]), e.w, e.s) for e in g.edges])
-        a = kappa_max(g, 2.0, "magnetic").kappa_max
-        b = kappa_max(relabeled, 2.0, "magnetic").kappa_max
+        a = kappa_max(g, 2.0).kappa_max
+        b = kappa_max(relabeled, 2.0).kappa_max
         assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
 
 
 def test_curvature_json(t3):
-    payload = kappa_max(t3, 2.0, "magnetic").to_json_dict()
+    payload = kappa_max(t3, 2.0).to_json_dict()
     assert set(payload) == {"n", "kappa_max", "per_vertex", "witness_vertex"}
     assert len(payload["per_vertex"]) == 3
 

@@ -103,17 +103,17 @@ def test_lift_identities_t3(t3):
 def test_zero_function_zero_residual(t3):
     lift = build_lift(t3)
     fh = lift_function(t3, np.zeros(3))
-    resid = laplacian_matrix(lift.graph, "plain") @ fh
+    resid = laplacian_matrix(lift.graph) @ fh
     assert np.all(resid == 0)
 
 
 def test_t3_spectrum_embeds_in_six_cycle_spectrum(t3):
     lift = build_lift(t3)
-    lift_eigs = spectrum(lift.graph, "plain").eigenvalues
+    lift_eigs = spectrum(lift.graph).eigenvalues
     # closed form for the 6-cycle: 1 - cos(pi j / 3)
     expected = np.sort([1.0 - math.cos(math.pi * j / 3.0) for j in range(6)])
     np.testing.assert_allclose(lift_eigs, expected, atol=1e-12)
-    base_eigs = spectrum(t3, "magnetic").eigenvalues
+    base_eigs = spectrum(t3).eigenvalues
     remaining = list(lift_eigs)
     for lam in base_eigs:
         j = int(np.argmin(np.abs(np.array(remaining) - lam)))
@@ -151,34 +151,34 @@ def test_local_cd_transfer(small_corpus):
     for g in small_corpus[:6]:
         f = random_functions(g, 1, seed=8)[:, 0]
         # tightest kappa this particular f satisfies at n = 2, backed off a hair
-        gam = np.real(gamma(g, f, kind="magnetic"))
-        gam2 = np.real(gamma2(g, f, kind="magnetic"))
-        lf2 = np.abs(laplacian_matrix(g, "magnetic") @ f) ** 2
+        gam = np.real(gamma(g, f))
+        gam2 = np.real(gamma2(g, f))
+        lf2 = np.abs(laplacian_matrix(g) @ f) ** 2
         with np.errstate(divide="ignore", invalid="ignore"):
             crit = np.where(gam > 1e-9, (gam2 - 0.5 * lf2) / gam, np.inf)
         kap = float(crit.min()) - 1e-7
-        assert cd_check_function(g, f, 2.0, kap, "magnetic").all_passed
+        assert cd_check_function(g, f, 2.0, kap).all_passed
         lift = build_lift(g)
         fh = lift_function(g, f)
-        assert cd_check_function(lift.graph, fh, 2.0, kap, "plain").all_passed
+        assert cd_check_function(lift.graph, fh, 2.0, kap).all_passed
 
 
 def test_lifted_functions_inherit_certified_curvature(small_corpus):
     for g in small_corpus[:6]:
-        kap = kappa_max(g, 2.0, "magnetic").kappa_max
+        kap = kappa_max(g, 2.0).kappa_max
         lift = build_lift(g)
         fs = random_functions(g, 20, seed=13)
         for j in range(fs.shape[1]):
             fh = lift_function(g, fs[:, j])
-            assert cd_check_function(lift.graph, fh, 2.0, kap, "plain").all_passed
+            assert cd_check_function(lift.graph, fh, 2.0, kap).all_passed
 
 
 def test_lift_cd_implies_base_cd(small_corpus):
     """CD on the covering graph forces the magnetic CD on the base."""
     for g in small_corpus[:6]:
         lift = build_lift(g)
-        kap_lift = kappa_max(lift.graph, 2.0, "plain").kappa_max
-        assert cd_check_graph(g, 2.0, kap_lift - 1e-8, "magnetic").passed
+        kap_lift = kappa_max(lift.graph, 2.0).kappa_max
+        assert cd_check_graph(g, 2.0, kap_lift - 1e-8).passed
 
 
 def test_trials_validation(t3):

@@ -8,6 +8,9 @@ from magcurv.operators import (energy, form_family, gamma, gamma2,
 
 from .conftest import graph_strategy, random_functions
 
+# The oracles keep their kind argument: they are the reference that the one
+# operator, applied to g or to g.untwisted(), is compared against.
+
 
 # --- independent pointwise oracles (kept deliberately naive) ---------------
 
@@ -49,17 +52,17 @@ def gamma2_oracle(g, f, kind):
 # --- Laplacian --------------------------------------------------------------
 
 def test_plain_laplacian_b3(b3):
-    lf = laplacian_matrix(b3, "plain") @ np.array([1.0, 0.0, 0.0])
+    lf = laplacian_matrix(b3.untwisted()) @ np.array([1.0, 0.0, 0.0])
     np.testing.assert_allclose(lf, [-1.0, 0.5, 0.5], atol=1e-14)
 
 
 def test_magnetic_laplacian_t3(t3):
-    lf = laplacian_matrix(t3, "magnetic") @ np.ones(3)
+    lf = laplacian_matrix(t3) @ np.ones(3)
     np.testing.assert_allclose(lf, [-1.0, 0.0, -1.0], atol=1e-14)
 
 
 def test_laplacian_of_zero(t3):
-    lf = laplacian_matrix(t3, "magnetic") @ np.zeros(3)
+    lf = laplacian_matrix(t3) @ np.zeros(3)
     assert np.all(lf == 0)
 
 
@@ -67,8 +70,8 @@ def test_laplacian_of_zero(t3):
 @settings(max_examples=40, deadline=None)
 def test_matrix_matches_pointwise_sum(g):
     f = random_functions(g, 1, seed=3)[:, 0]
-    for kind in ("plain", "magnetic"):
-        got = laplacian_matrix(g, kind) @ f
+    for h, kind in ((g.untwisted(), "plain"), (g, "magnetic")):
+        got = laplacian_matrix(h) @ f
         want = laplacian_oracle(g, f, kind)
         scale = max(1.0, float(np.abs(want).max()))
         assert np.abs(got - want).max() <= 1e-12 * scale
@@ -77,28 +80,28 @@ def test_matrix_matches_pointwise_sum(g):
 # --- energy -----------------------------------------------------------------
 
 def test_energy_examples(t3, b3):
-    e = energy(b3, np.array([1.0, 0.0, 0.0]), "plain")
+    e = energy(b3.untwisted(), np.array([1.0, 0.0, 0.0]))
     assert abs(e[0] - 1.0) <= 1e-14
-    np.testing.assert_allclose(energy(t3, np.ones(3), "magnetic"), [2.0, 0.0, 2.0],
+    np.testing.assert_allclose(energy(t3, np.ones(3)), [2.0, 0.0, 2.0],
                                atol=1e-14)
-    assert np.abs(energy(t3, 3.7 * np.ones(3), "plain")).max() <= 1e-14
+    assert np.abs(energy(t3.untwisted(), 3.7 * np.ones(3))).max() <= 1e-14
 
 
 @given(graph_strategy())
 @settings(max_examples=40, deadline=None)
 def test_energy_nonnegative_and_twice_gamma(g):
     f = random_functions(g, 1, seed=5)[:, 0]
-    for kind in ("plain", "magnetic"):
-        e = energy(g, f, kind)
+    for h in (g.untwisted(), g):
+        e = energy(h, f)
         assert np.all(e >= -1e-14)
-        two_gamma = 2.0 * np.real(gamma(g, f, kind=kind))
+        two_gamma = 2.0 * np.real(gamma(h, f))
         assert np.abs(e - two_gamma).max() <= 1e-12 * max(1.0, float(e.max()))
 
 
 # --- forms ------------------------------------------------------------------
 
 def test_single_edge_first_form(single_edge):
-    forms = form_family(single_edge, "plain")
+    forms = form_family(single_edge.untwisted())
     g0 = np.asarray(forms.gamma[0])
     eigvals = np.linalg.eigvalsh(g0)
     np.testing.assert_allclose(eigvals, [0.0, 1.0], atol=1e-14)
@@ -108,7 +111,7 @@ def test_single_edge_first_form(single_edge):
 
 def test_forms_exactly_hermitian(t3, c4sigma):
     for g in (t3, c4sigma):
-        forms = form_family(g, "magnetic")
+        forms = form_family(g)
         for x in range(g.num_vertices):
             for stack in (forms.gamma, forms.gamma2, forms.lap_square):
                 m = np.asarray(stack[x])
@@ -117,7 +120,7 @@ def test_forms_exactly_hermitian(t3, c4sigma):
 
 def test_forms_psd(t3, c4sigma):
     for g in (t3, c4sigma):
-        forms = form_family(g, "magnetic")
+        forms = form_family(g)
         for x in range(g.num_vertices):
             for stack in (forms.gamma, forms.lap_square):
                 eigs = np.linalg.eigvalsh(np.asarray(stack[x]))
@@ -126,7 +129,7 @@ def test_forms_psd(t3, c4sigma):
 
 
 def test_gamma2_form_matches_recursive_oracle(t3):
-    forms = form_family(t3, "magnetic")
+    forms = form_family(t3)
     fs = random_functions(t3, 100, seed=9)
     for j in range(fs.shape[1]):
         f = fs[:, j]
@@ -137,7 +140,7 @@ def test_gamma2_form_matches_recursive_oracle(t3):
 
 
 def test_constant_function_kills_plain_forms(b3):
-    forms = form_family(b3, "plain")
+    forms = form_family(b3.untwisted())
     f = 2.5 * np.ones(3, dtype=complex)
     for x in range(3):
         assert abs(f.conj() @ np.asarray(forms.gamma[x]) @ f) <= 1e-13
@@ -147,11 +150,11 @@ def test_constant_function_kills_plain_forms(b3):
 @given(graph_strategy(max_vertices=6))
 @settings(max_examples=25, deadline=None)
 def test_form_values_match_pointwise(g):
-    forms = form_family(g, "magnetic")
+    forms = form_family(g)
     f = random_functions(g, 1, seed=21)[:, 0]
-    g1 = np.real(gamma(g, f, kind="magnetic"))
-    g2 = np.real(gamma2(g, f, kind="magnetic"))
-    lf = laplacian_matrix(g, "magnetic") @ f
+    g1 = np.real(gamma(g, f))
+    g2 = np.real(gamma2(g, f))
+    lf = laplacian_matrix(g) @ f
     for x in range(g.num_vertices):
         assert abs(f.conj() @ np.asarray(forms.gamma[x]) @ f - g1[x]) \
             <= 1e-10 * max(1.0, abs(g1[x]))
@@ -164,30 +167,30 @@ def test_form_values_match_pointwise(g):
 def test_gamma2_composition_identity(t3):
     # gamma2(f) = [Delta gamma(f) - 2 Re gamma(f, Lf)] / 2, composed from parts
     f = random_functions(t3, 1, seed=33)[:, 0]
-    lf = laplacian_matrix(t3, "magnetic") @ f
-    lhs = np.real(gamma2(t3, f, kind="magnetic"))
-    composed = 0.5 * (np.real(laplacian_matrix(t3, "plain")
-                              @ np.real(gamma(t3, f, kind="magnetic")))
-                      - 2.0 * np.real(gamma(t3, f, lf, kind="magnetic")))
+    lf = laplacian_matrix(t3) @ f
+    lhs = np.real(gamma2(t3, f))
+    composed = 0.5 * (np.real(laplacian_matrix(t3.untwisted())
+                              @ np.real(gamma(t3, f)))
+                      - 2.0 * np.real(gamma(t3, f, lf)))
     assert np.abs(lhs - composed).max() <= 1e-10
 
 
 # --- spectrum ---------------------------------------------------------------
 
 def test_spectrum_b3_plain(b3):
-    spec = spectrum(b3, "plain")
+    spec = spectrum(b3.untwisted())
     np.testing.assert_allclose(spec.eigenvalues, [0.0, 1.5, 1.5], atol=1e-12)
 
 
 def test_spectrum_t3_magnetic(t3):
-    spec = spectrum(t3, "magnetic")
+    spec = spectrum(t3)
     np.testing.assert_allclose(spec.eigenvalues, [0.5, 0.5, 2.0], atol=1e-12)
 
 
 def test_spectrum_residuals_and_range(t3, c4sigma):
     for g in (t3, c4sigma):
-        spec = spectrum(g, "magnetic")
-        neg = -laplacian_matrix(g, "magnetic")
+        spec = spectrum(g)
+        neg = -laplacian_matrix(g)
         for i, lam in enumerate(spec.eigenvalues):
             f = spec.eigenvectors[:, i]
             resid = np.linalg.norm(neg @ f - lam * f)
@@ -197,50 +200,77 @@ def test_spectrum_residuals_and_range(t3, c4sigma):
 
 
 def test_spectrum_degree_orthonormal(t3):
-    spec = spectrum(t3, "magnetic")
+    spec = spectrum(t3)
     gram = spec.eigenvectors.conj().T @ np.diag(t3.degrees) @ spec.eigenvectors
     assert np.abs(gram - np.eye(3)).max() <= 1e-12
 
 
 def test_balanced_graph_has_zero_magnetic_eigenvalue(b3):
-    spec = spectrum(b3, "magnetic")
+    spec = spectrum(b3)
     assert abs(spec.eigenvalues[0]) <= 1e-12
+
+
+@given(graph_strategy())
+@settings(max_examples=30, deadline=None)
+def test_untwisted_matches_plain_oracle(g):
+    plain = g.untwisted()
+    assert (plain.num_vertices, plain.ell) == (g.num_vertices, g.ell)
+    assert np.array_equal(plain.degrees, g.degrees)
+    f = random_functions(g, 1, seed=4)[:, 0]
+    lf = laplacian_oracle(g, f, "plain")
+    g1 = np.real(gamma_oracle(g, f, f, "plain"))
+    g2 = np.real(gamma2_oracle(g, f, "plain"))
+
+    def close(got, want):
+        return np.abs(got - want).max() <= 1e-10 * max(1.0, float(np.abs(want).max()))
+
+    assert close(laplacian_matrix(plain) @ f, lf)
+    assert close(energy(plain, f), 2.0 * g1)
+    assert close(np.real(gamma2(plain, f)), g2)
+    forms = form_family(plain)
+    quad = [np.real(np.einsum("i,xij,j->x", f.conj(), stack, f))
+            for stack in (forms.gamma, forms.gamma2, forms.lap_square)]
+    assert close(quad[0], g1)
+    assert close(quad[1], g2)
+    assert close(quad[2], np.abs(lf) ** 2)
+
+
+def test_laplacian_entries_pinned_bitwise(corpus):
+    # verify output is byte-identical only while these exact bits hold
+    for g in corpus:
+        M = laplacian_matrix(g)
+        assert np.all(np.diag(M) == -1.0)
+        for x in range(g.num_vertices):
+            for y, w, s in g.neighbors(x):
+                assert M[x, y] == w * g.phase(s) / g.degrees[x]
 
 
 @given(graph_strategy(max_ell=1))
 @settings(max_examples=25, deadline=None)
 def test_plain_equals_magnetic_for_trivial_signature(g):
     # all exponents are 0 when ell = 1
-    assert np.abs(laplacian_matrix(g, "plain")
-                  - laplacian_matrix(g, "magnetic")).max() <= 1e-14
+    plain = g.untwisted()
+    assert np.abs(laplacian_matrix(plain) - laplacian_matrix(g)).max() <= 1e-14
     f = random_functions(g, 1, seed=2)[:, 0]
-    assert np.abs(energy(g, f, "plain") - energy(g, f, "magnetic")).max() <= 1e-14
-    sp, sm = spectrum(g, "plain"), spectrum(g, "magnetic")
+    assert np.abs(energy(plain, f) - energy(g, f)).max() <= 1e-14
+    sp, sm = spectrum(plain), spectrum(g)
     assert np.abs(sp.eigenvalues - sm.eigenvalues).max() <= 1e-14
 
 
 def test_plain_equals_magnetic_all_zero_exponents(b3):
-    # ell = 2 but every exponent 0: the two kinds coincide entrywise
-    assert np.abs(laplacian_matrix(b3, "plain")
-                  - laplacian_matrix(b3, "magnetic")).max() <= 1e-14
-    forms_p, forms_m = form_family(b3, "plain"), form_family(b3, "magnetic")
+    # ell = 2 but every exponent 0: the graph and its untwisting coincide entrywise
+    plain = b3.untwisted()
+    assert np.abs(laplacian_matrix(plain) - laplacian_matrix(b3)).max() <= 1e-14
+    forms_p, forms_m = form_family(plain), form_family(b3)
     assert np.abs(np.asarray(forms_p.gamma2)
                   - np.asarray(forms_m.gamma2)).max() <= 1e-14
-    assert np.abs(spectrum(b3, "plain").eigenvalues
-                  - spectrum(b3, "magnetic").eigenvalues).max() <= 1e-14
-
-
-def test_form_family_json_shape(single_edge):
-    payload = form_family(single_edge, "plain").to_json_dict()
-    assert payload["kind"] == "plain"
-    # 2 vertices -> two 2x2 matrices of [re, im] pairs per stack
-    assert len(payload["gamma"]) == 2
-    assert payload["gamma"][0][0][0] == [0.5, 0.0]
+    assert np.abs(spectrum(plain).eigenvalues
+                  - spectrum(b3).eigenvalues).max() <= 1e-14
 
 
 def test_spectral_json_shape(t3):
-    payload = spectrum(t3, "magnetic").to_json_dict()
-    assert payload["kind"] == "magnetic"
+    payload = spectrum(t3).to_json_dict()
+    assert set(payload) == {"eigenvalues", "eigenvectors"}
     assert len(payload["eigenvalues"]) == 3
     assert len(payload["eigenvectors"]) == 3
     assert all(len(vec) == 3 and len(vec[0]) == 2 for vec in payload["eigenvectors"])
