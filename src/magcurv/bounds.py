@@ -19,7 +19,7 @@ from .combinatorics import DEFAULT_BUDGET, cheeger_number, magnetic_girth
 from .curvature import kappa_max
 from .errors import PreconditionError, SizeError
 from .graphs import MagneticGraph, diameter, is_connected, signature_status
-from .lift import build_lift
+from .lift import _path_bound_girth, build_lift
 from .operators import energy, spectrum
 
 __all__ = [
@@ -130,24 +130,28 @@ def alpha_bound_check(g: MagneticGraph, n: float, kappa: float,
     alpha = 4 - 2 kappa / lambda the right-hand side reduces exactly to the
     Harnack one. Inapplicable alphas are reported, not raised.
     """
+    return [_alpha_record(g, n, kappa, alpha, i, lam, f)
+            for i, lam, f in _normalized_eigenpairs(g)]
+
+
+def _alpha_record(g: MagneticGraph, n: float, kappa: float, alpha: float,
+                  i: int, lam: float, f: np.ndarray) -> AlphaRecord:
+    """The alpha-bound record of one normalized eigenpair (i, lam, f)."""
     invn = 0.0 if n == math.inf else 1.0 / n
-    records = []
-    for i, lam, f in _normalized_eigenpairs(g):
-        applicable = alpha > 2.0 - 2.0 * kappa / lam
-        denom = (alpha - 2.0) * lam + 2.0 * kappa
-        ill = abs(denom) <= 1e-8 * max(1.0, lam)
-        lhs = energy(g, f) + alpha * lam * np.abs(f) ** 2
-        if applicable and not ill:
-            rhs = ((alpha * alpha - 4.0 * invn) * lam + 2.0 * kappa * alpha) / denom * lam
-            passed = bool(all(_passes(float(v), rhs) for v in lhs))
-        else:
-            rhs = math.nan
-            passed = False
-        records.append(AlphaRecord(eigen_index=i, lam=lam, alpha=alpha,
-                                   applicable=applicable, ill_conditioned=ill,
-                                   lhs_per_vertex=tuple(float(v) for v in lhs),
-                                   rhs=rhs, passed=passed))
-    return records
+    applicable = alpha > 2.0 - 2.0 * kappa / lam
+    denom = (alpha - 2.0) * lam + 2.0 * kappa
+    ill = abs(denom) <= 1e-8 * max(1.0, lam)
+    lhs = energy(g, f) + alpha * lam * np.abs(f) ** 2
+    if applicable and not ill:
+        rhs = ((alpha * alpha - 4.0 * invn) * lam + 2.0 * kappa * alpha) / denom * lam
+        passed = bool(all(_passes(float(v), rhs) for v in lhs))
+    else:
+        rhs = math.nan
+        passed = False
+    return AlphaRecord(eigen_index=i, lam=lam, alpha=alpha,
+                       applicable=applicable, ill_conditioned=ill,
+                       lhs_per_vertex=tuple(float(v) for v in lhs),
+                       rhs=rhs, passed=passed)
 
 
 @dataclass(frozen=True)
@@ -200,29 +204,20 @@ def eigenvalue_lower_bound(g: MagneticGraph, n: float, kappa="auto",
     girth; the failed one is named in PreconditionError. Both the
     (2D + ell*girth)-based bound and the lift-diameter bound are checked.
     """
-    if not is_connected(g):
-        raise PreconditionError("connected")
-    status = signature_status(g)
-    if status.balanced:
-        raise PreconditionError("unbalanced")
-    if not status.entire:
-        raise PreconditionError("entire signature")
-    girth = magnetic_girth(g, budget=budget)
-    if girth == math.inf:
-        raise PreconditionError("finite magnetic girth")
+    girth = _path_bound_girth(g, budget)
     kap = _resolve_kappa(g, n, kappa)
     d = g.max_degree
     dia = int(diameter(g))
-    length = 2 * dia + g.ell * int(girth)
+    length = 2 * dia + g.ell * girth
     lam_min = float(spectrum(g).eigenvalues[0])
     lift_dia = int(diameter(build_lift(g).graph))
     bound = _curvature_path_bound(kap, d, n, length ** 2, length ** 2)
     bound_alt = _curvature_path_bound(kap, d, n, length ** 2,
-                                      (2 + g.ell * int(girth)) ** 2)
+                                      (2 + g.ell * girth) ** 2)
     lift_bound = _curvature_path_bound(kap, d, n, lift_dia ** 2, lift_dia ** 2)
     return EigenvalueBoundRecord(
         lambda_min=lam_min, diameter=dia, lift_diameter=lift_dia,
-        girth=int(girth), max_degree=d, n=n, kappa=kap,
+        girth=girth, max_degree=d, n=n, kappa=kap,
         bound=bound, bound_alt=bound_alt, lift_bound=lift_bound,
         passed=_passes(bound, lam_min), passed_lift=_passes(lift_bound, lam_min),
         vacuous=bound <= 0.0, vacuous_lift=lift_bound <= 0.0)
@@ -260,8 +255,8 @@ def cheeger_bound_check(g: MagneticGraph, n: float, kappa="auto",
 
     The curvature/path lower bound uses kappa ("auto" = kappa_max(g, n)) and
     additionally needs the eigenvalue-bound hypotheses (connected,
-    unbalanced, entire, finite girth); when they fail it is recorded as not
-    applicable rather than raised.
+    unbalanced, entire, finite girth); when they fail, or the girth search
+    exceeds the budget, it is recorded as not applicable rather than raised.
     """
     lam = float(spectrum(g).eigenvalues[0])
     h1 = cheeger_number(g, mode="exact", budget=budget).h1
@@ -271,17 +266,17 @@ def cheeger_bound_check(g: MagneticGraph, n: float, kappa="auto",
     curvature_lower = None
     curvature_passed = None
     curvature_vacuous = None
-    status = signature_status(g)
-    if is_connected(g) and not status.balanced and status.entire:
-        girth = magnetic_girth(g, budget=budget)
-        if girth != math.inf:
-            kap = _resolve_kappa(g, n, kappa)
-            length = 2 * int(diameter(g)) + g.ell * int(girth)
-            invn = 0.0 if n == math.inf else 1.0 / n
-            curvature_lower = (1.0 + 4.0 * kap * d * length ** 2) / (
-                d * (16.0 - 4.0 * invn) * length ** 2)
-            curvature_passed = _passes(curvature_lower, h1)
-            curvature_vacuous = curvature_lower <= 0.0
+    try:
+        girth = _path_bound_girth(g, budget)
+    except (PreconditionError, SizeError):
+        pass
+    else:
+        # half the eigenvalue bound, since h1 >= lambda / 2
+        length_sq = (2 * int(diameter(g)) + g.ell * girth) ** 2
+        curvature_lower = 0.5 * _curvature_path_bound(
+            _resolve_kappa(g, n, kappa), d, n, length_sq, length_sq)
+        curvature_passed = _passes(curvature_lower, h1)
+        curvature_vacuous = curvature_lower <= 0.0
     return CheegerBoundRecord(
         lambda_min=lam, h1=h1, max_degree=d, lower=lower, upper=upper,
         lower_passed=_passes(lower, h1), upper_passed=_passes(h1, upper),
@@ -301,7 +296,7 @@ class BoundsReport:
     connected: bool
     balanced: bool
     entire: bool
-    girth_finite: bool
+    girth_finite: bool | None   # None: the girth search exceeded the budget
     harnack: tuple[HarnackRecord, ...]
     alpha: tuple[AlphaRecord, ...]
     eigenvalue: EigenvalueBoundRecord | None
@@ -400,32 +395,26 @@ def verify_report(g: MagneticGraph, n: float = 2.0, kappa="auto",
     Requires a connected graph. kappa = "auto" uses the certified
     kappa_max(g, n), and every check gets the same kappa; every eigenpair
     gets one alpha record at the reduction value alpha = 4 - 2 kappa / lambda.
-    Bound checks whose hypotheses fail, and Cheeger checks over budget, are
-    recorded as skipped.
+    Bound checks whose hypotheses fail are recorded as skipped; a search over
+    budget skips only the record that needs it (girth_finite is then None).
     """
-    if not is_connected(g):
-        raise PreconditionError("connected")
     status = signature_status(g)
     kap = _resolve_kappa(g, n, kappa)
-    girth = magnetic_girth(g, budget=budget)
-
     harnack = harnack_check(g, n, kap)
-    alpha_records = []
-    for rec in harnack:
-        a = 4.0 - 2.0 * kap / rec.lam
-        for arec in alpha_bound_check(g, n, kap, a):
-            if arec.eigen_index == rec.eigen_index:
-                alpha_records.append(arec)
+    alpha_records = [_alpha_record(g, n, kap, 4.0 - 2.0 * kap / lam, i, lam, f)
+                     for i, lam, f in _normalized_eigenpairs(g)]
+    try:
+        girth_finite = magnetic_girth(g, budget=budget) != math.inf
+    except SizeError:
+        girth_finite = None
 
     eigen_rec, eigen_skip = None, None
-    if status.balanced:
-        eigen_skip = "hypothesis failed: unbalanced"
-    elif not status.entire:
-        eigen_skip = "hypothesis failed: entire signature"
-    elif girth == math.inf:
-        eigen_skip = "hypothesis failed: finite magnetic girth"
-    else:
+    try:
         eigen_rec = eigenvalue_lower_bound(g, n, kap, budget=budget)
+    except PreconditionError as exc:
+        eigen_skip = f"hypothesis failed: {exc.hypothesis}"
+    except SizeError as exc:
+        eigen_skip = f"budget: {exc}"
 
     cheeger_rec, cheeger_skip = None, None
     try:
@@ -436,7 +425,7 @@ def verify_report(g: MagneticGraph, n: float = 2.0, kappa="auto",
     return BoundsReport(
         num_vertices=g.num_vertices, ell=g.ell, n=n, kappa=kap,
         connected=True, balanced=status.balanced, entire=status.entire,
-        girth_finite=girth != math.inf,
+        girth_finite=girth_finite,
         harnack=tuple(harnack), alpha=tuple(alpha_records),
         eigenvalue=eigen_rec, eigenvalue_skipped=eigen_skip,
         cheeger=cheeger_rec, cheeger_skipped=cheeger_skip)

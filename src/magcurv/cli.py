@@ -2,9 +2,10 @@
 
 Exit codes: 0 = success / all checks pass, 1 = at least one verified
 inequality fails (verification commands only), 2 = input or precondition
-error, 3 = enumeration budget exceeded. All floating-point output is printed
-with 12 significant digits; JSON output is deterministic for identical inputs
-and seeds.
+error, 3 = enumeration budget exceeded (girth, cheeger, frustration; verify
+records an overrun as a skipped check instead). All floating-point output is
+printed with 12 significant digits; JSON output is deterministic for identical
+inputs and seeds.
 """
 
 from __future__ import annotations
@@ -75,56 +76,51 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Spectral and curvature toolkit for magnetic graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_input=True):
-        if with_input:
-            p.add_argument("input", help="graph document path, or - for stdin")
-        p.add_argument("--json", action="store_true", help="emit JSON")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for heuristic randomness")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="enumeration/search budget")
+    graph = argparse.ArgumentParser(add_help=False)
+    graph.add_argument("input", help="graph document path, or - for stdin")
+    graph.add_argument("--json", action="store_true", help="emit JSON")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0, help="seed for heuristic randomness")
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                        help="enumeration/search budget")
 
-    p = sub.add_parser("spectrum", help="eigenvalues/eigenvectors of -Laplacian")
-    add_common(p)
+    sub.add_parser("spectrum", parents=[graph], help="eigenvalues/eigenvectors of -Laplacian")
 
-    p = sub.add_parser("curvature", help="optimal curvature kappa_max(n)")
-    add_common(p)
+    p = sub.add_parser("curvature", parents=[graph], help="optimal curvature kappa_max(n)")
     p.add_argument("--n", type=_parse_n, default=2.0, help="dimension parameter (or inf)")
 
-    p = sub.add_parser("girth", help="magnetic girth")
-    add_common(p)
+    sub.add_parser("girth", parents=[graph, budget], help="magnetic girth")
 
-    p = sub.add_parser("lift", help="covering graph in document format (ell = 1)")
-    add_common(p)
+    p = sub.add_parser("lift", parents=[graph],
+                       help="covering graph in document format (ell = 1)")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
 
-    p = sub.add_parser("frustration", help="frustration index of a vertex subset")
-    add_common(p)
+    p = sub.add_parser("frustration", parents=[graph, seed, budget],
+                       help="frustration index of a vertex subset")
     p.add_argument("--subset", required=True,
                    help="comma-separated vertex list, e.g. 0,1,2")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--exact", action="store_true", default=True)
     mode.add_argument("--local-search", dest="local_search", action="store_true")
 
-    p = sub.add_parser("cheeger", help="magnetic Cheeger number")
-    add_common(p)
+    p = sub.add_parser("cheeger", parents=[graph, seed, budget], help="magnetic Cheeger number")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--exact", action="store_true", default=True)
     mode.add_argument("--heuristic", action="store_true")
 
-    p = sub.add_parser("harnack", help="Harnack inequality per eigenpair")
-    add_common(p)
+    p = sub.add_parser("harnack", parents=[graph], help="Harnack inequality per eigenpair")
     p.add_argument("--n", type=_parse_n, default=2.0)
     p.add_argument("--kappa", type=float, default=None,
                    help="curvature lower bound (default: certified kappa_max)")
 
-    p = sub.add_parser("verify", help="verify every applicable inequality")
-    add_common(p)
+    p = sub.add_parser("verify", parents=[graph, budget],
+                       help="verify every applicable inequality")
     p.add_argument("--n", type=_parse_n, default=2.0)
     p.add_argument("--kappa", type=float, default=None)
 
-    p = sub.add_parser("generate", help="random connected magnetic graph document")
-    add_common(p, with_input=False)
+    p = sub.add_parser("generate", parents=[seed],
+                       help="random connected magnetic graph document")
     p.add_argument("--vertices", type=int, required=True)
     p.add_argument("--edge-prob", type=float, required=True)
     p.add_argument("--ell", type=int, required=True)
@@ -211,8 +207,7 @@ def _cmd_cheeger(args) -> int:
 
 def _cmd_harnack(args) -> int:
     g = _read_graph(args.input)
-    kappa = args.kappa if args.kappa is not None else "auto"
-    records = harnack_check(g, args.n, kappa)
+    records = harnack_check(g, args.n, args.kappa)
     if args.json:
         _emit_json({"n": args.n, "records": [r.to_json_dict() for r in records]})
     else:
@@ -224,8 +219,7 @@ def _cmd_harnack(args) -> int:
 
 def _cmd_verify(args) -> int:
     g = _read_graph(args.input)
-    kappa = args.kappa if args.kappa is not None else "auto"
-    report = verify_report(g, n=args.n, kappa=kappa, budget=args.budget)
+    report = verify_report(g, n=args.n, kappa=args.kappa, budget=args.budget)
     if args.json:
         _emit_json(report.to_json_dict())
     else:

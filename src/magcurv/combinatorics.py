@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptySubsetError, SizeError, ValidationError
-from .graphs import MagneticGraph, signature_status
+from .graphs import MagneticGraph, memoised_on_graph, signature_status
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -33,6 +33,7 @@ __all__ = [
 DEFAULT_BUDGET = 10_000_000
 
 
+@memoised_on_graph
 def magnetic_girth(g: MagneticGraph, budget: int = DEFAULT_BUDGET) -> int | float:
     """Length of the shortest simple cycle whose phase product generates the
     whole signature group; math.inf if the signature is not entire or no such

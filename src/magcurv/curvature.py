@@ -98,16 +98,14 @@ def _cd_matrix(forms: FormFamily, x: int, invn: float, kappa: float) -> np.ndarr
     return forms.gamma2[x] - invn * forms.lap_square[x] - kappa * forms.gamma[x]
 
 
-def cd_check_graph(g: MagneticGraph, n: float, kappa: float,
-                   forms: FormFamily | None = None) -> CDGraphCheck:
+def cd_check_graph(g: MagneticGraph, n: float, kappa: float) -> CDGraphCheck:
     """Exact graph-wide CD(n, kappa) decision via per-vertex PSD tests.
 
     A Hermitian matrix is accepted as PSD when its minimum eigenvalue is
     >= -1e-9 * max(1, spectral norm).
     """
     invn = _inv_n(n)
-    if forms is None:
-        forms = form_family(g)
+    forms = form_family(g)
     n_vert = g.num_vertices
     mins = np.empty(n_vert)
     cuts = np.empty(n_vert)
@@ -198,12 +196,10 @@ def _vertex_kappa(A: np.ndarray, G: np.ndarray) -> tuple[float, np.ndarray]:
     return float(vals[0]), wit
 
 
-def kappa_max(g: MagneticGraph, n: float,
-              forms: FormFamily | None = None) -> CurvatureResult:
+def kappa_max(g: MagneticGraph, n: float) -> CurvatureResult:
     """Optimal kappa(n) per vertex and graph-wide, by the reduced-pencil route."""
     invn = _inv_n(n)
-    if forms is None:
-        forms = form_family(g)
+    forms = form_family(g)
     per = np.empty(g.num_vertices)
     wits = []
     for x in range(g.num_vertices):
@@ -218,18 +214,14 @@ def kappa_max(g: MagneticGraph, n: float,
 
 
 def kappa_max_bisect(g: MagneticGraph, n: float, tol: float = 1e-9,
-                     forms: FormFamily | None = None,
                      max_doublings: int = 80) -> float:
     """Graph-wide optimal kappa by bisection with cd_check_graph as the oracle.
 
     Independent of the pencil route; the two must agree to ~1e-6.
     """
-    _inv_n(n)
-    if forms is None:
-        forms = form_family(g)
 
     def ok(k: float) -> bool:
-        return cd_check_graph(g, n, k, forms=forms).passed
+        return cd_check_graph(g, n, k).passed
 
     hi = 1.0
     for _ in range(max_doublings):

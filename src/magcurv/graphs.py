@@ -9,16 +9,18 @@ every operator is assembled from. A plain graph is one whose exponents are all
 
 Vertices are 0-indexed integers; the edge order of the input document fixes
 the summation / matrix-row order everywhere downstream. Graphs are immutable
-after construction and all queries are pure.
+after construction and all queries are pure; the expensive ones are computed
+once per graph and stored on it (``memoised_on_graph``).
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -174,6 +176,26 @@ class MagneticGraph:
         return json.dumps(self.to_document())
 
 
+def memoised_on_graph(fn):
+    """Store ``fn(g, ...)`` on ``g`` per argument tuple (defaults bound) while
+    ``g`` lives; a raise stores nothing. Results are shared: read-only, with no
+    reference back to ``g``. Builds call ``__wrapped__`` so tests can count them.
+    """
+    signature = inspect.signature(fn)
+
+    @wraps(fn)
+    def memoised(g: MagneticGraph, *args, **kwargs):
+        bound = signature.bind(g, *args, **kwargs)
+        bound.apply_defaults()
+        key = (fn, *list(bound.arguments.values())[1:])
+        memo = g.__dict__.setdefault("_memo", {})
+        if key not in memo:
+            memo[key] = memoised.__wrapped__(g, *args, **kwargs)
+        return memo[key]
+
+    return memoised
+
+
 def _require(cond: bool, msg: str):
     if not cond:
         raise ParseError(msg)
@@ -248,22 +270,14 @@ def diameter(g: MagneticGraph) -> int | float:
 
 
 def connected_components(g: MagneticGraph) -> list[list[int]]:
+    """Vertex sets of the components, each sorted, ordered by least vertex."""
     comps = []
-    seen = [False] * g.num_vertices
+    seen = np.zeros(g.num_vertices, dtype=bool)
     for root in range(g.num_vertices):
-        if seen[root]:
-            continue
-        comp = []
-        queue = deque([root])
-        seen[root] = True
-        while queue:
-            x = queue.popleft()
-            comp.append(x)
-            for y, _, _ in g.neighbors(x):
-                if not seen[y]:
-                    seen[y] = True
-                    queue.append(y)
-        comps.append(sorted(comp))
+        if not seen[root]:
+            comp = np.flatnonzero(hop_distances(g, root) >= 0)
+            seen[comp] = True
+            comps.append([int(x) for x in comp])
     return comps
 
 

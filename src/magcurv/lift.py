@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import magnetic_girth
+from .combinatorics import DEFAULT_BUDGET, magnetic_girth
 from .errors import PreconditionError, ValidationError
 from .graphs import (Edge, MagneticGraph, diameter, is_connected,
                      signature_status)
@@ -170,12 +170,10 @@ class LiftDiameterResult:
                 "passed": self.passed}
 
 
-def lift_diameter_check(g: MagneticGraph, budget: int = 10_000_000) -> LiftDiameterResult:
-    """Check the covering-diameter estimate: lift diameter <= 2*D + ell*girth.
-
-    Hypotheses (connected, unbalanced, entire signature, finite magnetic
-    girth) are enforced; the violated one is named in the PreconditionError.
-    """
+def _path_bound_girth(g: MagneticGraph, budget: int) -> int:
+    """Magnetic girth, once the hypotheses of the path bounds hold: connected,
+    unbalanced, entire signature, finite girth. The first to fail is named in
+    PreconditionError; a girth search over budget raises SizeError."""
     if not is_connected(g):
         raise PreconditionError("connected")
     status = signature_status(g)
@@ -186,9 +184,17 @@ def lift_diameter_check(g: MagneticGraph, budget: int = 10_000_000) -> LiftDiame
     girth = magnetic_girth(g, budget=budget)
     if girth == math.inf:
         raise PreconditionError("finite magnetic girth")
-    d_base = diameter(g)
-    lift = build_lift(g)
-    d_lift = diameter(lift.graph)
-    bound = 2 * int(d_base) + g.ell * int(girth)
+    return int(girth)
+
+
+def lift_diameter_check(g: MagneticGraph, budget: int = DEFAULT_BUDGET) -> LiftDiameterResult:
+    """Check the covering-diameter estimate: lift diameter <= 2*D + ell*girth.
+
+    Hypotheses (connected, unbalanced, entire signature, finite magnetic
+    girth) are enforced; the violated one is named in the PreconditionError.
+    """
+    girth = _path_bound_girth(g, budget)
+    d_lift = diameter(build_lift(g).graph)
+    bound = 2 * int(diameter(g)) + g.ell * girth
     return LiftDiameterResult(lift_diameter=int(d_lift), bound=bound,
                               passed=d_lift <= bound)

@@ -6,7 +6,8 @@ is one operator; the plain Laplacian is the magnetic one of g.untwisted().
 All of them are assembled from the graph's cached oriented-edge table
 (MagneticGraph.oriented_edges). Forms are realized as one Hermitian N x N
 matrix per vertex, so "for every complex function f" quantifiers downstream
-reduce to positive-semidefiniteness tests.
+reduce to positive-semidefiniteness tests. The spectrum and the forms are
+computed once per graph and live as long as it; their arrays are read-only.
 
 Dense matrices throughout: target graphs are desk scale (a few hundred
 vertices after lifting), so sparse machinery is deliberately omitted.
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .graphs import MagneticGraph
+from .graphs import MagneticGraph, memoised_on_graph
 
 __all__ = [
     "FormFamily",
@@ -101,6 +102,7 @@ class FormFamily:
     lap_square: np.ndarray  # (N, N, N) complex
 
 
+@memoised_on_graph
 def form_family(g: MagneticGraph) -> FormFamily:
     """Assemble the per-vertex Hermitian forms.
 
@@ -168,6 +170,7 @@ class SpectralData:
         }
 
 
+@memoised_on_graph
 def spectrum(g: MagneticGraph) -> SpectralData:
     """Full Hermitian eigendecomposition of -Laplacian via the similarity
     transform D^{1/2} (-M) D^{-1/2}."""

@@ -19,7 +19,6 @@ from magcurv.curvature import (cd_check_function, cd_check_graph, kappa_max,
                                kappa_max_bisect)
 from magcurv.graphs import diameter, signature_status
 from magcurv.lift import lift_diameter_check, verify_lift_identities
-from magcurv.operators import form_family
 
 from .conftest import random_functions, two_n_cycle
 from .test_combinatorics import min_deletions_for_balance
@@ -28,10 +27,9 @@ _CURVATURE_CACHE: dict = {}
 
 
 def certified_curvature(corpus, i):
-    """(forms, kappa_max result) at n = 2 for corpus graph i, memoized."""
+    """kappa_max result at n = 2 for corpus graph i, memoized."""
     if i not in _CURVATURE_CACHE:
-        forms = form_family(corpus[i])
-        _CURVATURE_CACHE[i] = (forms, kappa_max(corpus[i], 2.0, forms=forms))
+        _CURVATURE_CACHE[i] = kappa_max(corpus[i], 2.0)
     return _CURVATURE_CACHE[i]
 
 
@@ -88,14 +86,13 @@ def test_criterion_3_curvature_certificates(corpus):
     t0 = time.monotonic()
     failures = []
     for i, g in enumerate(corpus):
-        forms, cert = certified_curvature(corpus, i)
-        km = cert.kappa_max
+        km = certified_curvature(corpus, i).kappa_max
         eps = 1e-6 * max(1.0, abs(km))
-        if not cd_check_graph(g, 2.0, km - eps, forms=forms).passed:
+        if not cd_check_graph(g, 2.0, km - eps).passed:
             failures.append(f"bracket-low[{i}]")
-        if cd_check_graph(g, 2.0, km + eps, forms=forms).passed:
+        if cd_check_graph(g, 2.0, km + eps).passed:
             failures.append(f"bracket-high[{i}]")
-        kb = kappa_max_bisect(g, 2.0, forms=forms)
+        kb = kappa_max_bisect(g, 2.0)
         if abs(km - kb) > 1e-6:
             failures.append(f"pencil-vs-bisect[{i}]={abs(km - kb):.2e}")
         fs = random_functions(g, 1000, seed=1000 + i)
@@ -122,7 +119,7 @@ def test_criterion_4_harnack_property(corpus):
     qualifying = _qualifying(corpus)
     assert len(qualifying) >= 100, "corpus lost its unbalanced-entire majority"
     for i in qualifying:
-        _, cert = certified_curvature(corpus, i)
+        cert = certified_curvature(corpus, i)
         for rec in harnack_check(corpus[i], 2.0, cert.kappa_max):
             if rec.slack < -1e-9:
                 failures.append(f"graph[{i}] lambda={rec.lam:.6f} "
@@ -137,7 +134,7 @@ def test_criterion_5_alpha_reduction(corpus):
     failures = []
     for i in range(50):
         g = corpus[i]
-        _, cert = certified_curvature(corpus, i)
+        cert = certified_curvature(corpus, i)
         kap = cert.kappa_max
         for hrec in harnack_check(g, 2.0, kap):
             alpha = 4.0 - 2.0 * kap / hrec.lam
@@ -164,7 +161,7 @@ def test_criterion_6_eigenvalue_bound(corpus, c4sigma):
         g = corpus[i]
         if magnetic_girth(g) == math.inf:
             continue
-        _, cert = certified_curvature(corpus, i)
+        cert = certified_curvature(corpus, i)
         rec = eigenvalue_lower_bound(g, 2.0, cert.kappa_max)
         if rec.lambda_min < rec.bound - 1e-12:
             failures.append(f"graph[{i}] path bound")

@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from magcurv.cli import main
+from magcurv.cli import _build_parser, main
 from magcurv.graphs import from_edge_list, load_graph
 
 T3 = {"ell": 2, "num_vertices": 3,
@@ -48,6 +49,47 @@ def test_verify_json_deterministic(t3_path, capsys):
 def test_verify_fails_at_bad_kappa(t3_path, capsys):
     code, _ = run(capsys, "verify", t3_path, "--n", "2", "--kappa", "10")
     assert code == 1
+
+
+def test_verify_budget_overrun_skips_only_its_records(tmp_path, capsys):
+    # 40 vertices: the girth search overruns a budget of 5 states and exact
+    # Cheeger needs 2^40 subsets; every other record is still computed.
+    code, doc = run(capsys, "generate", "--vertices", "40", "--edge-prob", "0.1",
+                    "--ell", "3", "--seed", "1")
+    assert code == 0
+    path = tmp_path / "g.json"
+    path.write_text(doc)
+    code, out = run(capsys, "verify", str(path), "--budget", "5", "--json")
+    assert code != 3 and code in (0, 1)
+    payload = json.loads(out)
+    assert code == (0 if payload["all_passed"] else 1)
+    assert payload["hypotheses"]["girth_finite"] is None
+    assert payload["eigenvalue_bound"] is None
+    assert payload["eigenvalue_bound_skipped"] == \
+        "budget: cycle search exceeded budget of 5 states"
+    assert payload["cheeger"] is None
+    assert payload["cheeger_skipped"] == \
+        "budget: exact Cheeger needs 2^40 subsets, over budget 5"
+    assert len(payload["harnack"]) == len(payload["alpha"]) > 0
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+               for name, p in sub.choices.items()}
+    assert options == {
+        "spectrum": {"--json"},
+        "curvature": {"--json", "--n"},
+        "girth": {"--json", "--budget"},
+        "lift": {"--json", "--out"},
+        "frustration": {"--json", "--subset", "--exact", "--local-search",
+                        "--seed", "--budget"},
+        "cheeger": {"--json", "--exact", "--heuristic", "--seed", "--budget"},
+        "harnack": {"--json", "--n", "--kappa"},
+        "verify": {"--json", "--n", "--kappa", "--budget"},
+        "generate": {"--vertices", "--edge-prob", "--ell", "--seed"},
+    }
 
 
 def test_girth_and_curvature(t3_path, capsys):

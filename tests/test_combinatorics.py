@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from magcurv.combinatorics import (cheeger_number, frustration_index,
-                                   magnetic_girth,
+from magcurv.combinatorics import (DEFAULT_BUDGET, cheeger_number,
+                                   frustration_index, magnetic_girth,
                                    shortest_generating_closed_walk)
 from magcurv.errors import EmptySubsetError, SizeError, ValidationError
 from magcurv.graphs import from_edge_list, random_magnetic_graph, signature_status
@@ -100,6 +100,14 @@ def test_girth_budget_exceeded():
     g = random_magnetic_graph(12, 0.9, 2, seed=3)
     with pytest.raises(SizeError):
         magnetic_girth(g, budget=10)
+
+
+def test_girth_budget_binds_after_a_stored_result(t3):
+    # the girth is stored per budget, so a smaller budget still overruns
+    assert magnetic_girth(t3) == 3
+    with pytest.raises(SizeError):
+        magnetic_girth(t3, budget=1)
+    assert magnetic_girth(t3, budget=DEFAULT_BUDGET) == 3
 
 
 def test_closed_walk_is_lower_bound(small_corpus):

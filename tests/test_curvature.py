@@ -57,11 +57,10 @@ def test_pencil_vs_bisection_b3_t3(t3, b3):
 
 def test_bracketing_property(t3, b3, c4sigma):
     for g in (t3, b3, c4sigma):
-        forms = form_family(g)
-        km = kappa_max(g, 2.0, forms=forms).kappa_max
+        km = kappa_max(g, 2.0).kappa_max
         eps = 1e-6 * max(1.0, abs(km))
-        assert cd_check_graph(g, 2.0, km - eps, forms=forms).passed
-        assert not cd_check_graph(g, 2.0, km + eps, forms=forms).passed
+        assert cd_check_graph(g, 2.0, km - eps).passed
+        assert not cd_check_graph(g, 2.0, km + eps).passed
 
 
 def test_very_negative_kappa_passes(single_edge):
@@ -100,19 +99,28 @@ def test_monotone_in_dimension():
     for _ in range(8):
         g = random_magnetic_graph(int(rng.integers(3, 8)), 0.6,
                                   int(rng.choice([2, 3, 4])), rng=rng)
-        forms = form_family(g)
-        ks = [kappa_max(g, n, forms=forms).kappa_max
-              for n in (2.0, 3.0, 5.0, math.inf)]
+        ks = [kappa_max(g, n).kappa_max for n in (2.0, 3.0, 5.0, math.inf)]
         for a, b in zip(ks, ks[1:]):
             assert a <= b + 1e-9
+
+
+def test_one_form_build_serves_every_curvature_check(monkeypatch):
+    g = random_magnetic_graph(5, 0.7, 3, seed=4)
+    builds = []
+    build = form_family.__wrapped__
+    monkeypatch.setattr(form_family, "__wrapped__",
+                        lambda h: builds.append(h) or build(h))
+    km = kappa_max(g, 2.0).kappa_max
+    assert cd_check_graph(g, 2.0, km - 1e-6).passed
+    assert abs(kappa_max_bisect(g, 2.0) - km) <= 1e-6
+    assert builds == [g]
 
 
 @given(graph_strategy(max_vertices=6))
 @settings(max_examples=15, deadline=None)
 def test_pencil_vs_bisection_random(g):
-    forms = form_family(g)
-    pencil = kappa_max(g, 2.0, forms=forms).kappa_max
-    bisect = kappa_max_bisect(g, 2.0, forms=forms)
+    pencil = kappa_max(g, 2.0).kappa_max
+    bisect = kappa_max_bisect(g, 2.0)
     assert abs(pencil - bisect) <= 1e-6
 
 

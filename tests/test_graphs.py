@@ -1,13 +1,18 @@
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from magcurv.bounds import verify_report
 from magcurv.errors import ParseError, ValidationError
 from magcurv.graphs import (diameter, from_edge_list, is_connected, load_graph,
                             random_magnetic_graph, signature_status)
+from magcurv.lift import lift_diameter_check
+from magcurv.operators import form_family, spectrum
 
 from .conftest import graph_strategy
 
@@ -116,3 +121,26 @@ def test_random_graph_rejects_bad_args():
         random_magnetic_graph(1, 0.5, 2, seed=0)
     with pytest.raises(ValidationError):
         random_magnetic_graph(4, 1.5, 2, seed=0)
+
+
+def test_spectrum_and_forms_are_computed_once(t3):
+    assert spectrum(t3) is spectrum(t3)
+    assert form_family(t3) is form_family(t3)
+    assert spectrum(t3.untwisted()) is not spectrum(t3)
+
+
+def test_stored_results_die_with_their_graph():
+    # Everything stored on the graph must be free of references back to it
+    # (a lift is not stored: LiftGraph.base would close a cycle), so the
+    # graph and its spectrum, forms and girth go by reference counting alone.
+    g = from_edge_list(3, 2, [(0, 1, 1.0, 0), (1, 2, 1.0, 0), (0, 2, 1.0, 1)])
+    verify_report(g)
+    lift_diameter_check(g)
+    assert len(vars(g)["_memo"]) == 3
+    ref = weakref.ref(g)
+    gc.disable()
+    try:
+        del g
+        assert ref() is None
+    finally:
+        gc.enable()
