@@ -258,6 +258,7 @@ def hop_distances(g: MagneticGraph, source: int) -> np.ndarray:
     return dist
 
 
+@memoised_on_graph
 def diameter(g: MagneticGraph) -> int | float:
     """Maximum hop distance over vertex pairs; math.inf if disconnected."""
     worst = 0

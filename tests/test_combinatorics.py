@@ -3,14 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
-from magcurv.combinatorics import (DEFAULT_BUDGET, cheeger_number,
-                                   frustration_index, magnetic_girth,
+from magcurv.combinatorics import (DEFAULT_BUDGET, CheegerResult, _frustration_exact,
+                                   cheeger_number, frustration_index, magnetic_girth,
                                    shortest_generating_closed_walk)
 from magcurv.errors import EmptySubsetError, SizeError, ValidationError
 from magcurv.graphs import from_edge_list, random_magnetic_graph, signature_status
 
-from .conftest import two_n_cycle
+from .conftest import graph_strategy, two_n_cycle
 
 
 # --- independent oracles ----------------------------------------------------
@@ -29,6 +30,54 @@ def frustration_brute(g, verts):
             total += w * 2.0 * math.sin(math.pi * delta / g.ell)
         best = min(best, total)
     return best
+
+
+def frustration_reference(g, verts):
+    """Reference gauged enumeration: one int64 label column per vertex,
+    vertex 1 fastest, edge terms added in edge order. The library's broadcast
+    tensor must reproduce its value and first minimiser bit for bit."""
+    k, ell = len(verts), g.ell
+    pos = {v: i for i, v in enumerate(verts)}
+    edges = [(pos[e.u], pos[e.v], e.w, e.s) for e in g.edges
+             if e.u in pos and e.v in pos]
+    if not edges or ell == 1:
+        return 0.0, (0,) * k
+    m = ell ** (k - 1)
+    cols = [np.zeros(m, dtype=np.int64)]
+    idx = np.arange(m, dtype=np.int64)
+    stride = 1
+    for _ in range(k - 1):
+        cols.append((idx // stride) % ell)
+        stride *= ell
+    table = 2.0 * np.sin(np.pi * np.arange(ell) / ell)
+    cost = np.zeros(m)
+    for iu, iv, w, s in edges:
+        cost += w * table[(cols[iu] - cols[iv] - s) % ell]
+    i = int(np.argmin(cost))
+    return float(cost[i]), tuple(int(c[i]) for c in cols)
+
+
+def cheeger_reference(g):
+    """Reference search without pruning: every nonempty subset in ascending
+    mask order, ties to the lexicographically smallest subset."""
+    n = g.num_vertices
+    best = None
+    for mask in range(1, 2 ** n):
+        verts = tuple(x for x in range(n) if (mask >> x) & 1)
+        cut = 0.0
+        for e in g.edges:
+            if ((mask >> e.u) & 1) != ((mask >> e.v) & 1):
+                cut += e.w
+        vol = 0.0
+        for x in verts:
+            vol += float(g.degrees[x])
+        frust, tau = frustration_reference(g, verts)
+        key = ((frust + cut) / vol, verts)
+        if best is None or key < best[0]:
+            best = (key, frust, tau)
+    (h1, verts), frust, tau = best
+    return CheegerResult(h1=h1, subset=verts, frustration=frust, tau=tau,
+                         mode="exact", seed=None)
 
 
 def _kept_is_balanced(g, kept):
@@ -118,6 +167,25 @@ def test_closed_walk_is_lower_bound(small_corpus):
         if girth != math.inf:
             assert walk <= girth
             assert girth >= 3
+
+
+@given(graph_strategy(max_ell=5))
+@settings(max_examples=60, deadline=None)
+def test_girth_is_closed_walk_for_prime_ell(g):
+    # for prime ell a shortest generating closed walk splits at a repeated
+    # vertex into a shorter piece that still generates, so it is a cycle
+    assume(g.ell in (2, 3, 5))
+    assert magnetic_girth(g) == shortest_generating_closed_walk(g)
+
+
+def test_girth_exceeds_closed_walk_for_composite_ell():
+    # bowtie: two triangles at vertex 0 with holonomies 2 and 3 in Z_6; neither
+    # cycle generates, but one lap of each is a closed walk of holonomy 5
+    bowtie = from_edge_list(5, 6, [(0, 1, 1.0, 0), (1, 2, 1.0, 0), (0, 2, 1.0, 4),
+                                   (0, 3, 1.0, 0), (3, 4, 1.0, 0), (0, 4, 1.0, 3)])
+    assert signature_status(bowtie).entire
+    assert magnetic_girth(bowtie) == math.inf
+    assert shortest_generating_closed_walk(bowtie) == 6
 
 
 # --- frustration index -------------------------------------------------------
@@ -217,6 +285,15 @@ def test_sign_frustration_counts_deleted_edges():
             weighted += 1
 
 
+def test_frustration_matches_reference_on_every_subset(corpus):
+    for g in corpus[:60]:
+        n = g.num_vertices
+        for mask in range(1, 2 ** n):
+            verts = tuple(x for x in range(n) if (mask >> x) & 1)
+            assert _frustration_exact(g, verts, DEFAULT_BUDGET) == \
+                frustration_reference(g, verts)
+
+
 def test_local_search_upper_bounds_exact():
     rng = np.random.default_rng(23)
     for seed in range(6):
@@ -292,6 +369,44 @@ def test_cheeger_budget():
     path = from_edge_list(40, 1, [(i, i + 1, 1.0, 0) for i in range(39)])
     with pytest.raises(SizeError):
         cheeger_number(path, mode="exact")
+
+
+@pytest.mark.parametrize("budget, message", [
+    (100_000, "exact frustration needs 4^9 assignments, over budget 100000"),
+    (5_000, "exact frustration needs 4^7 assignments, over budget 5000"),
+    (1_023, "exact Cheeger needs 2^10 subsets, over budget 1023"),
+])
+def test_cheeger_budget_names_the_smallest_overrun(corpus, budget, message):
+    # the message names the first subset size whose enumeration overruns
+    g = next(h for h in corpus if (h.num_vertices, h.ell) == (10, 4))
+    with pytest.raises(SizeError) as err:
+        cheeger_number(g, mode="exact", budget=budget)
+    assert str(err.value) == message
+
+
+def test_cheeger_matches_reference_on_corpus(corpus):
+    for g in corpus:
+        if g.num_vertices <= 9:
+            assert cheeger_number(g, mode="exact") == cheeger_reference(g)
+
+
+@given(graph_strategy())
+@settings(max_examples=40, deadline=None)
+def test_cheeger_matches_reference(g):
+    assert cheeger_number(g, mode="exact") == cheeger_reference(g)
+
+
+@pytest.mark.parametrize("s", [1, 0])
+def test_cheeger_tie_goes_to_smallest_subset(s):
+    # two disjoint mirror-image triangles: each half, and the full set, have
+    # the same h bit for bit (1/3 when frustrated, 0 when balanced); the
+    # balanced halves also tie the full set on cut/volume alone
+    g = from_edge_list(6, 2, [(0, 1, 1.0, 0), (1, 2, 1.0, 0), (0, 2, 1.0, s),
+                              (5, 4, 1.0, 0), (4, 3, 1.0, 0), (5, 3, 1.0, s)])
+    assert _ratio(g, [0, 1, 2]) == _ratio(g, [3, 4, 5]) == _ratio(g, range(6))
+    res = cheeger_number(g, mode="exact")
+    assert res.subset == (0, 1, 2)
+    assert res == cheeger_reference(g)
 
 
 def test_cheeger_json(t3):
