@@ -11,14 +11,14 @@ reported as passing trivially with an explicit vacuous flag, never suppressed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .combinatorics import DEFAULT_BUDGET, cheeger_number, magnetic_girth
 from .curvature import kappa_max
 from .errors import PreconditionError, SizeError
-from .graphs import MagneticGraph, diameter, is_connected, signature_status
+from .graphs import MagneticGraph, Record, diameter, is_connected, signature_status
 from .lift import _path_bound_girth, build_lift
 from .operators import energy, spectrum
 
@@ -63,20 +63,15 @@ def _normalized_eigenpairs(g: MagneticGraph):
 
 
 @dataclass(frozen=True)
-class HarnackRecord:
+class HarnackRecord(Record):
     """max_x |grad f|^2(x) <= ((8 - 2/n) lambda - 4 kappa) max_z |f|^2(z)."""
 
     eigen_index: int
-    lam: float
+    lam: float = field(metadata={"json": "lambda"})
     lhs: float
     rhs: float
     slack: float
     passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {"eigen_index": self.eigen_index, "lambda": self.lam,
-                "lhs": self.lhs, "rhs": self.rhs, "slack": self.slack,
-                "passed": self.passed}
 
 
 def harnack_check(g: MagneticGraph, n: float, kappa="auto") -> list[HarnackRecord]:
@@ -100,25 +95,18 @@ def harnack_check(g: MagneticGraph, n: float, kappa="auto") -> list[HarnackRecor
 
 
 @dataclass(frozen=True)
-class AlphaRecord:
+class AlphaRecord(Record):
     """|grad f|^2(x) + alpha lambda |f|^2(x), per vertex, against the
     alpha-parameterized right-hand side."""
 
     eigen_index: int
-    lam: float
+    lam: float = field(metadata={"json": "lambda"})
     alpha: float
     applicable: bool
     ill_conditioned: bool
     lhs_per_vertex: tuple[float, ...]
     rhs: float
     passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {"eigen_index": self.eigen_index, "lambda": self.lam,
-                "alpha": self.alpha, "applicable": self.applicable,
-                "ill_conditioned": self.ill_conditioned,
-                "lhs_per_vertex": list(self.lhs_per_vertex), "rhs": self.rhs,
-                "passed": self.passed}
 
 
 def alpha_bound_check(g: MagneticGraph, n: float, kappa: float,
@@ -155,7 +143,7 @@ def _alpha_record(g: MagneticGraph, n: float, kappa: float, alpha: float,
 
 
 @dataclass(frozen=True)
-class EigenvalueBoundRecord:
+class EigenvalueBoundRecord(Record):
     """lambda_min of -magnetic Laplacian against the curvature/path bound.
 
     ``bound`` uses (2D + ell*girth)^2 in numerator and denominator; for
@@ -178,15 +166,6 @@ class EigenvalueBoundRecord:
     passed_lift: bool
     vacuous: bool
     vacuous_lift: bool
-
-    def to_json_dict(self) -> dict:
-        return {"lambda_min": self.lambda_min, "diameter": self.diameter,
-                "lift_diameter": self.lift_diameter, "girth": self.girth,
-                "max_degree": self.max_degree, "n": self.n, "kappa": self.kappa,
-                "bound": self.bound, "bound_alt": self.bound_alt,
-                "lift_bound": self.lift_bound, "passed": self.passed,
-                "passed_lift": self.passed_lift, "vacuous": self.vacuous,
-                "vacuous_lift": self.vacuous_lift}
 
 
 def _curvature_path_bound(kappa: float, d: float, n: float, length_sq_num: float,
@@ -224,7 +203,7 @@ def eigenvalue_lower_bound(g: MagneticGraph, n: float, kappa="auto",
 
 
 @dataclass(frozen=True)
-class CheegerBoundRecord:
+class CheegerBoundRecord(Record):
     """Sandwich lambda/2 <= h1 <= 2 sqrt(2 d lambda), plus the curvature/path
     lower bound on h1 when its hypotheses hold (None otherwise)."""
 
@@ -238,15 +217,6 @@ class CheegerBoundRecord:
     curvature_lower: float | None
     curvature_lower_passed: bool | None
     curvature_lower_vacuous: bool | None
-
-    def to_json_dict(self) -> dict:
-        return {"lambda_min": self.lambda_min, "h1": self.h1,
-                "max_degree": self.max_degree, "lower": self.lower,
-                "upper": self.upper, "lower_passed": self.lower_passed,
-                "upper_passed": self.upper_passed,
-                "curvature_lower": self.curvature_lower,
-                "curvature_lower_passed": self.curvature_lower_passed,
-                "curvature_lower_vacuous": self.curvature_lower_vacuous}
 
 
 def cheeger_bound_check(g: MagneticGraph, n: float, kappa="auto",

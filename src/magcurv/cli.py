@@ -11,6 +11,7 @@ inputs and seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -30,8 +31,6 @@ __all__ = ["main", "dispatch"]
 
 
 def _fmt(x: float) -> str:
-    if isinstance(x, float) and math.isinf(x):
-        return "inf" if x > 0 else "-inf"
     return format(x, ".12g")
 
 
@@ -70,6 +69,7 @@ def _parse_n(value: str) -> float:
     return float(value)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="magcurv",

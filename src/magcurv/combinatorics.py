@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptySubsetError, SizeError, ValidationError
-from .graphs import MagneticGraph, memoised_on_graph, signature_status
+from .graphs import MagneticGraph, Record, memoised_on_graph, signature_status
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -122,7 +122,7 @@ def _induced_edges(g: MagneticGraph, verts: Sequence[int]):
 
 
 @dataclass(frozen=True)
-class FrustrationResult:
+class FrustrationResult(Record):
     """Minimal signature deviation over vertex relabelings of a subset.
 
     exact mode certifies the minimum; local-search mode is an upper bound.
@@ -133,10 +133,6 @@ class FrustrationResult:
     tau: tuple[int, ...]
     subset: tuple[int, ...]
     mode: str
-
-    def to_json_dict(self) -> dict:
-        return {"value": self.value, "tau": list(self.tau),
-                "subset": list(self.subset), "mode": self.mode}
 
 
 def _require_assignments(ell: int, k: int, budget: int):
@@ -251,7 +247,7 @@ def frustration_index(g: MagneticGraph, subset: Sequence[int], mode: str = "exac
 
 
 @dataclass(frozen=True)
-class CheegerResult:
+class CheegerResult(Record):
     """Minimizer of (frustration + boundary weight) / volume over subsets.
 
     exact mode minimizes over every nonempty subset (the full vertex set
@@ -264,11 +260,6 @@ class CheegerResult:
     tau: tuple[int, ...]
     mode: str
     seed: int | None
-
-    def to_json_dict(self) -> dict:
-        return {"h1": self.h1, "subset": list(self.subset),
-                "frustration": self.frustration, "tau": list(self.tau),
-                "mode": self.mode, "seed": self.seed}
 
 
 def _cut_and_volume(g: MagneticGraph, mask: int) -> tuple[float, float]:

@@ -19,13 +19,13 @@ import inspect
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property, wraps
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, SizeError, ValidationError
 
 __all__ = [
     "Edge",
@@ -176,10 +176,20 @@ class MagneticGraph:
         return json.dumps(self.to_document())
 
 
+class _Overrun(NamedTuple):
+    """A budget overrun stored in place of a result. Only the message is kept:
+    the exception's traceback holds frames that refer to the graph."""
+
+    message: str
+
+
 def memoised_on_graph(fn):
     """Store ``fn(g, ...)`` on ``g`` per argument tuple (defaults bound) while
-    ``g`` lives; a raise stores nothing. Results are shared: read-only, with no
-    reference back to ``g``. Builds call ``__wrapped__`` so tests can count them.
+    ``g`` lives. A SizeError is stored as its verdict, so a search over budget
+    runs once and every later call raises a fresh SizeError with the same
+    message; any other raise stores nothing. Results are shared: read-only,
+    with no reference back to ``g``. Builds call ``__wrapped__`` so tests can
+    count them.
     """
     signature = inspect.signature(fn)
 
@@ -190,10 +200,28 @@ def memoised_on_graph(fn):
         key = (fn, *list(bound.arguments.values())[1:])
         memo = g.__dict__.setdefault("_memo", {})
         if key not in memo:
-            memo[key] = memoised.__wrapped__(g, *args, **kwargs)
-        return memo[key]
+            try:
+                memo[key] = memoised.__wrapped__(g, *args, **kwargs)
+            except SizeError as exc:
+                memo[key] = _Overrun(str(exc))
+        result = memo[key]
+        if isinstance(result, _Overrun):
+            raise SizeError(result.message)
+        return result
 
     return memoised
+
+
+class Record:
+    """Base of the flat result records (frozen dataclasses): the JSON form is
+    the field list in order, tuples as lists, and a field is renamed by its
+    ``"json"`` metadata, e.g. ``lam: float = field(metadata={"json": "lambda"})``.
+    """
+
+    def to_json_dict(self) -> dict:
+        items = ((f.metadata.get("json", f.name), getattr(self, f.name))
+                 for f in fields(self))
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in items}
 
 
 def _require(cond: bool, msg: str):

@@ -1,4 +1,4 @@
-"""Covering graphs: construction, function lifting, and the transfer checks.
+"""Covering graphs: construction, function lifting, and the exact transfer checks.
 
 The lift of a magnetic graph lives on pairs (vertex, level); level k stands
 for the root of unity exp(2*pi*1j*k/ell) and pair (x, k) gets the flat index
@@ -16,9 +16,9 @@ import numpy as np
 
 from .combinatorics import DEFAULT_BUDGET, magnetic_girth
 from .errors import PreconditionError, ValidationError
-from .graphs import (Edge, MagneticGraph, diameter, is_connected,
+from .graphs import (Edge, MagneticGraph, Record, diameter, is_connected,
                      signature_status)
-from .operators import energy, laplacian_matrix, spectrum
+from .operators import laplacian_matrix, spectrum
 
 __all__ = [
     "LiftGraph",
@@ -71,16 +71,16 @@ def lift_function(g: MagneticGraph, f) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class LiftIdentityReport:
-    """Residuals of the base-to-lift transfer identities over random trials.
+class LiftIdentityReport(Record):
+    """Residuals of the base-to-lift transfer identities, checked for every f.
 
-    energy: lifted-function energy at (x, k) vs magnetic energy at x;
-    laplacian: lift Laplacian of the lifted function vs the phase-twisted
+    energy: per-vertex energy form of the lift, pulled back along the lift
+    embedding, vs the magnetic energy form at the base vertex; laplacian: lift
+    Laplacian composed with the embedding vs the embedding composed with the
     magnetic Laplacian; eigenpair: every eigenpair of the magnetic operator,
     lifted, against the lift operator. Failures are reported, never raised.
     """
 
-    trials: int
     max_energy_residual: float
     max_laplacian_residual: float
     max_eigenpair_residual: float
@@ -102,48 +102,40 @@ class LiftIdentityReport:
         return self.energy_ok and self.laplacian_ok and self.eigenpair_ok
 
     def to_json_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "max_energy_residual": self.max_energy_residual,
-            "max_laplacian_residual": self.max_laplacian_residual,
-            "max_eigenpair_residual": self.max_eigenpair_residual,
-            "all_ok": self.all_ok,
-        }
+        return {**super().to_json_dict(), "all_ok": self.all_ok}
 
 
-def verify_lift_identities(g: MagneticGraph, trials: int = 100,
-                           seed: int | None = 0) -> LiftIdentityReport:
-    """Numerically confirm the transfer identities on random functions.
+def _energy_forms(g: MagneticGraph, P: np.ndarray):
+    """Per vertex v, the Hermitian form of f -> energy(g, P f)[v]:
+    sum_r W[v, r] (T P)_r^H (T P)_r over the rows leaving v."""
+    oe = g.oriented_edges
+    TP = oe.T @ P
+    for v in range(g.num_vertices):
+        rows = np.flatnonzero(oe.src == v)
+        A = TP[rows]
+        yield (A.conj().T * oe.W[v, rows]) @ A
 
-    For `trials` random complex f: the lifted energy must reproduce the
-    magnetic energy level-wise (relative 1e-12) and the lift Laplacian must
-    act as the phase times the magnetic Laplacian. Additionally every
+
+def verify_lift_identities(g: MagneticGraph) -> LiftIdentityReport:
+    """Confirm the transfer identities exactly, as matrix identities.
+
+    With P the lift embedding as a matrix, the lift Laplacian must satisfy
+    L_lift P = P L_base, and the energy form of the lift at (x, k), pulled
+    back by P, must equal the magnetic energy form at x; each then holds for
+    every complex f. Entries of both sides are at most 1 in modulus, so the
+    largest entrywise difference is held to 1e-12. Additionally every
     eigenpair of the magnetic operator lifts to an eigenpair of the lift
     operator with 2-norm residual <= 1e-9.
     """
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
     lift = build_lift(g)
     n, ell = g.num_vertices, g.ell
-    L_base = laplacian_matrix(g)
     L_lift = laplacian_matrix(lift.graph)
     roots = np.exp(2j * np.pi * np.arange(ell) / ell)
-
-    max_energy = 0.0
-    max_lap = 0.0
-    for _ in range(trials):
-        f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        fh = lift_function(g, f)
-        e_base = energy(g, f)
-        e_lift = energy(lift.graph, fh)
-        diff = np.abs(e_lift - np.repeat(e_base, ell))
-        max_energy = max(max_energy, float(diff.max()) / max(1.0, float(e_base.max())))
-        lap_base = L_base @ f
-        lap_lift = L_lift @ fh
-        expected = np.kron(lap_base, roots)
-        denom = max(1.0, float(np.abs(lap_base).max()))
-        max_lap = max(max_lap, float(np.abs(lap_lift - expected).max()) / denom)
+    P = np.kron(np.eye(n), roots[:, None])   # lift_function as a matrix
+    max_lap = float(np.abs(L_lift @ P - P @ laplacian_matrix(g)).max())
+    lifted = _energy_forms(lift.graph, P)   # (x, k) in index order x * ell + k
+    max_energy = max(float(np.abs(next(lifted) - F).max())
+                     for F in _energy_forms(g, np.eye(n)) for _ in range(ell))
 
     max_eig = 0.0
     spec = spectrum(g)
@@ -153,21 +145,16 @@ def verify_lift_identities(g: MagneticGraph, trials: int = 100,
         resid = np.linalg.norm(-(L_lift @ fh) - lam * fh)
         max_eig = max(max_eig, float(resid))
 
-    return LiftIdentityReport(trials=trials,
-                              max_energy_residual=max_energy,
+    return LiftIdentityReport(max_energy_residual=max_energy,
                               max_laplacian_residual=max_lap,
                               max_eigenpair_residual=max_eig)
 
 
 @dataclass(frozen=True)
-class LiftDiameterResult:
+class LiftDiameterResult(Record):
     lift_diameter: int
     bound: int
     passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {"lift_diameter": self.lift_diameter, "bound": self.bound,
-                "passed": self.passed}
 
 
 def _path_bound_girth(g: MagneticGraph, budget: int) -> int:

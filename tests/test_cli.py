@@ -221,3 +221,49 @@ def test_unknown_flag_usage_error(t3_path):
 def test_missing_file_exit_2(capsys):
     code, _ = run(capsys, "spectrum", "/nonexistent/file.json")
     assert code == 2
+
+
+RECORD_KEYS = {
+    "harnack": ["eigen_index", "lambda", "lhs", "rhs", "slack", "passed"],
+    "alpha": ["eigen_index", "lambda", "alpha", "applicable", "ill_conditioned",
+              "lhs_per_vertex", "rhs", "passed"],
+    "eigenvalue_bound": ["lambda_min", "diameter", "lift_diameter", "girth",
+                         "max_degree", "n", "kappa", "bound", "bound_alt",
+                         "lift_bound", "passed", "passed_lift", "vacuous",
+                         "vacuous_lift"],
+    "cheeger": ["lambda_min", "h1", "max_degree", "lower", "upper", "lower_passed",
+                "upper_passed", "curvature_lower", "curvature_lower_passed",
+                "curvature_lower_vacuous"],
+}
+
+
+def test_json_key_order_is_pinned(t3_path, capsys):
+    _, out = run(capsys, "cheeger", t3_path, "--json")
+    assert list(json.loads(out)) == ["h1", "subset", "frustration", "tau", "mode", "seed"]
+    _, out = run(capsys, "frustration", t3_path, "--subset", "0,1,2", "--json")
+    assert list(json.loads(out)) == ["value", "tau", "subset", "mode"]
+    _, out = run(capsys, "harnack", t3_path, "--json")
+    payload = json.loads(out)
+    assert list(payload) == ["n", "records"]
+    assert all(list(r) == RECORD_KEYS["harnack"] for r in payload["records"])
+
+    _, out = run(capsys, "verify", t3_path, "--json")
+    payload = json.loads(out)
+    assert list(payload) == ["num_vertices", "ell", "n", "kappa", "hypotheses",
+                             "harnack", "alpha", "eigenvalue_bound",
+                             "eigenvalue_bound_skipped", "cheeger", "cheeger_skipped",
+                             "all_passed"]
+    assert list(payload["hypotheses"]) == ["connected", "balanced", "entire",
+                                           "girth_finite"]
+    for name in ("harnack", "alpha"):
+        assert payload[name] and all(list(r) == RECORD_KEYS[name] for r in payload[name])
+    for name in ("eigenvalue_bound", "cheeger"):
+        assert list(payload[name]) == RECORD_KEYS[name]
+
+
+def test_parser_is_built_once_and_keeps_no_parse_state(t3_path, capsys):
+    assert _build_parser() is _build_parser()
+    _, out = run(capsys, "cheeger", t3_path, "--heuristic", "--json")
+    assert json.loads(out)["mode"] == "heuristic"
+    _, out = run(capsys, "cheeger", t3_path, "--json")
+    assert json.loads(out)["mode"] == "exact"

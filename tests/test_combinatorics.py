@@ -159,6 +159,24 @@ def test_girth_budget_binds_after_a_stored_result(t3):
     assert magnetic_girth(t3, budget=DEFAULT_BUDGET) == 3
 
 
+def test_girth_overrun_is_searched_once_per_verify(monkeypatch):
+    # The graph of the CLI's budget-overrun test: verify needs the girth for
+    # girth_finite, the eigenvalue bound and the Cheeger curvature bound.
+    from magcurv.bounds import verify_report
+
+    g = random_magnetic_graph(40, 0.1, 3, seed=1)
+    searches = []
+    search = magnetic_girth.__wrapped__
+    monkeypatch.setattr(magnetic_girth, "__wrapped__",
+                        lambda h, budget: searches.append(budget) or search(h, budget))
+    report = verify_report(g, budget=5)
+    assert searches == [5]
+    assert report.eigenvalue_skipped == "budget: cycle search exceeded budget of 5 states"
+    with pytest.raises(SizeError, match="^cycle search exceeded budget of 5 states$"):
+        magnetic_girth(g, budget=5)
+    assert searches == [5]
+
+
 def test_closed_walk_is_lower_bound(small_corpus):
     for g in small_corpus:
         girth = magnetic_girth(g)

@@ -155,3 +155,19 @@ def test_stored_results_die_with_their_graph():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_stored_overrun_dies_with_its_graph():
+    # An overrun is stored as its message: the exception's traceback would
+    # refer back to the graph and keep it alive.
+    g = from_edge_list(3, 2, [(0, 1, 1.0, 0), (1, 2, 1.0, 0), (0, 2, 1.0, 1)])
+    report = verify_report(g, budget=1)
+    assert report.girth_finite is None
+    assert report.eigenvalue_skipped == "budget: cycle search exceeded budget of 1 states"
+    ref = weakref.ref(g)
+    gc.disable()
+    try:
+        del g, report
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -93,11 +93,24 @@ def test_lift_norm_scaling(g):
 
 
 def test_lift_identities_t3(t3):
-    rep = verify_lift_identities(t3, trials=100, seed=1)
+    rep = verify_lift_identities(t3)
     assert rep.max_energy_residual <= 1e-12
     assert rep.max_laplacian_residual <= 1e-12
     assert rep.max_eigenpair_residual <= 1e-9
     assert rep.all_ok
+
+
+def test_lift_identities_reject_a_wrong_lift(monkeypatch, t3):
+    # The lift of the untwisted triangle (two disjoint triangles) is not the
+    # covering graph of t3: all three identities must fail.
+    from magcurv import lift as lift_module
+    monkeypatch.setattr(lift_module, "build_lift",
+                        lambda g: build_lift(g.untwisted()))
+    rep = verify_lift_identities(t3)
+    assert rep.max_energy_residual > 0.1
+    assert rep.max_laplacian_residual > 0.1
+    assert rep.max_eigenpair_residual > 0.1
+    assert not rep.all_ok
 
 
 def test_zero_function_zero_residual(t3):
@@ -180,7 +193,3 @@ def test_lift_cd_implies_base_cd(small_corpus):
         kap_lift = kappa_max(lift.graph, 2.0).kappa_max
         assert cd_check_graph(g, 2.0, kap_lift - 1e-8).passed
 
-
-def test_trials_validation(t3):
-    with pytest.raises(ValidationError):
-        verify_lift_identities(t3, trials=0)
