@@ -25,7 +25,8 @@ from .graphs import (Edge, MagneticGraph, SignatureStatus, connected_components,
 from .lift import (LiftDiameterResult, LiftGraph, LiftIdentityReport,
                    build_lift, lift_diameter_check, lift_function,
                    verify_lift_identities)
-from .operators import (FormFamily, SpectralData, as_vertex_function, energy,
-                        form_family, gamma, gamma2, laplacian_matrix, spectrum)
+from .operators import (FormFamily, LocalForms, SpectralData, as_vertex_function,
+                        energy, form_family, gamma, gamma2, laplacian_matrix,
+                        spectrum)
 
 __version__ = "0.1.0"

@@ -4,18 +4,22 @@ Everything uses the degree-normalized convention: row x of the magnetic
 Laplacian is M[x][x] = -1, M[x][y] = p_xy * sigma_xy / d_x for y ~ x. There
 is one operator; the plain Laplacian is the magnetic one of g.untwisted().
 All of them are assembled from the graph's cached oriented-edge table
-(MagneticGraph.oriented_edges). Forms are realized as one Hermitian N x N
-matrix per vertex, so "for every complex function f" quantifiers downstream
-reduce to positive-semidefiniteness tests. The spectrum and the forms are
-computed once per graph and live as long as it; their arrays are read-only.
+(MagneticGraph.oriented_edges). The forms of vertex x are Hermitian matrices
+on its 2-ball B2(x), the vertices at most two edges away, outside which they
+vanish, so "for every complex function f" quantifiers downstream reduce to
+positive-semidefiniteness tests of |B2(x)| x |B2(x)| blocks. The spectrum and
+the forms are computed once per graph and live as long as it; their arrays
+are read-only.
 
-Dense matrices throughout: target graphs are desk scale (a few hundred
-vertices after lifting), so sparse machinery is deliberately omitted.
+The Laplacian, the oriented-edge table and the spectrum are dense N x N
+matrices: target graphs are desk scale (hundreds to a few thousand vertices
+after lifting), so sparse machinery is deliberately omitted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +28,7 @@ from .graphs import MagneticGraph, memoised_on_graph
 
 __all__ = [
     "FormFamily",
+    "LocalForms",
     "SpectralData",
     "laplacian_matrix",
     "energy",
@@ -92,62 +97,147 @@ def gamma2(g: MagneticGraph, u, v=None) -> np.ndarray:
     return 0.5 * (first - gamma(g, uu, L @ vv) - gamma(g, L @ uu, vv))
 
 
+class LocalForms(NamedTuple):
+    """The three forms of one vertex x on its 2-ball B = ``support``: for every
+    vertex function f, with f_B = f[support],
+
+        f_B* gamma f_B = gamma(f, f)(x),  f_B* gamma2 f_B = gamma2(f, f)(x),
+        f_B* lap_square f_B = |(Lf)(x)|^2.
+
+    The N x N forms are these blocks padded with zeros outside B.
+    """
+
+    support: np.ndarray     # (k,) int, the vertices of B2(x), ascending
+    gamma: np.ndarray       # (k, k) complex
+    gamma2: np.ndarray      # (k, k) complex
+    lap_square: np.ndarray  # (k, k) complex
+
+
 @dataclass(frozen=True)
 class FormFamily:
-    """Per-vertex Hermitian quadratic forms: f* gamma[x] f = gamma(f, f)(x),
-    f* gamma2[x] f = gamma2(f, f)(x), f* lap_square[x] f = |(Lf)(x)|^2."""
+    """The per-vertex forms of a graph, every vertex's blocks stored back to back.
 
-    gamma: np.ndarray       # (N, N, N) complex, index [x]
-    gamma2: np.ndarray      # (N, N, N) complex
-    lap_square: np.ndarray  # (N, N, N) complex
+    ``block(x)`` gives vertex x's LocalForms as views: its support is
+    support[support_start[x]:support_start[x + 1]], and its k x k blocks are
+    the row-major slices [block_start[x]:block_start[x + 1]] of gamma, gamma2
+    and lap_square. Memory is O(sum_x |B2(x)|^2).
+    """
+
+    support: np.ndarray        # (S,) int, the supports in vertex order
+    support_start: np.ndarray  # (N + 1,) int
+    block_start: np.ndarray    # (N + 1,) int
+    gamma: np.ndarray          # (Q,) complex
+    gamma2: np.ndarray         # (Q,) complex
+    lap_square: np.ndarray     # (Q,) complex
+
+    def block(self, x: int) -> LocalForms:
+        support = self.support[self.support_start[x]:self.support_start[x + 1]]
+        k = len(support)
+        cut = slice(self.block_start[x], self.block_start[x + 1])
+        return LocalForms(support, self.gamma[cut].reshape(k, k),
+                          self.gamma2[cut].reshape(k, k),
+                          self.lap_square[cut].reshape(k, k))
+
+
+def _two_balls(g: MagneticGraph) -> list[list[int]]:
+    """B2(x) of every vertex, ascending: the vertices at most two edges from x."""
+    balls = [{x}.union(y for y, _, _ in g.neighbors(x)) for x in range(g.num_vertices)]
+    return [sorted(set().union(*(balls[y] for y in ball))) for ball in balls]
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All pairs (i, j) with j in range(lo[i], hi[i]), ordered by i, then j."""
+    count = hi - lo
+    i = np.repeat(np.arange(len(lo)), count)
+    return i, np.arange(len(i)) - np.repeat(np.cumsum(count) - count, count) + lo[i]
 
 
 @memoised_on_graph
 def form_family(g: MagneticGraph) -> FormFamily:
-    """Assemble the per-vertex Hermitian forms.
+    """Assemble each vertex's forms on its 2-ball B from the oriented-edge table.
 
-    gamma[x] = T_x^H diag(W[x]) T_x / 2 over the oriented-edge rows T_x
-    leaving x; lap_square[x] is L* E_x L for the coordinate projector E_x;
-    gamma2[x] composes the first form with the Laplacian per the defining
-    recursion, with the outer Laplacian acting plainly on the matrix family
-    {gamma[y]}. The result is forced Hermitian by averaging, guarded by a
-    residue check.
+    With M_B = M[B, B] and the rows r = x -> y_r leaving x:
+
+        gamma[x]      = sum_r W[x, r] T_r^H T_r / 2, supported on B1(x);
+        gamma2[x]     = (sum_r W[x, r] gamma[y_r] - gamma[x]
+                         - M_B^H gamma[x] - gamma[x] M_B) / 2;
+        lap_square[x] = conj(M[x, B])^T M[x, B].
+
+    The rank-one terms of gamma[x] and of the neighbours' gamma[y_r] (over
+    the rows y_r -> z two steps out) are scattered into the blocks of all
+    vertices at once; the products with M_B run vertex by vertex, with no
+    remapping where B is the whole vertex set. gamma2 is forced Hermitian by
+    averaging, guarded by a residue check.
     """
     n = g.num_vertices
     edges = g.oriented_edges
-    offsets = np.searchsorted(edges.src, np.arange(n + 1))
     M = laplacian_matrix(g)
+    src, dst, rows = edges.src, edges.dst, np.arange(len(edges.src))
+    starts = np.searchsorted(src, np.arange(n + 1))
+    weight = edges.W[src, rows]  # W[x, r] and sigma_xy of each row r = x -> y
+    phase = edges.T[rows, dst]
 
-    G = np.zeros((n, n, n), dtype=complex)
+    balls = _two_balls(g)
+    sizes = np.array([len(b) for b in balls])
+    support = np.array([v for b in balls for v in b], dtype=np.intp)
+    support_start = np.concatenate(([0], np.cumsum(sizes)))
+    block_start = np.concatenate(([0], np.cumsum(sizes ** 2)))
+    keys = np.repeat(np.arange(n), sizes) * n + support
+
+    def local(x, v):
+        """Position of vertex v in the support of vertex x."""
+        return np.searchsorted(keys, x * n + v) - support_start[x]
+
+    def flat(x, i, j):
+        """Position of entry (i, j) of vertex x's block in the packed arrays."""
+        return block_start[x] + i * sizes[x] + j
+
+    def rank_one_sum(x, r, c):
+        """The blocks of sum_i c[i] T_{r[i]}^H T_{r[i]} / 2 at vertices x[i]."""
+        a, b, h, p = local(x, src[r]), local(x, dst[r]), 0.5 * c, phase[r]
+        idx = np.concatenate((flat(x, a, a), flat(x, b, b), flat(x, a, b), flat(x, b, a)))
+        val = np.concatenate((h, h, -h * p, -h * p.conj()))
+        return (np.bincount(idx, val.real, block_start[-1])
+                + 1j * np.bincount(idx, val.imag, block_start[-1]))
+
+    G = rank_one_sum(src, rows, weight)
+    # G2 starts as sum_r W[x, r] gamma[y_r], over the pairs of a row x -> y_r
+    # and a row y_r -> z.
+    first, second = _ranges(starts[dst], starts[dst + 1])
+    G2 = rank_one_sum(src[first], second, weight[first] * weight[second])
+
+    Q = np.empty_like(G)
+    centre = local(np.arange(n), np.arange(n))
     for x in range(n):
-        rows = slice(offsets[x], offsets[x + 1])
-        # T_x is supported on x and its neighbors. Each rank-one term is
-        # exactly Hermitian; the builtin sum adds them in row order, where
-        # np.sum may pair them, so the block is exactly Hermitian too.
-        cols = np.append(x, edges.dst[rows])
-        Tx = edges.T[rows][:, cols]
-        terms = Tx.conj()[:, :, None] * Tx[:, None, :]
-        G[x][np.ix_(cols, cols)] = sum(0.5 * edges.W[x, rows, None, None] * terms)
+        k = sizes[x]
+        cut = slice(block_start[x], block_start[x + 1])
+        Gx, G2x = G[cut].reshape(k, k), G2[cut].reshape(k, k)
+        if k == n:
+            M_B = M
+        else:
+            B = support[support_start[x]:support_start[x + 1]]
+            M_B = M[np.ix_(B, B)]
+        G2x -= Gx + M_B.conj().T @ Gx + Gx @ M_B
+        row = M_B[centre[x]]
+        Q[cut] = np.multiply.outer(row.conj(), row).ravel()
+    G2 *= 0.5
 
-    Q = np.conj(M)[:, :, None] * M[:, None, :]
+    # Hermitian part of every block at once, guarded by its residue.
+    owner = np.repeat(np.arange(n), sizes ** 2)
+    i, j = np.divmod(np.arange(block_start[-1]) - block_start[owner], sizes[owner])
+    G2_h = G2[flat(owner, j, i)].conj()
+    resid = np.sqrt(np.bincount(owner, np.abs(G2 - G2_h) ** 2, n))
+    bad = np.flatnonzero(resid > HERMITIZE_GUARD
+                         * np.maximum(1.0, np.sqrt(np.bincount(owner, np.abs(G2) ** 2, n))))
+    if len(bad):
+        raise NumericalError(
+            f"anti-Hermitian residue {resid[bad[0]]:.3e} in gamma2 form at vertex {bad[0]}")
+    G2 = 0.5 * (G2 + G2_h)
 
-    Mh = M.conj().T
-    G2 = np.zeros((n, n, n), dtype=complex)
-    for x in range(n):
-        lap_of_g = -G[x].copy()
-        for r in range(offsets[x], offsets[x + 1]):
-            lap_of_g += edges.W[x, r] * G[edges.dst[r]]
-        raw = 0.5 * (lap_of_g - Mh @ G[x] - G[x] @ M)
-        herm = 0.5 * (raw + raw.conj().T)
-        resid = np.linalg.norm(raw - raw.conj().T)
-        if resid > HERMITIZE_GUARD * max(1.0, np.linalg.norm(raw)):
-            raise NumericalError(
-                f"anti-Hermitian residue {resid:.3e} in gamma2 form at vertex {x}")
-        G2[x] = herm
-
-    for arr in (G, G2, Q):
+    for arr in (support, support_start, block_start, G, G2, Q):
         arr.flags.writeable = False
-    return FormFamily(gamma=G, gamma2=G2, lap_square=Q)
+    return FormFamily(support=support, support_start=support_start,
+                      block_start=block_start, gamma=G, gamma2=G2, lap_square=Q)
 
 
 @dataclass(frozen=True)

@@ -60,6 +60,16 @@ def build_corpus(count: int = 200, seed0: int = 20_000) -> list[MagneticGraph]:
     return graphs
 
 
+# (N, ell) of the sparse bases, about 1.5 edges per vertex, whose lifts
+# have 144-160 vertices, as in the benchmark's lift_curvature workload.
+LIFT_SHAPES = ((48, 3), (40, 4), (30, 5), (36, 4))
+
+
+def sparse_graph(n: int, ell: int, seed: int) -> MagneticGraph:
+    """Connected random graph with average degree about 3."""
+    return random_magnetic_graph(n, 3.0 / (n - 1), ell, seed=seed)
+
+
 @pytest.fixture(scope="session")
 def corpus() -> list[MagneticGraph]:
     return build_corpus(200)

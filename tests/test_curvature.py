@@ -8,9 +8,10 @@ from magcurv.curvature import (cd_check_function, cd_check_graph, kappa_max,
                                kappa_max_bisect)
 from magcurv.errors import DimensionError
 from magcurv.graphs import from_edge_list, random_magnetic_graph
+from magcurv.lift import build_lift
 from magcurv.operators import form_family
 
-from .conftest import graph_strategy, random_functions
+from .conftest import graph_strategy, random_functions, sparse_graph, two_n_cycle
 
 
 def test_dimension_parameter_validation(t3):
@@ -82,6 +83,22 @@ def test_witness_fails_just_above_kappa_max(t3):
     assert not bool(chk.passed[x])
 
 
+def test_lift_witness_lives_on_the_two_ball():
+    lift = build_lift(sparse_graph(30, 5, seed=3)).graph
+    result = kappa_max(lift, 2.0)
+    x = result.witness_vertex
+    support = form_family(lift).block(x).support
+    assert len(support) < lift.num_vertices
+    wit = result.witnesses[x]
+    assert wit.shape == (lift.num_vertices,)
+    outside = np.setdiff1d(np.arange(lift.num_vertices), support)
+    assert np.all(wit[outside] == 0)
+    kap = float(result.per_vertex[x])
+    assert bool(cd_check_function(lift, wit, 2.0, kap).passed[x])
+    above = kap + 1e-6 * max(1.0, abs(kap))
+    assert not bool(cd_check_function(lift, wit, 2.0, above).passed[x])
+
+
 def test_all_ones_fails_above_vertex_kappa_t3(t3):
     # on this triangle the constant function already witnesses the optimum
     result = kappa_max(t3, 2.0)
@@ -105,15 +122,19 @@ def test_monotone_in_dimension():
 
 
 def test_one_form_build_serves_every_curvature_check(monkeypatch):
-    g = random_magnetic_graph(5, 0.7, 3, seed=4)
+    # On a 6-cycle every 2-ball misses a vertex, so each check reads blocks
+    # smaller than N x N.
+    g = two_n_cycle(3, 3)
     builds = []
     build = form_family.__wrapped__
     monkeypatch.setattr(form_family, "__wrapped__",
                         lambda h: builds.append(h) or build(h))
     km = kappa_max(g, 2.0).kappa_max
-    assert cd_check_graph(g, 2.0, km - 1e-6).passed
+    check = cd_check_graph(g, 2.0, km - 1e-6)
+    assert check.passed and check.min_eigenvalues.shape == (6,)
     assert abs(kappa_max_bisect(g, 2.0) - km) <= 1e-6
     assert builds == [g]
+    assert np.diff(form_family(g).support_start).tolist() == [5] * 6
 
 
 @given(graph_strategy(max_vertices=6))

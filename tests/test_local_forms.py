@@ -1,0 +1,114 @@
+"""The 2-ball forms against the dense (N, N, N) oracle in tests/oracles.py."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from magcurv.curvature import (KERNEL_THRESHOLD, cd_check_graph, kappa_max,
+                               kappa_max_bisect)
+from magcurv.graphs import from_edge_list
+from magcurv.lift import build_lift
+from magcurv.operators import form_family
+
+from .conftest import LIFT_SHAPES, graph_strategy, sparse_graph
+from .oracles import dense_form_family, dense_kappa_per_vertex, embedded_forms
+
+N_DIM = 2.0
+
+
+def assert_matches_dense_oracle(g):
+    """Blocks, per-vertex kappa and CD certificates of g equal the dense route's."""
+    n = g.num_vertices
+    dense = dense_form_family(g)
+    forms = form_family(g)
+    for x in range(n):
+        for local, full in zip(embedded_forms(forms, x, n), (f[x] for f in dense)):
+            assert np.abs(local - full).max() <= 1e-14 * max(1.0, np.abs(full).max())
+    got = kappa_max(g, N_DIM).per_vertex
+    want = dense_kappa_per_vertex(dense, N_DIM)
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    finite = np.isfinite(want)
+    assert np.all(np.abs(got - want)[finite]
+                  <= 1e-12 * np.maximum(1.0, np.abs(want[finite])))
+
+    km = float(got.min())
+    if not math.isfinite(km):
+        return
+    step = 1e-6 * max(1.0, abs(km))
+    G, G2, Q = dense
+    for kappa in (km - step, km, km + step):
+        check = cd_check_graph(g, N_DIM, kappa)
+        eigs = [np.linalg.eigvalsh(G2[x] - Q[x] / N_DIM - kappa * G[x]) for x in range(n)]
+        mins = np.array([e[0] for e in eigs])
+        scales = np.array([max(1.0, np.abs(e).max()) for e in eigs])
+        assert check.passed == bool(np.all(mins >= -1e-9 * scales))
+        assert np.all(np.abs(check.min_eigenvalues - mins) <= 1e-12 * scales)
+        np.testing.assert_allclose(check.thresholds, -1e-9 * scales, rtol=1e-12, atol=0.0)
+
+
+def test_corpus_matches_dense_oracle(corpus):
+    for g in corpus:
+        assert_matches_dense_oracle(g)
+
+
+@pytest.mark.parametrize("shape", LIFT_SHAPES)
+def test_lift_matches_dense_oracle(shape):
+    lift = build_lift(sparse_graph(*shape, seed=sum(shape))).graph
+    balls = np.diff(form_family(lift).support_start)
+    assert balls.max() < lift.num_vertices
+    assert_matches_dense_oracle(lift)
+
+
+@st.composite
+def badly_scaled_graphs(draw):
+    """graph_strategy's graphs with every weight redrawn from 1e-8..1e8."""
+    g = draw(graph_strategy())
+    exps = draw(st.lists(st.floats(-8.0, 8.0), min_size=len(g.edges),
+                         max_size=len(g.edges)))
+    return from_edge_list(g.num_vertices, g.ell,
+                          [(e.u, e.v, 10.0 ** p, e.s) for e, p in zip(g.edges, exps)])
+
+
+# A path whose two weights differ by 1e16: at the middle vertex one range
+# direction of gamma falls below the kernel cut, next to the kernel every
+# gamma[x] has (the twisted constants on the star of x).
+@example(from_edge_list(3, 2, [(0, 1, 1e-8, 1), (1, 2, 1e8, 0)]))
+@given(badly_scaled_graphs())
+@settings(max_examples=30, deadline=None)
+def test_badly_scaled_weights(g):
+    result = kappa_max(g, N_DIM)
+    got = result.per_vertex
+    want = dense_kappa_per_vertex(dense_form_family(g), N_DIM)
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    forms = form_family(g)
+    for x in np.flatnonzero(np.isfinite(want)):
+        # The pencil is as sensitive as gamma[x] is ill-conditioned on its
+        # range: 1e-12 relative at unit conditioning, widened by the
+        # condition number.
+        ev = np.linalg.eigvalsh(forms.block(x).gamma)
+        assert ev[0] <= KERNEL_THRESHOLD * ev[-1]  # a kernel direction
+        kept = ev[ev > KERNEL_THRESHOLD * ev[-1]]
+        tol = 1e-12 * max(1.0, abs(want[x])) * kept[-1] / kept[0]
+        assert abs(got[x] - want[x]) <= tol
+
+    km = result.kappa_max
+    if not math.isfinite(km):
+        return
+    # The pencil's kappa is certified, so the bisection never lands below it;
+    # above it the bisection gains only what the PSD tolerance absorbs along
+    # the witness w: (b - km) w*Gw <= 1e-9 s |w|^2 + w*(A - km G)w.
+    b = kappa_max_bisect(g, N_DIM)
+    step = 1e-6 * max(1.0, abs(km))
+    assert b >= km - step
+    blk = forms.block(result.witness_vertex)
+    w = result.witnesses[result.witness_vertex][blk.support]
+    A = blk.gamma2 - blk.lap_square / N_DIM
+    s = max(1.0, float(np.abs(np.linalg.eigvalsh(A - b * blk.gamma)).max()))
+
+    def q(F):
+        return float(np.real(w.conj() @ F @ w))
+
+    assert (b - km - step) * q(blk.gamma) <= 1e-9 * s * q(np.eye(len(w))) + q(A - km * blk.gamma)

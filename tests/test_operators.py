@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 
 from magcurv.errors import ValidationError
+from magcurv.lift import build_lift
 from magcurv.operators import (energy, form_family, gamma, gamma2,
                                laplacian_matrix, spectrum)
 
-from .conftest import graph_strategy, random_functions
+from .conftest import graph_strategy, random_functions, sparse_graph, two_n_cycle
 
 # The oracles keep their kind argument: they are the reference that the one
 # operator, applied to g or to g.untwisted(), is compared against.
@@ -100,21 +101,28 @@ def test_energy_nonnegative_and_twice_gamma(g):
 
 # --- forms ------------------------------------------------------------------
 
+def quadratic_forms(forms, x, f):
+    """f* F f for vertex x's three local blocks F: (gamma, gamma2, lap_square)."""
+    blk = forms.block(x)
+    fb = f[blk.support]
+    return [complex(fb.conj() @ F @ fb) for F in (blk.gamma, blk.gamma2, blk.lap_square)]
+
+
 def test_single_edge_first_form(single_edge):
-    forms = form_family(single_edge.untwisted())
-    g0 = np.asarray(forms.gamma[0])
-    eigvals = np.linalg.eigvalsh(g0)
+    blk = form_family(single_edge.untwisted()).block(0)
+    assert blk.support.tolist() == [0, 1]
+    eigvals = np.linalg.eigvalsh(blk.gamma)
     np.testing.assert_allclose(eigvals, [0.0, 1.0], atol=1e-14)
     # kernel is spanned by the constants
-    assert np.abs(g0 @ np.ones(2)).max() <= 1e-14
+    assert np.abs(blk.gamma @ np.ones(2)).max() <= 1e-14
 
 
 def test_forms_exactly_hermitian(t3, c4sigma):
     for g in (t3, c4sigma):
         forms = form_family(g)
         for x in range(g.num_vertices):
-            for stack in (forms.gamma, forms.gamma2, forms.lap_square):
-                m = np.asarray(stack[x])
+            blk = forms.block(x)
+            for m in (blk.gamma, blk.gamma2, blk.lap_square):
                 assert np.array_equal(m, m.conj().T)
 
 
@@ -122,29 +130,33 @@ def test_forms_psd(t3, c4sigma):
     for g in (t3, c4sigma):
         forms = form_family(g)
         for x in range(g.num_vertices):
-            for stack in (forms.gamma, forms.lap_square):
-                eigs = np.linalg.eigvalsh(np.asarray(stack[x]))
+            blk = forms.block(x)
+            for m in (blk.gamma, blk.lap_square):
+                eigs = np.linalg.eigvalsh(m)
                 norm = max(1.0, float(np.abs(eigs).max()))
                 assert eigs[0] >= -1e-9 * norm
 
 
 def test_gamma2_form_matches_recursive_oracle(t3):
-    forms = form_family(t3)
-    fs = random_functions(t3, 100, seed=9)
-    for j in range(fs.shape[1]):
-        f = fs[:, j]
-        want = np.real(gamma2_oracle(t3, f, "magnetic"))
-        for x in range(t3.num_vertices):
-            got = float(np.real(f.conj() @ np.asarray(forms.gamma2[x]) @ f))
-            assert abs(got - want[x]) <= 1e-10 * max(1.0, abs(want[x]))
+    # On the 6-cycle the 2-ball of a vertex misses the opposite vertex.
+    for g in (t3, two_n_cycle(3, 2)):
+        forms = form_family(g)
+        fs = random_functions(g, 100, seed=9)
+        for j in range(fs.shape[1]):
+            f = fs[:, j]
+            want = np.real(gamma2_oracle(g, f, "magnetic"))
+            for x in range(g.num_vertices):
+                got = quadratic_forms(forms, x, f)[1].real
+                assert abs(got - want[x]) <= 1e-10 * max(1.0, abs(want[x]))
 
 
 def test_constant_function_kills_plain_forms(b3):
     forms = form_family(b3.untwisted())
     f = 2.5 * np.ones(3, dtype=complex)
     for x in range(3):
-        assert abs(f.conj() @ np.asarray(forms.gamma[x]) @ f) <= 1e-13
-        assert abs(f.conj() @ np.asarray(forms.lap_square[x]) @ f) <= 1e-13
+        g1, _, lf2 = quadratic_forms(forms, x, f)
+        assert abs(g1) <= 1e-13
+        assert abs(lf2) <= 1e-13
 
 
 @given(graph_strategy(max_vertices=6))
@@ -156,12 +168,32 @@ def test_form_values_match_pointwise(g):
     g2 = np.real(gamma2(g, f))
     lf = laplacian_matrix(g) @ f
     for x in range(g.num_vertices):
-        assert abs(f.conj() @ np.asarray(forms.gamma[x]) @ f - g1[x]) \
-            <= 1e-10 * max(1.0, abs(g1[x]))
-        assert abs(f.conj() @ np.asarray(forms.gamma2[x]) @ f - g2[x]) \
-            <= 1e-10 * max(1.0, abs(g2[x]))
-        assert abs(f.conj() @ np.asarray(forms.lap_square[x]) @ f - abs(lf[x]) ** 2) \
-            <= 1e-10 * max(1.0, abs(lf[x]) ** 2)
+        q1, q2, q3 = quadratic_forms(forms, x, f)
+        assert abs(q1 - g1[x]) <= 1e-10 * max(1.0, abs(g1[x]))
+        assert abs(q2 - g2[x]) <= 1e-10 * max(1.0, abs(g2[x]))
+        assert abs(q3 - abs(lf[x]) ** 2) <= 1e-10 * max(1.0, abs(lf[x]) ** 2)
+
+
+def test_supports_are_two_balls(c4sigma):
+    forms = form_family(c4sigma)
+    assert all(forms.block(x).support.tolist() == [0, 1, 2, 3] for x in range(4))
+    forms = form_family(two_n_cycle(3, 2))
+    assert [forms.block(x).support.tolist() for x in range(6)] == [
+        [0, 1, 2, 4, 5], [0, 1, 2, 3, 5], [0, 1, 2, 3, 4],
+        [1, 2, 3, 4, 5], [0, 2, 3, 4, 5], [0, 1, 3, 4, 5]]
+
+
+def test_lift_forms_take_block_memory():
+    lift = build_lift(sparse_graph(40, 4, seed=1)).graph
+    n = lift.num_vertices
+    forms = form_family(lift)
+    sizes = np.diff(forms.support_start)
+    assert sizes.max() < n
+    arrays = [v for v in vars(forms).values() if isinstance(v, np.ndarray)]
+    index_bytes = sum(a.nbytes for a in (forms.support, forms.support_start,
+                                         forms.block_start))
+    assert sum(a.nbytes for a in arrays) <= 3 * 16 * int((sizes ** 2).sum()) + index_bytes
+    assert all(a.size < n ** 3 for a in arrays)
 
 
 def test_gamma2_composition_identity(t3):
@@ -228,8 +260,7 @@ def test_untwisted_matches_plain_oracle(g):
     assert close(energy(plain, f), 2.0 * g1)
     assert close(np.real(gamma2(plain, f)), g2)
     forms = form_family(plain)
-    quad = [np.real(np.einsum("i,xij,j->x", f.conj(), stack, f))
-            for stack in (forms.gamma, forms.gamma2, forms.lap_square)]
+    quad = np.real([quadratic_forms(forms, x, f) for x in range(g.num_vertices)]).T
     assert close(quad[0], g1)
     assert close(quad[1], g2)
     assert close(quad[2], np.abs(lf) ** 2)
@@ -262,8 +293,7 @@ def test_plain_equals_magnetic_all_zero_exponents(b3):
     plain = b3.untwisted()
     assert np.abs(laplacian_matrix(plain) - laplacian_matrix(b3)).max() <= 1e-14
     forms_p, forms_m = form_family(plain), form_family(b3)
-    assert np.abs(np.asarray(forms_p.gamma2)
-                  - np.asarray(forms_m.gamma2)).max() <= 1e-14
+    assert np.abs(forms_p.gamma2 - forms_m.gamma2).max() <= 1e-14
     assert np.abs(spectrum(plain).eigenvalues
                   - spectrum(b3).eigenvalues).max() <= 1e-14
 

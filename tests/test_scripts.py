@@ -13,6 +13,7 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize("argv", [
     ["scripts/cycle_sharpness.py", "--max-n", "3"],
     ["scripts/run_corpus_verify.py", "--count", "3"],
+    ["scripts/curvature_scale.py", "--vertices", "60"],
 ])
 def test_script_exits_zero(argv):
     env = dict(os.environ)
