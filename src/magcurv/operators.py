@@ -165,9 +165,8 @@ def form_family(g: MagneticGraph) -> FormFamily:
 
     The rank-one terms of gamma[x] and of the neighbours' gamma[y_r] (over
     the rows y_r -> z two steps out) are scattered into the blocks of all
-    vertices at once; the products with M_B run vertex by vertex, with no
-    remapping where B is the whole vertex set. gamma2 is forced Hermitian by
-    averaging, guarded by a residue check.
+    vertices at once; the products with M_B run vertex by vertex, where each
+    gamma2 block is forced Hermitian by averaging, guarded by a residue check.
     """
     n = g.num_vertices
     edges = g.oriented_edges
@@ -211,28 +210,18 @@ def form_family(g: MagneticGraph) -> FormFamily:
     for x in range(n):
         k = sizes[x]
         cut = slice(block_start[x], block_start[x + 1])
-        Gx, G2x = G[cut].reshape(k, k), G2[cut].reshape(k, k)
-        if k == n:
-            M_B = M
-        else:
-            B = support[support_start[x]:support_start[x + 1]]
-            M_B = M[np.ix_(B, B)]
-        G2x -= Gx + M_B.conj().T @ Gx + Gx @ M_B
+        Gx = G[cut].reshape(k, k)
+        B = support[support_start[x]:support_start[x + 1]]
+        M_B = M.take(B, 0).take(B, 1)
+        raw = 0.5 * (G2[cut].reshape(k, k) - Gx - M_B.conj().T @ Gx - Gx @ M_B)
+        raw_h = raw.conj().T
+        resid = np.linalg.norm(raw - raw_h)
+        if resid > HERMITIZE_GUARD * max(1.0, np.linalg.norm(raw)):
+            raise NumericalError(
+                f"anti-Hermitian residue {resid:.3e} in gamma2 form at vertex {x}")
+        G2[cut] = (0.5 * (raw + raw_h)).ravel()
         row = M_B[centre[x]]
         Q[cut] = np.multiply.outer(row.conj(), row).ravel()
-    G2 *= 0.5
-
-    # Hermitian part of every block at once, guarded by its residue.
-    owner = np.repeat(np.arange(n), sizes ** 2)
-    i, j = np.divmod(np.arange(block_start[-1]) - block_start[owner], sizes[owner])
-    G2_h = G2[flat(owner, j, i)].conj()
-    resid = np.sqrt(np.bincount(owner, np.abs(G2 - G2_h) ** 2, n))
-    bad = np.flatnonzero(resid > HERMITIZE_GUARD
-                         * np.maximum(1.0, np.sqrt(np.bincount(owner, np.abs(G2) ** 2, n))))
-    if len(bad):
-        raise NumericalError(
-            f"anti-Hermitian residue {resid[bad[0]]:.3e} in gamma2 form at vertex {bad[0]}")
-    G2 = 0.5 * (G2 + G2_h)
 
     for arr in (support, support_start, block_start, G, G2, Q):
         arr.flags.writeable = False

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from magcurv.errors import ValidationError
+from magcurv import operators
+from magcurv.errors import NumericalError, ValidationError
 from magcurv.lift import build_lift
 from magcurv.operators import (energy, form_family, gamma, gamma2,
                                laplacian_matrix, spectrum)
@@ -124,6 +125,13 @@ def test_forms_exactly_hermitian(t3, c4sigma):
             blk = forms.block(x)
             for m in (blk.gamma, blk.gamma2, blk.lap_square):
                 assert np.array_equal(m, m.conj().T)
+
+
+def test_gamma2_residue_guard_raises(c4sigma, monkeypatch):
+    # A negative threshold flags every block, so the first vertex must raise.
+    monkeypatch.setattr(operators, "HERMITIZE_GUARD", -1.0)
+    with pytest.raises(NumericalError, match="gamma2 form at vertex 0"):
+        form_family.__wrapped__(c4sigma)
 
 
 def test_forms_psd(t3, c4sigma):
