@@ -229,7 +229,7 @@ def cheeger_bound_check(g: MagneticGraph, n: float, kappa="auto",
     exceeds the budget, it is recorded as not applicable rather than raised.
     """
     lam = float(spectrum(g).eigenvalues[0])
-    h1 = cheeger_number(g, mode="exact", budget=budget).h1
+    h1 = cheeger_number(g, budget=budget).h1
     d = g.max_degree
     lower = 0.5 * lam
     upper = 2.0 * math.sqrt(2.0 * d * lam) if lam > 0 else 0.0

@@ -79,11 +79,9 @@ def _build_parser() -> argparse.ArgumentParser:
     graph = argparse.ArgumentParser(add_help=False)
     graph.add_argument("input", help="graph document path, or - for stdin")
     graph.add_argument("--json", action="store_true", help="emit JSON")
-    seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=int, default=0, help="seed for heuristic randomness")
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="enumeration/search budget")
+                        help="search budget: girth states, elimination table entries")
 
     sub.add_parser("spectrum", parents=[graph], help="eigenvalues/eigenvectors of -Laplacian")
 
@@ -96,18 +94,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="covering graph in document format (ell = 1)")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
 
-    p = sub.add_parser("frustration", parents=[graph, seed, budget],
+    p = sub.add_parser("frustration", parents=[graph, budget],
                        help="frustration index of a vertex subset")
     p.add_argument("--subset", required=True,
                    help="comma-separated vertex list, e.g. 0,1,2")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", default=True)
-    mode.add_argument("--local-search", dest="local_search", action="store_true")
 
-    p = sub.add_parser("cheeger", parents=[graph, seed, budget], help="magnetic Cheeger number")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", default=True)
-    mode.add_argument("--heuristic", action="store_true")
+    sub.add_parser("cheeger", parents=[graph, budget], help="magnetic Cheeger number")
 
     p = sub.add_parser("harnack", parents=[graph], help="Harnack inequality per eigenpair")
     p.add_argument("--n", type=_parse_n, default=2.0)
@@ -119,11 +111,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_parse_n, default=2.0)
     p.add_argument("--kappa", type=float, default=None)
 
-    p = sub.add_parser("generate", parents=[seed],
-                       help="random connected magnetic graph document")
+    p = sub.add_parser("generate", help="random connected magnetic graph document")
     p.add_argument("--vertices", type=int, required=True)
     p.add_argument("--edge-prob", type=float, required=True)
     p.add_argument("--ell", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0, help="seed of the random graph")
 
     return parser
 
@@ -180,27 +172,22 @@ def _cmd_frustration(args) -> int:
         subset = [int(tok) for tok in args.subset.split(",") if tok != ""]
     except ValueError:
         raise MagcurvError(f"could not parse subset {args.subset!r}")
-    mode = "local-search" if args.local_search else "exact"
-    result = frustration_index(g, subset, mode=mode, budget=args.budget,
-                               seed=args.seed)
+    result = frustration_index(g, subset, budget=args.budget)
     if args.json:
         _emit_json(result.to_json_dict())
     else:
-        bound = " (upper bound)" if mode == "local-search" else ""
-        print(f"frustration index{bound}: {_fmt(result.value)}")
+        print(f"frustration index: {_fmt(result.value)}")
         print("tau exponents: " + " ".join(str(t) for t in result.tau))
     return 0
 
 
 def _cmd_cheeger(args) -> int:
     g = _read_graph(args.input)
-    mode = "heuristic" if args.heuristic else "exact"
-    result = cheeger_number(g, mode=mode, budget=args.budget, seed=args.seed)
+    result = cheeger_number(g, budget=args.budget)
     if args.json:
         _emit_json(result.to_json_dict())
     else:
-        bound = " (upper bound)" if mode == "heuristic" else ""
-        print(f"h1{bound} = {_fmt(result.h1)}")
+        print(f"h1 = {_fmt(result.h1)}")
         print(f"subset: {list(result.subset)}  frustration: {_fmt(result.frustration)}")
     return 0
 

@@ -1,19 +1,21 @@
 """Magnetic girth, frustration index, and magnetic Cheeger number.
 
-Exact desk-scale search throughout, with seeded heuristic fallbacks that
-always report upper bounds. Group arithmetic stays in integer exponents: the
-modulus |tau(x) - sigma_xy tau(y)| equals 2 sin(pi * delta / ell) for the
-integer exponent difference delta, so objective values are reproducible to
-the last bit. Exact frustration sums one broadcast cost tensor, one axis per
-non-gauge vertex; exact Cheeger scores the full vertex set first and then
-skips every subset whose cut / volume alone already exceeds the best ratio.
-Budgets are explicit; exceeding one raises SizeError, never a silent
-fallback.
+Exact desk-scale search throughout. Group arithmetic stays in integer
+exponents: the modulus |tau(x) - sigma_xy tau(y)| equals 2 sin(pi * delta /
+ell) for the integer exponent difference delta, so objective values are
+reproducible to the last bit. Frustration and Cheeger are min-sum variable
+eliminations along a greedy min-fill order: frustration labels each vertex of
+the subset with an exponent, and Cheeger labels every vertex "outside" or
+with an exponent and minimises the ratio by Dinkelbach's parametric method.
+Every labelling within a hair of the minimum is rescored in the summation
+order of the definitions, so values and tie-breaks match an exhaustive search
+bit for bit. Budgets are explicit; exceeding one raises SizeError, never a
+silent fallback.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -107,247 +109,257 @@ def shortest_generating_closed_walk(g: MagneticGraph) -> int | float:
     return best
 
 
-def _exponent_cost_table(ell: int) -> np.ndarray:
-    # |xi^a - xi^b| = 2 sin(pi * ((a - b) mod ell) / ell)
-    return 2.0 * np.sin(np.pi * np.arange(ell) / ell)
+@functools.cache
+def _edge_costs(ell: int) -> np.ndarray:
+    """costs[s, a, b] = |xi^a - xi^s xi^b| = 2 sin(pi * ((a - b - s) mod ell) / ell)."""
+    table = 2.0 * np.sin(np.pi * np.arange(ell) / ell)
+    a = np.arange(ell)
+    costs = table[(a[:, None] - a - a[:, None, None]) % ell]
+    costs.flags.writeable = False
+    return costs
 
 
-def _induced_edges(g: MagneticGraph, verts: Sequence[int]):
-    pos = {v: i for i, v in enumerate(verts)}
-    out = []
-    for e in g.edges:
-        if e.u in pos and e.v in pos:
-            out.append((pos[e.u], pos[e.v], e.w, e.s))
-    return out
+def _min_fill_order(adj: list[set[int]]) -> tuple[list[int], int]:
+    """Greedy min-fill elimination order, ties to the smallest vertex, and its
+    width: the most neighbours a vertex still has when it is eliminated."""
+    adj = [set(a) for a in adj]
+    remaining = set(range(len(adj)))
+    order, width = [], 0
+
+    def fill(x):
+        return sum(len(adj[x] - adj[y]) - 1 for y in adj[x]) // 2
+
+    while remaining:
+        x = min(remaining, key=lambda v: (fill(v), v))
+        nbrs = adj[x]
+        width = max(width, len(nbrs))
+        for y in nbrs:
+            adj[y] |= nbrs
+            adj[y] -= {x, y}
+        remaining.remove(x)
+        order.append(x)
+    return order, width
+
+
+# Labels of the eliminated variable summed at once: as many as fit in this
+# many table entries, and at least one.
+_BLOCK = 1 << 12
+# Labellings within this fraction of the objective's scale (the sum of every
+# term's magnitude) of the minimum are rescored in the summation order of the
+# definition; rounding in either order stays orders of magnitude below it.
+_TIE = 1e-9
+
+
+def _eliminate(order: list[int], domains: list[int], factors: list):
+    """Min-sum elimination of the variables in `order`.
+
+    A factor is (scope, table): ascending variables, one table axis each;
+    every variable is on a factor. A factor waits in the bucket of its first
+    variable in `order`. Eliminating x sums its bucket a block of labels of x
+    at a time and keeps the running minimum, so the table over x and its
+    neighbours is never built once it exceeds _BLOCK entries. Returns the
+    steps (x, bucket, message scope, message) and the overall minimum.
+    """
+    rank = {x: i for i, x in enumerate(order)}
+    buckets: list[list] = [[] for _ in order]
+    for f in factors:
+        buckets[min(rank[v] for v in f[0])].append(f)
+    steps, minimum = [], 0.0
+    for x, mine in zip(order, buckets):
+        scope = tuple(sorted({v for s, _ in mine for v in s} - {x}))
+        views = [t.transpose([s.index(x)] + [i for i, v in enumerate(s) if v != x]).reshape(
+                     (domains[x],) + tuple(domains[v] if v in s else 1 for v in scope))
+                 for s, t in mine]
+        step = max(1, _BLOCK // math.prod(domains[v] for v in scope))
+        msg = None
+        for a in range(0, domains[x], step):
+            block = sum(view[a:a + step] for view in views).min(axis=0)
+            msg = np.asarray(block) if msg is None else np.minimum(msg, block, out=msg)
+        steps.append((x, mine, scope, msg))
+        if scope:
+            buckets[min(rank[v] for v in scope)].append((scope, msg))
+        else:
+            minimum += float(msg)
+    return steps, minimum
+
+
+def _near_optimal(steps, domains: list[int], minimum: float, slack: float,
+                  budget: int) -> list[tuple[int, ...]]:
+    """Every labelling whose sum is within `slack` of the minimum.
+
+    Decodes the steps backwards. A step's message is the least sum its
+    variable and the ones eliminated before it can still add, so each branch
+    carries the best total below it and is cut once that exceeds the
+    threshold. `budget` caps the visited states (SizeError beyond).
+    """
+    threshold = minimum + slack
+    found: list[tuple[int, ...]] = []
+    stack = [(len(steps) - 1, minimum, [0] * len(domains))]
+    states = 0
+    while stack:
+        i, bound, labels = stack.pop()
+        if i < 0:
+            found.append(tuple(labels))
+            continue
+        states += 1
+        if states > budget:
+            raise SizeError(f"near-optimal labelling search exceeded budget of {budget} states")
+        x, mine, scope, msg = steps[i]
+        cost = sum((t[tuple(slice(None) if v == x else labels[v] for v in s)] for s, t in mine),
+                   bound - msg[tuple(labels[v] for v in scope)])
+        for a, c in enumerate(cost.tolist()):
+            if c <= threshold:
+                labels[x] = a
+                stack.append((i - 1, c, labels.copy()))
+    return found
 
 
 @dataclass(frozen=True)
 class FrustrationResult(Record):
-    """Minimal signature deviation over vertex relabelings of a subset.
-
-    exact mode certifies the minimum; local-search mode is an upper bound.
-    ``tau`` lists the optimal exponents aligned with the sorted subset.
-    """
+    """Minimal signature deviation over vertex relabelings of a subset;
+    ``tau`` lists the optimal exponents aligned with the sorted subset."""
 
     value: float
     tau: tuple[int, ...]
     subset: tuple[int, ...]
-    mode: str
 
 
-def _require_assignments(ell: int, k: int, budget: int):
-    if ell ** k > budget:
-        raise SizeError(
-            f"exact frustration needs {ell}^{k} assignments, over budget {budget}")
-
-
-def _frustration_exact(g: MagneticGraph, verts: tuple[int, ...],
-                       budget: int) -> tuple[float, tuple[int, ...]]:
+def _frustration(g: MagneticGraph, verts: tuple[int, ...],
+                 budget: int) -> tuple[float, tuple[int, ...]]:
     k, ell = len(verts), g.ell
-    _require_assignments(ell, k, budget)
-    edges = _induced_edges(g, verts)
-    if not edges or ell == 1:
-        return 0.0, (0,) * k
-    # Global phase gauge: the lowest-indexed vertex is pinned to exponent 0.
-    # Vertex i labels axis k - 1 - i (vertex 0 has the one label 0), so the
-    # C-order ravel runs vertex 1 fastest. Each entry adds its edge terms in
-    # edge order, starting from 0.0.
-    cost = np.zeros((ell,) * (k - 1) + (1,))
-    size = cost.shape[::-1]
-    labels = np.arange(ell)
-    table = _exponent_cost_table(ell)
+    pos = {v: i for i, v in enumerate(verts)}
+    edges = [(pos[e.u], pos[e.v], e.w, e.s) for e in g.edges if e.u in pos and e.v in pos]
+    adj: list[set[int]] = [set() for _ in range(k)]
+    for iu, iv, _, _ in edges:
+        adj[iu].add(iv)
+        adj[iv].add(iu)
+    order, width = _min_fill_order(adj)
+    order = [x for x in order if adj[x]]  # an isolated vertex keeps exponent 0
+    if ell ** (width + 1) > budget:
+        raise SizeError(f"exact frustration needs {ell}^{width + 1} table entries "
+                        f"at elimination width {width}, over budget {budget}")
+    # Rotating one component of the induced graph leaves every edge term
+    # unchanged. The first vertex keeps exponent 0, as does the last vertex of
+    # each other component, where the first minimiser (last vertex most
+    # significant) puts it. comp[i] ends as the first vertex of i's component.
+    comp = list(range(k))
+    for _ in range(k):
+        for iu, iv, _, _ in edges:
+            comp[iu] = comp[iv] = min(comp[iu], comp[iv])
+    domains = [ell] * k
+    for first, last in {c: i for i, c in enumerate(comp)}.items():
+        domains[0 if first == 0 else last] = 1
+    costs = _edge_costs(ell)
+    factors = []
     for iu, iv, w, s in edges:
-        term = w * table[(labels[:size[iu], None] - labels[:size[iv]] - s) % ell]
-        shape = [1] * k
-        shape[k - 1 - iu], shape[k - 1 - iv] = size[iu], size[iv]
-        cost += (term if iu > iv else term.T).reshape(shape)
-    i = int(np.argmin(cost))
-    tau = reversed(np.unravel_index(i, cost.shape))
-    return float(cost.flat[i]), tuple(int(t) for t in tau)
+        t = w * costs[s, :domains[iu], :domains[iv]]
+        factors.append(((iu, iv), t) if iu < iv else ((iv, iu), t.T))
+    steps, minimum = _eliminate(order, domains, factors)
+    slack = _TIE * 2.0 * sum(w for _, _, w, _ in edges)
+
+    def value(tau):
+        total = 0.0
+        for iu, iv, w, s in edges:
+            total += w * costs[s, tau[iu], tau[iv]]
+        return float(total)
+
+    tau = min(_near_optimal(steps, domains, minimum, slack, budget),
+              key=lambda tau: (value(tau), tau[::-1]))
+    return value(tau), tau
 
 
-def _frustration_value(g: MagneticGraph, verts: tuple[int, ...],
-                       tau: Sequence[int]) -> float:
-    table = _exponent_cost_table(g.ell)
-    total = 0.0
-    for iu, iv, w, s in _induced_edges(g, verts):
-        total += w * table[(tau[iu] - tau[iv] - s) % g.ell]
-    return total
-
-
-def _frustration_local_search(g: MagneticGraph, verts: tuple[int, ...],
-                              rng: np.random.Generator,
-                              restarts: int = 16) -> tuple[float, tuple[int, ...]]:
-    k, ell = len(verts), g.ell
-    edges = _induced_edges(g, verts)
-    if not edges or ell == 1:
-        return 0.0, (0,) * k
-    table = _exponent_cost_table(ell)
-    incident: list[list[tuple[int, int, float, int]]] = [[] for _ in range(k)]
-    for iu, iv, w, s in edges:
-        incident[iu].append((iu, iv, w, s))
-        incident[iv].append((iu, iv, w, s))
-
-    def local_cost(tau, i):
-        tot = 0.0
-        for iu, iv, w, s in incident[i]:
-            tot += w * table[(tau[iu] - tau[iv] - s) % ell]
-        return tot
-
-    best_val, best_tau = math.inf, None
-    for _ in range(restarts):
-        tau = rng.integers(0, ell, size=k)
-        tau[0] = 0
-        improved = True
-        while improved:
-            improved = False
-            for i in range(1, k):
-                cur = local_cost(tau, i)
-                orig = tau[i]
-                pick, pick_cost = orig, cur
-                for lab in range(ell):
-                    if lab == orig:
-                        continue
-                    tau[i] = lab
-                    c = local_cost(tau, i)
-                    if c < pick_cost - 1e-15:
-                        pick, pick_cost = lab, c
-                tau[i] = pick
-                if pick != orig:
-                    improved = True
-        val = _frustration_value(g, verts, tau)
-        if val < best_val:
-            best_val, best_tau = val, tuple(int(t) for t in tau)
-    return best_val, best_tau
-
-
-def frustration_index(g: MagneticGraph, subset: Sequence[int], mode: str = "exact",
-                      budget: int = DEFAULT_BUDGET,
-                      seed: int | None = 0) -> FrustrationResult:
+def frustration_index(g: MagneticGraph, subset: Sequence[int],
+                      budget: int = DEFAULT_BUDGET) -> FrustrationResult:
     """Minimize sum p_xy |tau(x) - sigma_xy tau(y)| over relabelings tau of the
     subset into the signature group.
 
-    exact: enumerate assignments with one vertex gauge-fixed (SizeError over
-    budget). local-search: greedy single-vertex relabeling from 16 seeded
-    random starts; the value is only an upper bound.
+    Exact, by min-sum elimination on the induced graph; ties go to the first
+    minimiser with the last vertex most significant. `budget` caps the largest
+    table, ell^(width + 1) entries (SizeError beyond).
     """
     verts = tuple(sorted(set(int(v) for v in subset)))
     if not verts:
         raise EmptySubsetError("frustration index needs a nonempty vertex subset")
     if any(v < 0 or v >= g.num_vertices for v in verts):
         raise ValidationError(f"subset vertex out of range: {verts}")
-    if mode == "exact":
-        value, tau = _frustration_exact(g, verts, budget)
-    elif mode == "local-search":
-        rng = np.random.default_rng(seed)
-        value, tau = _frustration_local_search(g, verts, rng)
-    else:
-        raise ValueError(f"mode must be 'exact' or 'local-search', got {mode!r}")
-    return FrustrationResult(value=value, tau=tau, subset=verts, mode=mode)
+    value, tau = _frustration(g, verts, budget)
+    return FrustrationResult(value=value, tau=tau, subset=verts)
 
 
 @dataclass(frozen=True)
 class CheegerResult(Record):
-    """Minimizer of (frustration + boundary weight) / volume over subsets.
-
-    exact mode minimizes over every nonempty subset (the full vertex set
-    included); heuristic mode is a seeded annealing upper bound.
-    """
+    """Minimizer of (frustration + boundary weight) / volume over every
+    nonempty subset, the full vertex set included."""
 
     h1: float
     subset: tuple[int, ...]
     frustration: float
     tau: tuple[int, ...]
-    mode: str
-    seed: int | None
 
 
-def _cut_and_volume(g: MagneticGraph, mask: int) -> tuple[float, float]:
+def _score(g: MagneticGraph, verts: tuple[int, ...], budget: int):
+    """(ratio, subset, frustration, tau); cut summed in edge order, volume in
+    vertex order."""
+    frust, tau = _frustration(g, verts, budget)
+    inside = set(verts)
     cut = 0.0
     for e in g.edges:
-        if ((mask >> e.u) & 1) != ((mask >> e.v) & 1):
+        if (e.u in inside) != (e.v in inside):
             cut += e.w
     vol = 0.0
-    for x in range(g.num_vertices):
-        if (mask >> x) & 1:
-            vol += float(g.degrees[x])
-    return cut, vol
+    for x in verts:
+        vol += float(g.degrees[x])
+    return (frust + cut) / vol, verts, frust, tau
 
 
-def _mask_vertices(mask: int, n: int) -> tuple[int, ...]:
-    return tuple(x for x in range(n) if (mask >> x) & 1)
+def _cheeger_sets(g: MagneticGraph, order: list[int], lam: float,
+                  budget: int) -> set[tuple[int, ...]]:
+    """Nonempty subsets of the labellings that come within the tie slack of
+    min over (S, tau) of frustration + cut - lam * volume.
+
+    Label 0 puts a vertex outside S and label a + 1 inside with exponent a.
+    The volume of S sums w over the edge ends inside S, so each edge carries
+    w * (its cut or frustration cost - lam per end inside). Rotating every
+    exponent of S at once changes no term, so the vertex eliminated last is
+    inside only with exponent 0.
+    """
+    n, ell = g.num_vertices, g.ell
+    domains = [ell + 1] * n
+    domains[order[-1]] = 2
+    unit = np.full((ell, ell + 1, ell + 1), 1.0 - lam)
+    unit[:, 0, 0] = 0.0
+    unit[:, 1:, 1:] = _edge_costs(ell) - 2.0 * lam
+    factors = []
+    for e in g.edges:
+        t = e.w * unit[e.s, :domains[e.u], :domains[e.v]]
+        factors.append(((e.u, e.v), t) if e.u < e.v else ((e.v, e.u), t.T))
+    steps, minimum = _eliminate(order, domains, factors)
+    slack = _TIE * 2.0 * (1.0 + lam) * sum(e.w for e in g.edges)
+    found = _near_optimal(steps, domains, minimum, slack, budget)
+    return {tuple(x for x in range(n) if lab[x]) for lab in found} - {()}
 
 
-def cheeger_number(g: MagneticGraph, mode: str = "exact",
-                   budget: int = DEFAULT_BUDGET,
-                   seed: int | None = 0) -> CheegerResult:
+def cheeger_number(g: MagneticGraph, budget: int = DEFAULT_BUDGET) -> CheegerResult:
     """Magnetic Cheeger number with its minimizing subset and relabeling witness.
 
-    exact: the full vertex set, then every other nonempty subset in ascending
-    mask order, with exact per-subset frustration (SizeError if 2^N or an
-    assignment enumeration exceeds the budget). A subset is skipped only when
-    cut / volume > the best ratio so far, strictly: the computed frustration
-    is a sum of nonnegative terms and rounding is monotone, so its computed
-    ratio is >= cut / volume and cannot win. Ties resolve to the
-    lexicographically smallest subset. heuristic: simulated annealing over
-    subsets, seeded, reporting an upper bound.
+    Exact, by Dinkelbach's method: lambda starts at the full set's ratio, the
+    subsets that minimise frustration + cut - lambda * volume are scored, and
+    lambda drops to the best ratio until none is strictly below it. Ratios are
+    summed as in the definition; ties go to the lexicographically smallest
+    subset. `budget` caps the largest table, (ell + 1)^(width + 1) entries for
+    the min-fill width, checked before any search (SizeError beyond).
     """
-    n = g.num_vertices
-    if mode == "exact":
-        if 2 ** n > budget:
-            raise SizeError(f"exact Cheeger needs 2^{n} subsets, over budget {budget}")
-        # name the smallest subset size that overruns, as an ascending scan would
-        for k in range(1, n + 1):
-            _require_assignments(g.ell, k, budget)
-        full = 2 ** n - 1
-        best = None
-        for mask in itertools.chain((full,), range(1, full)):
-            cut, vol = _cut_and_volume(g, mask)
-            if best is not None and cut / vol > best[0][0]:
-                continue
-            verts = _mask_vertices(mask, n)
-            frust, tau = _frustration_exact(g, verts, budget)
-            key = ((frust + cut) / vol, verts)
-            if best is None or key < best[0]:
-                best = (key, frust, tau)
-        (h1, verts), frust, tau = best
-        return CheegerResult(h1=h1, subset=verts, frustration=frust, tau=tau,
-                             mode="exact", seed=None)
-    if mode != "heuristic":
-        raise ValueError(f"mode must be 'exact' or 'heuristic', got {mode!r}")
-
-    rng = np.random.default_rng(seed)
-    frust_budget = min(budget, 65536)
-
-    def ratio(mask: int):
-        verts = _mask_vertices(mask, n)
-        cut, vol = _cut_and_volume(g, mask)
-        if g.ell ** len(verts) <= frust_budget:
-            frust, tau = _frustration_exact(g, verts, frust_budget)
-        else:
-            frust, tau = _frustration_local_search(g, verts, rng, restarts=4)
-        return (frust + cut) / vol, verts, frust, tau
-
-    full = 2 ** n - 1
-    mask = int(rng.integers(1, 2 ** n))
-    value, verts, frust, tau = ratio(mask)
-    best = (value, verts, frust, tau)
-    steps = 300 + 30 * n
-    for step in range(steps):
-        temp = 0.5 * (0.01 / 0.5) ** (step / max(1, steps - 1))
-        flip = 1 << int(rng.integers(0, n))
-        cand = mask ^ flip
-        if cand == 0:
-            continue
-        cand_value, cv, cf, ct = ratio(cand)
-        if cand_value <= value or rng.random() < math.exp(-(cand_value - value) / temp):
-            mask, value = cand, cand_value
-            if (cand_value, cv) < (best[0], best[1]):
-                best = (cand_value, cv, cf, ct)
-    # the full vertex set is often the minimizer; always try it
-    full_value, fv, ff, ft = ratio(full)
-    if (full_value, fv) < (best[0], best[1]):
-        best = (full_value, fv, ff, ft)
-    value, verts, frust, tau = best
-    return CheegerResult(h1=value, subset=verts, frustration=frust, tau=tau,
-                         mode="heuristic", seed=seed)
+    n, ell = g.num_vertices, g.ell
+    order, width = _min_fill_order([{y for y, _, _ in g.neighbors(x)} for x in range(n)])
+    if (ell + 1) ** (width + 1) > budget:
+        raise SizeError(f"exact Cheeger needs {ell + 1}^{width + 1} table entries "
+                        f"at elimination width {width}, over budget {budget}")
+    best = _score(g, tuple(range(n)), budget)
+    while True:
+        lam = best[0]
+        best = min([best] + [_score(g, verts, budget)
+                             for verts in _cheeger_sets(g, order, lam, budget) - {best[1]}])
+        if best[0] == lam:
+            break
+    h1, verts, frust, tau = best
+    return CheegerResult(h1=h1, subset=verts, frustration=frust, tau=tau)

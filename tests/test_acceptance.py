@@ -200,7 +200,7 @@ def test_criterion_7_cheeger(corpus, t3):
     for i, g in enumerate(corpus):
         if g.ell != 2 or len(g.edges) > 8:
             continue
-        value = frustration_index(g, range(g.num_vertices), mode="exact").value
+        value = frustration_index(g, range(g.num_vertices)).value
         count, weight = min_deletions_for_balance(g)
         if abs(value - 2.0 * weight) > 1e-9:
             failures.append(f"graph[{i}] frustration vs deletion oracle")

@@ -53,7 +53,7 @@ def test_verify_fails_at_bad_kappa(t3_path, capsys):
 
 def test_verify_budget_overrun_skips_only_its_records(tmp_path, capsys):
     # 40 vertices: the girth search overruns a budget of 5 states and exact
-    # Cheeger needs 2^40 subsets; every other record is still computed.
+    # Cheeger a budget of 5 table entries; every other record is still computed.
     code, doc = run(capsys, "generate", "--vertices", "40", "--edge-prob", "0.1",
                     "--ell", "3", "--seed", "1")
     assert code == 0
@@ -69,7 +69,7 @@ def test_verify_budget_overrun_skips_only_its_records(tmp_path, capsys):
         "budget: cycle search exceeded budget of 5 states"
     assert payload["cheeger"] is None
     assert payload["cheeger_skipped"] == \
-        "budget: exact Cheeger needs 2^40 subsets, over budget 5"
+        "budget: exact Cheeger needs 4^9 table entries at elimination width 8, over budget 5"
     assert len(payload["harnack"]) == len(payload["alpha"]) > 0
 
 
@@ -83,9 +83,8 @@ def test_each_subcommand_takes_only_the_options_it_reads():
         "curvature": {"--json", "--n"},
         "girth": {"--json", "--budget"},
         "lift": {"--json", "--out"},
-        "frustration": {"--json", "--subset", "--exact", "--local-search",
-                        "--seed", "--budget"},
-        "cheeger": {"--json", "--exact", "--heuristic", "--seed", "--budget"},
+        "frustration": {"--json", "--subset", "--budget"},
+        "cheeger": {"--json", "--budget"},
         "harnack": {"--json", "--n", "--kappa"},
         "verify": {"--json", "--n", "--kappa", "--budget"},
         "generate": {"--vertices", "--edge-prob", "--ell", "--seed"},
@@ -112,22 +111,21 @@ def test_girth_inf_encoding(tmp_path, capsys):
 
 
 def test_cheeger_exact_and_budget(t3_path, tmp_path, capsys):
-    code, out = run(capsys, "cheeger", t3_path, "--exact", "--json")
+    code, out = run(capsys, "cheeger", t3_path, "--json")
     assert code == 0
     payload = json.loads(out)
     assert abs(payload["h1"] - 1 / 3) <= 1e-9
-    assert payload["mode"] == "exact"
+    assert payload["subset"] == [0, 1, 2]
 
-    big = from_edge_list(40, 1, [(i, i + 1, 1.0, 0) for i in range(39)])
-    path = tmp_path / "big.json"
-    path.write_text(big.dumps())
-    code, _ = run(capsys, "cheeger", str(path), "--exact")
+    wide = from_edge_list(12, 4, [(u, v, 1.0, 0) for u in range(12) for v in range(u + 1, 12)])
+    path = tmp_path / "wide.json"
+    path.write_text(wide.dumps())
+    code, _ = run(capsys, "cheeger", str(path))
     assert code == 3
 
 
 def test_frustration_subcommand(t3_path, capsys):
-    code, out = run(capsys, "frustration", t3_path, "--subset", "0,1,2",
-                    "--exact", "--json")
+    code, out = run(capsys, "frustration", t3_path, "--subset", "0,1,2", "--json")
     assert code == 0
     assert json.loads(out)["value"] == 2.0
 
@@ -147,26 +145,6 @@ def test_harnack_subcommand(t3_path, capsys):
     payload = json.loads(out)
     assert len(payload["records"]) == 3
     assert all(r["passed"] for r in payload["records"])
-
-
-def test_cheeger_heuristic_seeded(t3_path, capsys):
-    code1, out1 = run(capsys, "cheeger", t3_path, "--heuristic", "--seed", "5",
-                      "--json")
-    code2, out2 = run(capsys, "cheeger", t3_path, "--heuristic", "--seed", "5",
-                      "--json")
-    assert code1 == code2 == 0 and out1 == out2
-    payload = json.loads(out1)
-    assert payload["mode"] == "heuristic" and payload["seed"] == 5
-    assert payload["h1"] >= 1 / 3 - 1e-9  # upper bound on the exact value
-
-
-def test_frustration_local_search(t3_path, capsys):
-    code, out = run(capsys, "frustration", t3_path, "--subset", "0,1,2",
-                    "--local-search", "--seed", "2", "--json")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["mode"] == "local-search"
-    assert payload["value"] >= 2.0 - 1e-9
 
 
 def test_generate_deterministic(capsys):
@@ -239,9 +217,9 @@ RECORD_KEYS = {
 
 def test_json_key_order_is_pinned(t3_path, capsys):
     _, out = run(capsys, "cheeger", t3_path, "--json")
-    assert list(json.loads(out)) == ["h1", "subset", "frustration", "tau", "mode", "seed"]
+    assert list(json.loads(out)) == ["h1", "subset", "frustration", "tau"]
     _, out = run(capsys, "frustration", t3_path, "--subset", "0,1,2", "--json")
-    assert list(json.loads(out)) == ["value", "tau", "subset", "mode"]
+    assert list(json.loads(out)) == ["value", "tau", "subset"]
     _, out = run(capsys, "harnack", t3_path, "--json")
     payload = json.loads(out)
     assert list(payload) == ["n", "records"]
@@ -263,7 +241,7 @@ def test_json_key_order_is_pinned(t3_path, capsys):
 
 def test_parser_is_built_once_and_keeps_no_parse_state(t3_path, capsys):
     assert _build_parser() is _build_parser()
-    _, out = run(capsys, "cheeger", t3_path, "--heuristic", "--json")
-    assert json.loads(out)["mode"] == "heuristic"
-    _, out = run(capsys, "cheeger", t3_path, "--json")
-    assert json.loads(out)["mode"] == "exact"
+    code, out = run(capsys, "verify", t3_path, "--kappa", "10", "--json")
+    assert code == 1 and json.loads(out)["kappa"] == 10
+    code, out = run(capsys, "verify", t3_path, "--json")
+    assert code == 0 and json.loads(out)["kappa"] != 10

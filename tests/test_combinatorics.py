@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 
-from magcurv.combinatorics import (DEFAULT_BUDGET, CheegerResult, _frustration_exact,
-                                   cheeger_number, frustration_index, magnetic_girth,
+from magcurv.bounds import verify_report
+from magcurv.combinatorics import (DEFAULT_BUDGET, CheegerResult, cheeger_number,
+                                   frustration_index, magnetic_girth,
                                    shortest_generating_closed_walk)
 from magcurv.errors import EmptySubsetError, SizeError, ValidationError
 from magcurv.graphs import from_edge_list, random_magnetic_graph, signature_status
 
-from .conftest import graph_strategy, two_n_cycle
+from .conftest import LIFT_SHAPES, graph_strategy, sparse_graph, two_n_cycle
 
 
 # --- independent oracles ----------------------------------------------------
@@ -34,8 +35,8 @@ def frustration_brute(g, verts):
 
 def frustration_reference(g, verts):
     """Reference gauged enumeration: one int64 label column per vertex,
-    vertex 1 fastest, edge terms added in edge order. The library's broadcast
-    tensor must reproduce its value and first minimiser bit for bit."""
+    vertex 1 fastest, edge terms added in edge order. The library's
+    elimination must reproduce its value and first minimiser bit for bit."""
     k, ell = len(verts), g.ell
     pos = {v: i for i, v in enumerate(verts)}
     edges = [(pos[e.u], pos[e.v], e.w, e.s) for e in g.edges
@@ -76,8 +77,7 @@ def cheeger_reference(g):
         if best is None or key < best[0]:
             best = (key, frust, tau)
     (h1, verts), frust, tau = best
-    return CheegerResult(h1=h1, subset=verts, frustration=frust, tau=tau,
-                         mode="exact", seed=None)
+    return CheegerResult(h1=h1, subset=verts, frustration=frust, tau=tau)
 
 
 def _kept_is_balanced(g, kept):
@@ -162,8 +162,6 @@ def test_girth_budget_binds_after_a_stored_result(t3):
 def test_girth_overrun_is_searched_once_per_verify(monkeypatch):
     # The graph of the CLI's budget-overrun test: verify needs the girth for
     # girth_finite, the eigenvalue bound and the Cheeger curvature bound.
-    from magcurv.bounds import verify_report
-
     g = random_magnetic_graph(40, 0.1, 3, seed=1)
     searches = []
     search = magnetic_girth.__wrapped__
@@ -209,7 +207,7 @@ def test_girth_exceeds_closed_walk_for_composite_ell():
 # --- frustration index -------------------------------------------------------
 
 def test_frustration_t3(t3):
-    res = frustration_index(t3, [0, 1, 2], mode="exact")
+    res = frustration_index(t3, [0, 1, 2])
     assert abs(res.value - 2.0) <= 1e-12
     # consistent with 2 * (minimum edge deletions for balance)
     assert min_deletions_for_balance(t3) == (1, 1.0)
@@ -228,7 +226,8 @@ def test_frustration_empty_and_invalid(t3):
 
 
 def test_frustration_budget(t3):
-    with pytest.raises(SizeError):
+    with pytest.raises(SizeError, match="^exact frustration needs 2\\^3 table entries "
+                                        "at elimination width 2, over budget 4$"):
         frustration_index(t3, [0, 1, 2], budget=4)
 
 
@@ -238,7 +237,7 @@ def test_gauge_fixing_loses_nothing():
         g = random_magnetic_graph(int(rng.integers(3, 7)), 0.7,
                                   int(rng.choice([2, 3, 4])), rng=rng)
         verts = tuple(range(g.num_vertices))
-        gauged = frustration_index(g, verts, mode="exact").value
+        gauged = frustration_index(g, verts).value
         brute = frustration_brute(g, verts)
         assert abs(gauged - brute) <= 1e-12 * max(1.0, brute)
 
@@ -249,7 +248,7 @@ def test_zero_frustration_iff_induced_balanced(small_corpus):
         n = g.num_vertices
         size = int(rng.integers(2, n + 1))
         verts = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
-        value = frustration_index(g, verts, mode="exact").value
+        value = frustration_index(g, verts).value
         # induced balance via potential assignment on the induced edges
         assert (abs(value) <= 1e-12) == _induced_balanced(g, verts)
 
@@ -293,7 +292,7 @@ def test_sign_frustration_counts_deleted_edges():
         if len(g.edges) > 8:
             continue
         verts = tuple(range(g.num_vertices))
-        value = frustration_index(g, verts, mode="exact").value
+        value = frustration_index(g, verts).value
         count, weight = min_deletions_for_balance(g)
         assert abs(value - 2.0 * weight) <= 1e-9
         if wr == (1.0, 1.0):
@@ -308,32 +307,22 @@ def test_frustration_matches_reference_on_every_subset(corpus):
         n = g.num_vertices
         for mask in range(1, 2 ** n):
             verts = tuple(x for x in range(n) if (mask >> x) & 1)
-            assert _frustration_exact(g, verts, DEFAULT_BUDGET) == \
-                frustration_reference(g, verts)
-
-
-def test_local_search_upper_bounds_exact():
-    rng = np.random.default_rng(23)
-    for seed in range(6):
-        g = random_magnetic_graph(6, 0.7, int(rng.choice([2, 3, 4])), rng=rng)
-        verts = tuple(range(6))
-        exact = frustration_index(g, verts, mode="exact").value
-        upper = frustration_index(g, verts, mode="local-search", seed=seed).value
-        assert upper >= exact - 1e-12
+            res = frustration_index(g, verts)
+            assert (res.value, res.tau) == frustration_reference(g, verts)
 
 
 # --- Cheeger number ----------------------------------------------------------
 
 def _ratio(g, verts):
     verts = tuple(sorted(verts))
-    frust = frustration_index(g, verts, mode="exact").value
+    frust = frustration_index(g, verts).value
     cut = sum(e.w for e in g.edges if (e.u in verts) != (e.v in verts))
     vol = float(sum(g.degrees[list(verts)]))
     return (frust + cut) / vol
 
 
 def test_cheeger_t3(t3):
-    res = cheeger_number(t3, mode="exact")
+    res = cheeger_number(t3)
     assert abs(res.h1 - 1.0 / 3.0) <= 1e-12
     assert res.subset == (0, 1, 2)
     assert abs(res.frustration - 2.0) <= 1e-12
@@ -344,14 +333,14 @@ def test_cheeger_t3(t3):
 
 
 def test_cheeger_b3_balanced(b3):
-    res = cheeger_number(b3, mode="exact")
+    res = cheeger_number(b3)
     assert res.h1 == 0.0
     assert res.subset == (0, 1, 2)
 
 
 def test_cheeger_witness_recomputes(small_corpus, t3):
     for g in [t3] + list(small_corpus[:8]):
-        res = cheeger_number(g, mode="exact")
+        res = cheeger_number(g)
         cut = sum(e.w for e in g.edges
                   if (e.u in res.subset) != (e.v in res.subset))
         vol = float(sum(g.degrees[list(res.subset)]))
@@ -370,48 +359,80 @@ def _frustration_of(g, verts, tau):
     return total
 
 
-def test_cheeger_heuristic_upper_bounds_exact(small_corpus):
-    for g in small_corpus[:6]:
-        exact = cheeger_number(g, mode="exact").h1
-        heur = cheeger_number(g, mode="heuristic", seed=3).h1
-        assert heur >= exact - 1e-12
+def _reference_ratio(g, verts, tau):
+    """(frustration + cut) / volume of (verts, tau), summed as cheeger_reference
+    sums them; returns the ratio and the frustration."""
+    table = 2.0 * np.sin(np.pi * np.arange(g.ell) / g.ell)
+    pos = {v: i for i, v in enumerate(verts)}
+    frust, cut = 0.0, 0.0
+    for e in g.edges:
+        if e.u in pos and e.v in pos:
+            frust += e.w * table[(tau[pos[e.u]] - tau[pos[e.v]] - e.s) % g.ell]
+    for e in g.edges:
+        if (e.u in pos) != (e.v in pos):
+            cut += e.w
+    vol = 0.0
+    for x in verts:
+        vol += float(g.degrees[x])
+    return (frust + cut) / vol, frust
 
 
-def test_cheeger_heuristic_deterministic(t3):
-    a = cheeger_number(t3, mode="heuristic", seed=9)
-    b = cheeger_number(t3, mode="heuristic", seed=9)
-    assert a == b
+def _scale_graphs():
+    graphs = [sparse_graph(*shape, seed=sum(shape)) for shape in LIFT_SHAPES]
+    return graphs + [random_magnetic_graph(20, 0.4, 3, seed=1)]
+
+
+@pytest.mark.parametrize("g", _scale_graphs(), ids=lambda g: f"N{g.num_vertices}")
+def test_cheeger_scales_past_subset_enumeration(g):
+    # 2^20..2^48 subsets: out of reach for the reference, cheap by elimination
+    res = cheeger_number(g)
+    h1, frust = _reference_ratio(g, res.subset, res.tau)
+    assert (h1, frust) == (res.h1, res.frustration)
+    full = tuple(range(g.num_vertices))
+    assert res.h1 <= _reference_ratio(g, full, frustration_index(g, full).tau)[0]
+    for x in full:
+        assert res.h1 <= _reference_ratio(g, (x,), (0,))[0]
+    report = verify_report(g)
+    assert report.cheeger_skipped is None
+    assert report.cheeger.h1 == res.h1
+    assert report.cheeger.lower_passed and report.cheeger.upper_passed
 
 
 def test_cheeger_budget():
+    # a path has elimination width 1 however long it is; K_12 has width 11
     path = from_edge_list(40, 1, [(i, i + 1, 1.0, 0) for i in range(39)])
-    with pytest.raises(SizeError):
-        cheeger_number(path, mode="exact")
+    assert cheeger_number(path).subset == tuple(range(40))
+    k12 = from_edge_list(12, 4, [(u, v, 1.0, (u + v) % 4)
+                                 for u, v in itertools.combinations(range(12), 2)])
+    with pytest.raises(SizeError, match="elimination width 11,"):
+        cheeger_number(k12)
 
 
 @pytest.mark.parametrize("budget, message", [
-    (100_000, "exact frustration needs 4^9 assignments, over budget 100000"),
-    (5_000, "exact frustration needs 4^7 assignments, over budget 5000"),
-    (1_023, "exact Cheeger needs 2^10 subsets, over budget 1023"),
+    (15_624, "exact Cheeger needs 5^6 table entries at elimination width 5, "
+             "over budget 15624"),
+    (1, "exact Cheeger needs 5^6 table entries at elimination width 5, over budget 1"),
 ])
 def test_cheeger_budget_names_the_smallest_overrun(corpus, budget, message):
-    # the message names the first subset size whose enumeration overruns
+    # the largest elimination table, (ell + 1)^(width + 1) entries, is checked
+    # before any search; one entry more of budget lets the search run
     g = next(h for h in corpus if (h.num_vertices, h.ell) == (10, 4))
     with pytest.raises(SizeError) as err:
-        cheeger_number(g, mode="exact", budget=budget)
+        cheeger_number(g, budget=budget)
     assert str(err.value) == message
+    assert cheeger_number(g, budget=5 ** 6) == cheeger_number(g)
 
 
 def test_cheeger_matches_reference_on_corpus(corpus):
     for g in corpus:
         if g.num_vertices <= 9:
-            assert cheeger_number(g, mode="exact") == cheeger_reference(g)
+            assert cheeger_number(g) == cheeger_reference(g)
 
 
 @given(graph_strategy())
 @settings(max_examples=40, deadline=None)
 def test_cheeger_matches_reference(g):
-    assert cheeger_number(g, mode="exact") == cheeger_reference(g)
+    assert cheeger_number(g) == cheeger_reference(g)
 
 
 @pytest.mark.parametrize("s", [1, 0])
@@ -422,11 +443,11 @@ def test_cheeger_tie_goes_to_smallest_subset(s):
     g = from_edge_list(6, 2, [(0, 1, 1.0, 0), (1, 2, 1.0, 0), (0, 2, 1.0, s),
                               (5, 4, 1.0, 0), (4, 3, 1.0, 0), (5, 3, 1.0, s)])
     assert _ratio(g, [0, 1, 2]) == _ratio(g, [3, 4, 5]) == _ratio(g, range(6))
-    res = cheeger_number(g, mode="exact")
+    res = cheeger_number(g)
     assert res.subset == (0, 1, 2)
     assert res == cheeger_reference(g)
 
 
 def test_cheeger_json(t3):
-    payload = cheeger_number(t3, mode="exact").to_json_dict()
-    assert set(payload) == {"h1", "subset", "frustration", "tau", "mode", "seed"}
+    payload = cheeger_number(t3).to_json_dict()
+    assert set(payload) == {"h1", "subset", "frustration", "tau"}
