@@ -14,7 +14,7 @@ import argparse
 from magcurv.bounds import eigenvalue_lower_bound
 from magcurv.combinatorics import magnetic_girth
 from magcurv.graphs import diameter, from_edge_list
-from magcurv.lift import build_lift, lift_diameter_check
+from magcurv.lift import lift_diameter, lift_diameter_check
 
 
 def signed_cycle(n, ell):
@@ -35,7 +35,7 @@ def main():
             g = signed_cycle(n, ell)
             girth = magnetic_girth(g)
             dia = diameter(g)
-            lift_dia = diameter(build_lift(g).graph)
+            lift_dia = lift_diameter(g)
             check = lift_diameter_check(g)
             assert check.passed
             rec = eigenvalue_lower_bound(g, 2.0)

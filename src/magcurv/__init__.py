@@ -23,7 +23,7 @@ from .graphs import (Edge, MagneticGraph, SignatureStatus, connected_components,
                      diameter, from_edge_list, hop_distances, is_connected,
                      load_graph, random_magnetic_graph, signature_status)
 from .lift import (LiftDiameterResult, LiftGraph, LiftIdentityReport,
-                   build_lift, lift_diameter_check, lift_function,
+                   build_lift, lift_diameter, lift_diameter_check, lift_function,
                    verify_lift_identities)
 from .operators import (FormFamily, LocalForms, SpectralData, as_vertex_function,
                         energy, form_family, gamma, gamma2, laplacian_matrix,

@@ -19,7 +19,7 @@ from .combinatorics import DEFAULT_BUDGET, cheeger_number, magnetic_girth
 from .curvature import kappa_max
 from .errors import PreconditionError, SizeError
 from .graphs import MagneticGraph, Record, diameter, is_connected, signature_status
-from .lift import _path_bound_girth, build_lift
+from .lift import _path_bound_girth, lift_diameter
 from .operators import energy, spectrum
 
 __all__ = [
@@ -189,7 +189,7 @@ def eigenvalue_lower_bound(g: MagneticGraph, n: float, kappa="auto",
     dia = int(diameter(g))
     length = 2 * dia + g.ell * girth
     lam_min = float(spectrum(g).eigenvalues[0])
-    lift_dia = int(diameter(build_lift(g).graph))
+    lift_dia = int(lift_diameter(g))
     bound = _curvature_path_bound(kap, d, n, length ** 2, length ** 2)
     bound_alt = _curvature_path_bound(kap, d, n, length ** 2,
                                       (2 + g.ell * girth) ** 2)

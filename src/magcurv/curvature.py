@@ -8,10 +8,15 @@ matrix
 is positive semidefinite: the quantifier over all complex vertex functions is
 discharged by a PSD test, not by sampling. All three forms vanish outside the
 2-ball B2(x), so every test runs on the |B2(x)| x |B2(x)| blocks of
-form_family(g). The optimal curvature kappa_max(n) is the per-vertex supremum
-of feasible kappa, minimized over vertices, and is computed two independent
-ways: a reduced generalized eigenproblem on the range of gamma[x] (the pencil
-route) and bisection against the PSD check.
+form_family(g), and runs on all blocks of one size at once: each eigensolve
+takes a (b, k, k) stack from FormFamily.stacks(), so a graph costs one call
+per block size, not one per vertex. The optimal curvature kappa_max(n) is the
+per-vertex supremum of feasible kappa, minimized over vertices, and is
+computed two independent ways: a reduced generalized eigenproblem on the
+range of gamma[x] (the pencil route) and bisection against the PSD check.
+The reduced pencil (Ar, Gr) is solved by the Cholesky reduction of a
+Hermitian-definite pencil: with Gr = L L^H, the eigenvalues are those of
+L^-1 Ar L^-H and the eigenvectors are L^-H times its eigenvectors.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, NumericalError
 from .graphs import MagneticGraph
@@ -105,15 +109,13 @@ def cd_check_graph(g: MagneticGraph, n: float, kappa: float) -> CDGraphCheck:
     minimum eigenvalue is min(block minimum, 0).
     """
     invn = _inv_n(n)
-    forms = form_family(g)
     n_vert = g.num_vertices
     mins = np.empty(n_vert)
     cuts = np.empty(n_vert)
-    for x in range(n_vert):
-        blk = forms.block(x)
+    for xs, blk in form_family(g).stacks():
         eigs = np.linalg.eigvalsh(blk.gamma2 - invn * blk.lap_square - kappa * blk.gamma)
-        mins[x] = eigs[0] if len(blk.support) == n_vert else min(eigs[0], 0.0)
-        cuts[x] = -PSD_TOL * max(1.0, float(np.abs(eigs).max()))
+        mins[xs] = eigs[:, 0] if blk.support.shape[1] == n_vert else np.minimum(eigs[:, 0], 0.0)
+        cuts[xs] = -PSD_TOL * np.maximum(1.0, np.abs(eigs).max(axis=1))
     passed = bool(np.all(mins >= cuts))
     return CDGraphCheck(n=n, kappa=kappa, min_eigenvalues=mins,
                         thresholds=cuts, passed=passed)
@@ -143,72 +145,92 @@ class CurvatureResult:
         }
 
 
-def _vertex_kappa(A: np.ndarray, G: np.ndarray) -> tuple[float, np.ndarray]:
-    """sup{kappa : A - kappa G is PSD} for Hermitian A and PSD G.
+def _h(X: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix in a stack."""
+    return X.conj().swapaxes(-1, -2)
 
-    Splits by the eigendecomposition of G with relative kernel threshold
-    1e-10. On the kernel of G the pencil is constant in kappa, so a negative
-    eigenvalue there (or a coupling of the range into a null direction of the
-    kernel block) means no finite kappa works. Otherwise the kernel block is
-    eliminated by a Schur complement and the supremum is the smallest
-    generalized eigenvalue of the reduced definite pencil.
+
+def _vertex_kappa(A: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sup{kappa : A[i] - kappa G[i] is PSD} and a witness, for each pair of
+    a (b, k, k) stack of Hermitian A and PSD G.
+
+    Splits each G[i] by its eigendecomposition with relative kernel threshold
+    1e-10; the kept eigenvalues are a suffix of the ascending list, so the
+    blocks are solved in groups of equal rank. On the kernel of G the pencil
+    is constant in kappa, so a negative eigenvalue there (or a coupling of the
+    range into a null direction of the kernel block) means no finite kappa
+    works. Otherwise the kernel block is eliminated by a Schur complement and
+    the supremum is the smallest generalized eigenvalue of the reduced
+    definite pencil. Returns (b,) suprema, possibly -inf, and (b, k) witnesses.
     """
-    scale_a = max(1.0, float(np.abs(np.linalg.eigvalsh(A)).max()))  # ||A||_2 without an SVD
+    scale = np.maximum(1.0, np.abs(np.linalg.eigvalsh(A)).max(axis=1))  # ||A||_2 without an SVD
     gw, gv = np.linalg.eigh(G)
-    cut = KERNEL_THRESHOLD * max(float(gw[-1]), 1e-300)
-    keep = gw > cut
-    R = gv[:, keep]
-    K = gv[:, ~keep]
-    if R.shape[1] == 0:
+    cut = KERNEL_THRESHOLD * np.maximum(gw[:, -1], 1e-300)
+    nulls = np.count_nonzero(gw <= cut[:, None], axis=1)
+    if np.any(nulls == A.shape[1]):
         raise NumericalError("first form vanished at a vertex; graph invariant broken")
-    Ar = R.conj().T @ A @ R
-    Gr = R.conj().T @ G @ R
-    Bp = None
-    mu_pos = None
-    KWp = None
-    if K.shape[1] > 0:
-        Ak = K.conj().T @ A @ K
-        mu, Wk = np.linalg.eigh(0.5 * (Ak + Ak.conj().T))
-        if mu[0] < -PSD_TOL * scale_a:
-            return -math.inf, K @ Wk[:, 0]
+    kappa = np.empty(len(A))
+    wit = np.empty(A.shape[:2], dtype=complex)
+    for d in np.unique(nulls):
+        idx = np.flatnonzero(nulls == d)
+        kappa[idx], wit[idx] = _fixed_rank_kappa(A[idx], G[idx], gv[idx], d, scale[idx])
+    return kappa, wit
+
+
+def _fixed_rank_kappa(A: np.ndarray, G: np.ndarray, V: np.ndarray, d: int,
+                      scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_vertex_kappa for blocks whose G has exactly d kernel directions, the
+    first d columns of its eigenvectors V."""
+    R, K = V[:, :, d:], V[:, :, :d]
+    Ar = _h(R) @ A @ R
+    Gr = _h(R) @ G @ R
+    kappa = np.full(len(A), -math.inf)
+    wit = np.empty(A.shape[:2], dtype=complex)
+    live = np.ones(len(A), dtype=bool)
+    if d:
+        Ak = _h(K) @ A @ K
+        mu, Wk = np.linalg.eigh(0.5 * (Ak + _h(Ak)))
         KW = K @ Wk
-        B = R.conj().T @ A @ KW
-        pos = mu > KERNEL_THRESHOLD * scale_a
-        null_coupling = np.linalg.norm(B[:, ~pos]) if np.any(~pos) else 0.0
-        if null_coupling > 1e-7 * scale_a:
-            j = int(np.argmax(np.linalg.norm(B[:, ~pos], axis=0)))
-            return -math.inf, KW[:, np.flatnonzero(~pos)[j]]
-        if np.any(pos):
-            Bp = B[:, pos]
-            mu_pos = mu[pos]
-            KWp = KW[:, pos]
-            Ar = Ar - (Bp / mu_pos) @ Bp.conj().T
-    Ar = 0.5 * (Ar + Ar.conj().T)
-    Gr = 0.5 * (Gr + Gr.conj().T)
+        neg = mu[:, 0] < -PSD_TOL * scale
+        wit[neg] = KW[neg, :, 0]
+        B = _h(R) @ A @ KW
+        pos = mu > KERNEL_THRESHOLD * scale[:, None]
+        null_sq = np.where(pos, 0.0, (np.abs(B) ** 2).sum(axis=1))  # per kernel column
+        coupled = ~neg & (np.sqrt(null_sq.sum(axis=1)) > 1e-7 * scale)
+        j = np.argmax(null_sq[coupled], axis=1)
+        wit[coupled] = KW[coupled, :, j]
+        live = ~(neg | coupled)
+        # Schur step on the positive kernel directions; weight 0 on the null ones
+        Bw = B * np.divide(1.0, mu, out=np.zeros_like(mu), where=pos)[:, None, :]
+        Ar = Ar - Bw @ _h(B)
+    Ar = 0.5 * (Ar[live] + _h(Ar[live]))
+    Gr = 0.5 * (Gr[live] + _h(Gr[live]))
     try:
-        vals, vecs = scipy.linalg.eigh(Ar, Gr)
-    except scipy.linalg.LinAlgError as exc:
+        # Gr = L L^H turns the pencil (Ar, Gr) into the Hermitian L^-1 Ar L^-H.
+        L = np.linalg.cholesky(Gr)
+        vals, Y = np.linalg.eigh(np.linalg.solve(L, _h(np.linalg.solve(L, Ar))))
+    except np.linalg.LinAlgError as exc:
         raise NumericalError(f"reduced pencil eigensolver failed: {exc}") from exc
-    vr = vecs[:, 0]
-    wit = R @ vr
-    if Bp is not None:
+    vr = np.linalg.solve(_h(L), Y[:, :, :1])
+    w = R[live] @ vr
+    if d:
         # kernel-side component of the null vector eliminated by the Schur step
-        wit = wit - KWp @ ((Bp.conj().T @ vr) / mu_pos)
-    return float(vals[0]), wit
+        w = w - KW[live] @ (_h(Bw[live]) @ vr)
+    kappa[live] = vals[:, 0]
+    wit[live] = w[:, :, 0]
+    return kappa, wit
 
 
 def kappa_max(g: MagneticGraph, n: float) -> CurvatureResult:
     """Optimal kappa(n) per vertex and graph-wide, by the reduced-pencil route."""
     invn = _inv_n(n)
-    forms = form_family(g)
-    per = np.empty(g.num_vertices)
-    wits = []
-    for x in range(g.num_vertices):
-        blk = forms.block(x)
-        per[x], local = _vertex_kappa(blk.gamma2 - invn * blk.lap_square, blk.gamma)
-        wit = np.zeros(g.num_vertices, dtype=complex)
-        wit[blk.support] = local
-        wits.append(wit)
+    forms = form_family(g)  # its dense Laplacian is freed before the witnesses exist
+    n_vert = g.num_vertices
+    per = np.empty(n_vert)
+    wits = np.zeros((n_vert, n_vert), dtype=complex)
+    for xs, blk in forms.stacks():
+        per[xs], local = _vertex_kappa(blk.gamma2 - invn * blk.lap_square, blk.gamma)
+        wits[xs[:, None], blk.support] = local
     argmin = int(np.argmin(per))
     return CurvatureResult(n=n, per_vertex=per,
                            kappa_max=float(per[argmin]), witness_vertex=argmin,

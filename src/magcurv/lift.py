@@ -10,6 +10,7 @@ use this index order, so results are byte-reproducible.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from .combinatorics import DEFAULT_BUDGET, magnetic_girth
 from .errors import PreconditionError, ValidationError
 from .graphs import (Edge, MagneticGraph, Record, diameter, is_connected,
-                     signature_status)
+                     memoised_on_graph, signature_status)
 from .operators import laplacian_matrix, spectrum
 
 __all__ = [
@@ -25,6 +26,7 @@ __all__ = [
     "LiftIdentityReport",
     "LiftDiameterResult",
     "build_lift",
+    "lift_diameter",
     "lift_function",
     "verify_lift_identities",
     "lift_diameter_check",
@@ -58,6 +60,34 @@ def build_lift(g: MagneticGraph) -> LiftGraph:
             edges.append(Edge(e.u * ell + k, e.v * ell + (k + e.s) % ell, e.w, 0))
     lifted = MagneticGraph(num_vertices=g.num_vertices * ell, ell=1, edges=tuple(edges))
     return LiftGraph(base=g, graph=lifted)
+
+
+@memoised_on_graph
+def lift_diameter(g: MagneticGraph) -> int | float:
+    """Diameter of the lift, by BFS over (vertex, level) states on the base,
+    without building the lift; math.inf if the lift is disconnected.
+
+    (x, k) -> (x, k + j) is an automorphism of the lift, so every vertex above
+    x has the eccentricity of (x, 0), and only level 0 is searched from.
+    """
+    ell = g.ell
+    worst = 0
+    for root in range(g.num_vertices):
+        dist = [-1] * (g.num_vertices * ell)   # state (x, k) at x * ell + k
+        dist[root * ell] = 0
+        queue = deque([root * ell])
+        while queue:
+            state = queue.popleft()
+            x, k = divmod(state, ell)
+            for y, _, s in g.neighbors(x):
+                nxt = y * ell + (k + s) % ell
+                if dist[nxt] < 0:
+                    dist[nxt] = dist[state] + 1
+                    queue.append(nxt)
+        if min(dist) < 0:
+            return math.inf
+        worst = max(worst, max(dist))
+    return worst
 
 
 def lift_function(g: MagneticGraph, f) -> np.ndarray:
@@ -181,7 +211,7 @@ def lift_diameter_check(g: MagneticGraph, budget: int = DEFAULT_BUDGET) -> LiftD
     girth) are enforced; the violated one is named in the PreconditionError.
     """
     girth = _path_bound_girth(g, budget)
-    d_lift = diameter(build_lift(g).graph)
+    d_lift = lift_diameter(g)
     bound = 2 * int(diameter(g)) + g.ell * girth
     return LiftDiameterResult(lift_diameter=int(d_lift), bound=bound,
                               passed=d_lift <= bound)

@@ -138,6 +138,27 @@ class FormFamily:
                           self.gamma2[cut].reshape(k, k),
                           self.lap_square[cut].reshape(k, k))
 
+    def stacks(self):
+        """The blocks grouped by size: for each size k, the vertices xs whose
+        2-ball has k vertices, ascending, and their LocalForms stacked, with
+        (b, k) supports and (b, k, k) forms copied out of the packed arrays."""
+        sizes = np.diff(self.support_start)
+        for xs, k in _size_groups(sizes):
+            cells = _block_cells(self.block_start[xs], k)
+            yield xs, LocalForms(self.support[self.support_start[xs, None] + np.arange(k)],
+                                 self.gamma[cells], self.gamma2[cells], self.lap_square[cells])
+
+
+def _size_groups(sizes: np.ndarray):
+    """(vertices x with sizes[x] = k, k) for each distinct k, ascending."""
+    for k in np.unique(sizes):
+        yield np.flatnonzero(sizes == k), int(k)
+
+
+def _block_cells(starts: np.ndarray, k: int) -> np.ndarray:
+    """(b, k, k) positions in the packed arrays of the k x k blocks at starts."""
+    return starts[:, None, None] + np.arange(k * k).reshape(k, k)
+
 
 def _two_balls(g: MagneticGraph) -> list[list[int]]:
     """B2(x) of every vertex, ascending: the vertices at most two edges from x."""
@@ -165,8 +186,9 @@ def form_family(g: MagneticGraph) -> FormFamily:
 
     The rank-one terms of gamma[x] and of the neighbours' gamma[y_r] (over
     the rows y_r -> z two steps out) are scattered into the blocks of all
-    vertices at once; the products with M_B run vertex by vertex, where each
-    gamma2 block is forced Hermitian by averaging, guarded by a residue check.
+    vertices at once; the products with M_B run on stacks of the blocks of
+    equal size, where each gamma2 block is forced Hermitian by averaging,
+    guarded by a residue check that names the lowest failing vertex.
     """
     n = g.num_vertices
     edges = g.oriented_edges
@@ -207,21 +229,25 @@ def form_family(g: MagneticGraph) -> FormFamily:
 
     Q = np.empty_like(G)
     centre = local(np.arange(n), np.arange(n))
-    for x in range(n):
-        k = sizes[x]
-        cut = slice(block_start[x], block_start[x + 1])
-        Gx = G[cut].reshape(k, k)
-        B = support[support_start[x]:support_start[x + 1]]
-        M_B = M.take(B, 0).take(B, 1)
-        raw = 0.5 * (G2[cut].reshape(k, k) - Gx - M_B.conj().T @ Gx - Gx @ M_B)
-        raw_h = raw.conj().T
-        resid = np.linalg.norm(raw - raw_h)
-        if resid > HERMITIZE_GUARD * max(1.0, np.linalg.norm(raw)):
-            raise NumericalError(
-                f"anti-Hermitian residue {resid:.3e} in gamma2 form at vertex {x}")
-        G2[cut] = (0.5 * (raw + raw_h)).ravel()
-        row = M_B[centre[x]]
-        Q[cut] = np.multiply.outer(row.conj(), row).ravel()
+    resid = np.empty(n)
+    limit = np.empty(n)
+    for xs, k in _size_groups(sizes):
+        cells = _block_cells(block_start[xs], k)
+        Gx = G[cells]
+        B = support[support_start[xs, None] + np.arange(k)]
+        M_B = M[B[:, :, None], B[:, None, :]]
+        raw = 0.5 * (G2[cells] - Gx - M_B.conj().swapaxes(1, 2) @ Gx - Gx @ M_B)
+        raw_h = raw.conj().swapaxes(1, 2)
+        resid[xs] = np.linalg.norm(raw - raw_h, axis=(1, 2))
+        limit[xs] = HERMITIZE_GUARD * np.maximum(1.0, np.linalg.norm(raw, axis=(1, 2)))
+        G2[cells] = 0.5 * (raw + raw_h)
+        row = M_B[np.arange(len(xs)), centre[xs]]
+        Q[cells] = row.conj()[:, :, None] * row[:, None, :]
+    failed = np.flatnonzero(resid > limit)
+    if len(failed):
+        x = failed[0]
+        raise NumericalError(
+            f"anti-Hermitian residue {resid[x]:.3e} in gamma2 form at vertex {x}")
 
     for arr in (support, support_start, block_start, G, G2, Q):
         arr.flags.writeable = False

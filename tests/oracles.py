@@ -1,8 +1,12 @@
 """Dense reference implementations that the package's fast routes are checked against."""
 
-import numpy as np
+import math
 
-from magcurv.curvature import _inv_n, _vertex_kappa
+import numpy as np
+import scipy.linalg
+
+from magcurv.curvature import KERNEL_THRESHOLD, PSD_TOL, _inv_n
+from magcurv.errors import NumericalError
 from magcurv.operators import laplacian_matrix
 
 
@@ -48,7 +52,68 @@ def embedded_forms(forms, x, n):
 
 def dense_kappa_per_vertex(dense, n):
     """Per-vertex optimal kappa from dense forms (gamma, gamma2, lap_square),
-    by the package's pencil solver."""
+    by the one-vertex reference solver."""
     G, G2, Q = dense
     invn = _inv_n(n)
-    return np.array([_vertex_kappa(G2[x] - invn * Q[x], G[x])[0] for x in range(len(G))])
+    return np.array([vertex_kappa_reference(G2[x] - invn * Q[x], G[x])[0]
+                     for x in range(len(G))])
+
+
+def same_direction(u, v):
+    """u and v agree up to a unit complex factor."""
+    return abs(np.vdot(u, v)) >= (1 - 1e-9) * np.linalg.norm(u) * np.linalg.norm(v)
+
+
+def vertex_kappa_reference(A: np.ndarray, G: np.ndarray) -> tuple[float, np.ndarray]:
+    """sup{kappa : A - kappa G is PSD} for Hermitian A and PSD G.
+
+    Splits by the eigendecomposition of G with relative kernel threshold
+    1e-10. On the kernel of G the pencil is constant in kappa, so a negative
+    eigenvalue there (or a coupling of the range into a null direction of the
+    kernel block) means no finite kappa works. Otherwise the kernel block is
+    eliminated by a Schur complement and the supremum is the smallest
+    generalized eigenvalue of the reduced definite pencil.
+    """
+    scale_a = max(1.0, float(np.abs(np.linalg.eigvalsh(A)).max()))  # ||A||_2 without an SVD
+    gw, gv = np.linalg.eigh(G)
+    cut = KERNEL_THRESHOLD * max(float(gw[-1]), 1e-300)
+    keep = gw > cut
+    R = gv[:, keep]
+    K = gv[:, ~keep]
+    if R.shape[1] == 0:
+        raise NumericalError("first form vanished at a vertex; graph invariant broken")
+    Ar = R.conj().T @ A @ R
+    Gr = R.conj().T @ G @ R
+    Bp = None
+    mu_pos = None
+    KWp = None
+    if K.shape[1] > 0:
+        Ak = K.conj().T @ A @ K
+        mu, Wk = np.linalg.eigh(0.5 * (Ak + Ak.conj().T))
+        if mu[0] < -PSD_TOL * scale_a:
+            return -math.inf, K @ Wk[:, 0]
+        KW = K @ Wk
+        B = R.conj().T @ A @ KW
+        pos = mu > KERNEL_THRESHOLD * scale_a
+        null_coupling = np.linalg.norm(B[:, ~pos]) if np.any(~pos) else 0.0
+        if null_coupling > 1e-7 * scale_a:
+            j = int(np.argmax(np.linalg.norm(B[:, ~pos], axis=0)))
+            return -math.inf, KW[:, np.flatnonzero(~pos)[j]]
+        if np.any(pos):
+            Bp = B[:, pos]
+            mu_pos = mu[pos]
+            KWp = KW[:, pos]
+            Ar = Ar - (Bp / mu_pos) @ Bp.conj().T
+    Ar = 0.5 * (Ar + Ar.conj().T)
+    Gr = 0.5 * (Gr + Gr.conj().T)
+    try:
+        vals, vecs = scipy.linalg.eigh(Ar, Gr)
+    except scipy.linalg.LinAlgError as exc:
+        raise NumericalError(f"reduced pencil eigensolver failed: {exc}") from exc
+    vr = vecs[:, 0]
+    wit = R @ vr
+    if Bp is not None:
+        # kernel-side component of the null vector eliminated by the Schur step
+        wit = wit - KWp @ ((Bp.conj().T @ vr) / mu_pos)
+    return float(vals[0]), wit
+

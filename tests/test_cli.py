@@ -1,10 +1,22 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from magcurv.cli import _build_parser, main
 from magcurv.graphs import from_edge_list, load_graph
+
+ROOT = Path(__file__).resolve().parents[1]
+# Runs `magcurv verify - --json` in a fresh interpreter, then lists on stderr
+# every scipy module it loaded.
+NO_SCIPY_PROBE = (
+    "import sys; from magcurv.cli import main; code = main(['verify', '-', '--json']); "
+    "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'), file=sys.stderr); "
+    "sys.exit(code)")
 
 T3 = {"ell": 2, "num_vertices": 3,
       "edges": [{"u": 0, "v": 1, "w": 1.0, "s": 0},
@@ -245,3 +257,14 @@ def test_parser_is_built_once_and_keeps_no_parse_state(t3_path, capsys):
     assert code == 1 and json.loads(out)["kappa"] == 10
     code, out = run(capsys, "verify", t3_path, "--json")
     assert code == 0 and json.loads(out)["kappa"] != 10
+
+
+def test_verify_loads_no_scipy(corpus):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_PROBE], input=corpus[1].dumps(),
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["all_passed"] is True
+    assert proc.stderr.splitlines()[-1] == "[]"

@@ -12,6 +12,7 @@ from magcurv.lift import build_lift
 from magcurv.operators import form_family
 
 from .conftest import graph_strategy, random_functions, sparse_graph, two_n_cycle
+from .oracles import same_direction, vertex_kappa_reference
 
 
 def test_dimension_parameter_validation(t3):
@@ -164,40 +165,56 @@ def test_curvature_json(t3):
 
 
 def test_vertex_pencil_kernel_semantics():
-    """Synthetic pencils exercising the supremum solver directly: a negative
-    block on ker(G) or a coupling into a null kernel direction means no finite
-    kappa works; otherwise the result must match brute-force bisection."""
+    """Synthetic pencils exercising the supremum solver directly, solved as one
+    stack: a negative block on ker(G) or a coupling into a null kernel
+    direction means no finite kappa works; otherwise the result must match
+    brute-force bisection. Each entry, witness included, matches the
+    one-vertex reference solver, so the masks never mix up blocks."""
     from magcurv.curvature import _vertex_kappa
 
     G = np.diag([1.0, 0.5, 0.0, 0.0]).astype(complex)
+    rng = np.random.default_rng(2)
+
+    def hermitian():
+        B = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        return (B + B.conj().T) / 2.0
 
     # negative eigenvalue on the kernel of G
-    A = np.diag([1.0, 1.0, -0.3, 0.1]).astype(complex)
-    kap, wit = _vertex_kappa(A, G)
-    assert kap == -math.inf
-    assert abs(wit.conj() @ A @ wit) > 0.0
-
+    negative = np.diag([1.0, 1.0, -0.3, 0.1]).astype(complex)
     # PSD kernel block but range couples into its null direction
-    A = np.diag([1.0, 1.0, 0.4, 0.0]).astype(complex)
-    A[0, 3] = A[3, 0] = 0.2
-    kap, _ = _vertex_kappa(A, G)
-    assert kap == -math.inf
-
+    coupled = np.diag([1.0, 1.0, 0.4, 0.0]).astype(complex)
+    coupled[0, 3] = coupled[3, 0] = 0.2
     # well-posed case with genuine kernel coupling: Schur term active
-    rng = np.random.default_rng(2)
-    B = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    A = (B + B.conj().T) / 2.0
-    A = A + 4.0 * np.eye(4)  # push the kernel block positive definite
-    kap, wit = _vertex_kappa(A, G)
+    schur = hermitian() + 4.0 * np.eye(4)  # push the kernel block positive definite
+    # plain definite pencil: G of full rank, solved in a rank group of its own
+    F = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    definite = (hermitian(), F @ F.conj().T + np.eye(4))
+    pencils = [(negative, G), (schur, G), (coupled, G), definite]
 
-    def psd(k):
-        return np.linalg.eigvalsh(A - k * G)[0] >= -1e-12
+    kap, wit = _vertex_kappa(np.array([A for A, _ in pencils]),
+                             np.array([B for _, B in pencils]))
+    assert kap.shape == (4,) and wit.shape == (4, 4)
+    for (A, B), k, w in zip(pencils, kap, wit):
+        want, want_wit = vertex_kappa_reference(A, B)
+        if want == -math.inf:
+            assert k == -math.inf
+        else:
+            assert abs(k - want) <= 1e-12 * max(1.0, abs(want))
+        assert same_direction(w, want_wit)
 
-    lo, hi = -64.0, 64.0
-    assert psd(lo) and not psd(hi)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if psd(mid) else (lo, mid)
-    assert abs(kap - lo) <= 1e-7
-    resid = np.linalg.norm((A - kap * G) @ wit)
-    assert resid <= 1e-6 * np.linalg.norm(A)
+    assert kap[0] == -math.inf
+    assert abs(wit[0].conj() @ negative @ wit[0]) > 0.0
+    assert kap[2] == -math.inf
+
+    for (A, B), k, w in zip(pencils[1::2], kap[1::2], wit[1::2]):
+        def psd(t):
+            return np.linalg.eigvalsh(A - t * B)[0] >= -1e-12
+
+        lo, hi = -64.0, 64.0
+        assert psd(lo) and not psd(hi)
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if psd(mid) else (lo, mid)
+        assert abs(k - lo) <= 1e-7
+        resid = np.linalg.norm((A - k * B) @ w)
+        assert resid <= 1e-6 * np.linalg.norm(A)

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from magcurv.curvature import cd_check_function, cd_check_graph, kappa_max
 from magcurv.errors import PreconditionError, ValidationError
 from magcurv.graphs import connected_components, diameter, is_connected
-from magcurv.lift import (build_lift, lift_diameter_check, lift_function,
-                          verify_lift_identities)
+from magcurv.lift import (build_lift, lift_diameter, lift_diameter_check,
+                          lift_function, verify_lift_identities)
 from magcurv.operators import laplacian_matrix, spectrum
 
 from .conftest import graph_strategy, random_functions
@@ -142,6 +142,19 @@ def test_lift_diameter_check_examples(t3, c4sigma, b3):
     with pytest.raises(PreconditionError) as err:
         lift_diameter_check(b3)
     assert err.value.hypothesis in ("unbalanced", "entire signature")
+
+
+def test_lift_diameter_without_the_lift(corpus, b3):
+    for g in corpus:
+        assert lift_diameter(g) == diameter(build_lift(g).graph)
+    # balanced with ell = 2: the lift is two disjoint triangles
+    assert lift_diameter(b3) == math.inf == diameter(build_lift(b3).graph)
+
+
+@given(graph_strategy())
+@settings(max_examples=60, deadline=None)
+def test_lift_diameter_matches_lift_bfs(g):
+    assert lift_diameter(g) == diameter(build_lift(g).graph)
 
 
 def test_lift_connectivity_fuzz(small_corpus):

@@ -1,4 +1,5 @@
-"""The 2-ball forms against the dense (N, N, N) oracle in tests/oracles.py."""
+"""The 2-ball forms against the dense (N, N, N) oracle in tests/oracles.py, and
+kappa_max's stacked solver against the one-vertex reference solver there."""
 
 import math
 
@@ -14,13 +15,49 @@ from magcurv.lift import build_lift
 from magcurv.operators import form_family
 
 from .conftest import LIFT_SHAPES, graph_strategy, sparse_graph
-from .oracles import dense_form_family, dense_kappa_per_vertex, embedded_forms
+from .oracles import (dense_form_family, dense_kappa_per_vertex, embedded_forms,
+                      same_direction, vertex_kappa_reference)
 
 N_DIM = 2.0
 
 
+def condition_on_range(G):
+    """Largest over smallest eigenvalue of G above the kernel cut."""
+    ev = np.linalg.eigvalsh(G)
+    kept = ev[ev > KERNEL_THRESHOLD * ev[-1]]
+    return kept[-1] / kept[0]
+
+
+def assert_kernel_matches_reference(g, conditioned=False):
+    """kappa_max's stacked solver against the one-vertex reference solver, on
+    the same 2-ball blocks: kappa within 1e-12 relative, widened by the
+    condition number of gamma[x] on its range when ``conditioned``, the same
+    -inf set with the same witness direction, and each finite witness w a
+    null direction of the pencil: |w*(A - kappa G)w| / |w|^2 within that
+    tolerance times |A|, or at most twice the reference witness's."""
+    result = kappa_max(g, N_DIM)
+    forms = form_family(g)
+    for x in range(g.num_vertices):
+        blk = forms.block(x)
+        A = blk.gamma2 - blk.lap_square / N_DIM
+        want, want_wit = vertex_kappa_reference(A, blk.gamma)
+        got, wit = result.per_vertex[x], result.witnesses[x][blk.support]
+        if want == -math.inf:
+            assert got == -math.inf and same_direction(wit, want_wit)
+            continue
+        tol = 1e-12 * (condition_on_range(blk.gamma) if conditioned else 1.0)
+        assert abs(got - want) <= tol * max(1.0, abs(want))
+        scale = max(1.0, float(np.abs(np.linalg.eigvalsh(A)).max()))
+
+        def residue(w, kappa):
+            return abs(np.vdot(w, (A - kappa * blk.gamma) @ w)) / np.vdot(w, w).real
+
+        assert residue(wit, got) <= max(tol * scale, 2.0 * residue(want_wit, want))
+
+
 def assert_matches_dense_oracle(g):
-    """Blocks, per-vertex kappa and CD certificates of g equal the dense route's."""
+    """Blocks, per-vertex kappa and CD certificates of g equal the dense route's,
+    and the stacked solver matches the reference solver block by block."""
     n = g.num_vertices
     dense = dense_form_family(g)
     forms = form_family(g)
@@ -33,6 +70,7 @@ def assert_matches_dense_oracle(g):
     finite = np.isfinite(want)
     assert np.all(np.abs(got - want)[finite]
                   <= 1e-12 * np.maximum(1.0, np.abs(want[finite])))
+    assert_kernel_matches_reference(g)
 
     km = float(got.min())
     if not math.isfinite(km):
@@ -93,6 +131,7 @@ def test_badly_scaled_weights(g):
         kept = ev[ev > KERNEL_THRESHOLD * ev[-1]]
         tol = 1e-12 * max(1.0, abs(want[x])) * kept[-1] / kept[0]
         assert abs(got[x] - want[x]) <= tol
+    assert_kernel_matches_reference(g, conditioned=True)
 
     km = result.kappa_max
     if not math.isfinite(km):
