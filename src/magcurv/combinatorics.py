@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import EmptySubsetError, SizeError, ValidationError
-from .graphs import MagneticGraph, Record, memoised_on_graph, signature_status
+from .graphs import (MagneticGraph, Record, _walk_lengths, memoised_on_graph,
+                     signature_status)
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -82,31 +82,18 @@ def magnetic_girth(g: MagneticGraph, budget: int = DEFAULT_BUDGET) -> int | floa
 def shortest_generating_closed_walk(g: MagneticGraph) -> int | float:
     """Shortest closed walk whose phase product generates the group.
 
-    BFS on (vertex, exponent) states. This is a lower bound for the magnetic
-    girth (every simple cycle is a closed walk) and is diagnostic only.
+    The least entry (r, e) of the (vertex, exponent) BFS from each root r,
+    over the generators e. This is a lower bound for the magnetic girth
+    (every simple cycle is a closed walk) and is diagnostic only.
     """
     if not signature_status(g).entire:
         return math.inf
     n, ell = g.num_vertices, g.ell
-    best = math.inf
-    for root in range(n):
-        dist = np.full((n, ell), -1, dtype=np.int64)
-        dist[root, 0] = 0
-        queue = deque([(root, 0)])
-        found = math.inf
-        while queue:
-            x, e = queue.popleft()
-            if dist[x, e] + 1 >= min(best, found):
-                break
-            for y, _, s in g.neighbors(x):
-                e2 = (e + s) % ell
-                if y == root and math.gcd(e2, ell) == 1:
-                    found = min(found, int(dist[x, e]) + 1)
-                if dist[y, e2] < 0:
-                    dist[y, e2] = dist[x, e] + 1
-                    queue.append((y, e2))
-        best = min(best, found)
-    return best
+    if ell == 1:
+        return 2   # 0 generates, but only nonempty walks count: an edge there and back
+    gens = np.array([e for e in range(1, ell) if math.gcd(e, ell) == 1])
+    lengths = [d for r in range(n) for d in _walk_lengths(g, r, ell)[r * ell + gens].tolist()]
+    return min((d for d in lengths if d > 0), default=math.inf)
 
 
 @functools.cache

@@ -45,6 +45,9 @@ __all__ = [
 PSD_TOL = 1e-9
 KERNEL_THRESHOLD = 1e-10
 SLACK_TOL = 1e-9
+# Per-vertex suprema within this fraction of max(1, |kappa_max|) of the
+# minimum tie for the witness vertex: rounding alone moves them by ulps.
+WITNESS_TIE = 1e-12
 
 
 def _inv_n(n: float) -> float:
@@ -128,6 +131,8 @@ class CurvatureResult:
     ``witnesses[x]`` is the minimizing function at vertex x (a generalized
     eigenvector of the reduced pencil), or the violating kernel direction when
     per_vertex[x] = -inf; it has length N and is zero outside B2(x).
+    ``witness_vertex`` is the lowest vertex whose supremum is within
+    WITNESS_TIE * max(1, |kappa_max|) of kappa_max, or the lowest -inf vertex.
     """
 
     n: float
@@ -231,9 +236,10 @@ def kappa_max(g: MagneticGraph, n: float) -> CurvatureResult:
     for xs, blk in forms.stacks():
         per[xs], local = _vertex_kappa(blk.gamma2 - invn * blk.lap_square, blk.gamma)
         wits[xs[:, None], blk.support] = local
-    argmin = int(np.argmin(per))
-    return CurvatureResult(n=n, per_vertex=per,
-                           kappa_max=float(per[argmin]), witness_vertex=argmin,
+    kappa = float(per.min())
+    tie = 0.0 if kappa == -math.inf else WITNESS_TIE * max(1.0, abs(kappa))
+    return CurvatureResult(n=n, per_vertex=per, kappa_max=kappa,
+                           witness_vertex=int(np.argmax(per <= kappa + tie)),
                            witnesses=tuple(wits))
 
 

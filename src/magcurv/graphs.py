@@ -2,10 +2,11 @@
 
 The phase of an oriented edge lives in the cyclic group of ell-th roots of
 unity and is stored as an integer exponent, never as a floating-point complex
-number, so group operations along paths and cycles stay exact. The complex
-value exp(2*pi*1j*s/ell) is materialized only in the oriented-edge table that
-every operator is assembled from. A plain graph is one whose exponents are all
-0; ``untwisted()`` gives that graph for any signature.
+number, so group operations along walks stay exact: every path quantity is
+read off one BFS over (vertex, exponent) states. The complex value
+exp(2*pi*1j*s/ell) is materialized only in the oriented-edge table, one row
+per oriented edge, that every operator is assembled from. A plain graph is one
+whose exponents are all 0; ``untwisted()`` gives that graph for any signature.
 
 Vertices are 0-indexed integers; the edge order of the input document fixes
 the summation / matrix-row order everywhere downstream. Graphs are immutable
@@ -53,17 +54,19 @@ class Edge(NamedTuple):
 class OrientedEdges(NamedTuple):
     """One row per oriented edge x -> y: x in vertex order, y in ``neighbors(x)`` order.
 
-    (T f)[r] = sigma_xy f(y) - f(x) and W[x, r] = p_xy / d_x on the rows
-    leaving x, so the Laplacian is f -> W (T f), the local energy is
-    W |T f|^2 and the first form is gamma(u, v) = W ((T u) * conj(T v)) / 2.
-    ``coef[r]`` is the Laplacian entry M[x, y] = p_xy * sigma_xy / d_x.
+    With (T f)[r] = phase[r] f(y) - f(x), summing weight[r] (T f)[r] over the
+    rows leaving x gives (Lf)(x), summing weight[r] |(T f)[r]|^2 gives the
+    local energy, and half the sum of weight[r] (T u)[r] conj((T v)[r]) gives
+    gamma(u, v)(x). ``coef[r]`` is the Laplacian entry
+    M[x, y] = p_xy * sigma_xy / d_x. Every array has at most R entries.
     """
 
-    src: np.ndarray   # (R,) int, x of each row, nondecreasing
-    dst: np.ndarray   # (R,) int, y of each row
-    T: np.ndarray     # (R, N) complex
-    W: np.ndarray     # (N, R) real
-    coef: np.ndarray  # (R,) complex
+    src: np.ndarray     # (R,) int, x of each row, nondecreasing
+    dst: np.ndarray     # (R,) int, y of each row
+    first: np.ndarray   # (N,) int, the first row leaving each vertex
+    weight: np.ndarray  # (R,) real, p_xy / d_x
+    phase: np.ndarray   # (R,) complex, sigma_xy
+    coef: np.ndarray    # (R,) complex
 
 
 class SignatureStatus(NamedTuple):
@@ -152,18 +155,17 @@ class MagneticGraph:
         n, d = self.num_vertices, self.degrees
         xs, ys, ws, ps = zip(*[(x, y, w, self.phase(s)) for x in range(n)
                                for y, w, s in self.neighbors(x)])
-        src, dst, r = np.array(xs), np.array(ys), np.arange(len(xs))
-        T = np.zeros((len(xs), n), dtype=complex)
-        T[r, dst] = ps
-        T[r, src] = -1.0
-        W = np.zeros((n, len(xs)))
-        W[src, r] = [w / d[x] for x, w in zip(xs, ws)]
+        src, dst = np.array(xs), np.array(ys)
+        first = np.searchsorted(src, np.arange(n))
+        weight = np.array([w / d[x] for x, w in zip(xs, ws)])
+        phase = np.array(ps)
         # Scalar on purpose: a vectorized expression rounds differently, and
         # the verify output is pinned to the bits of these Laplacian entries.
         coef = np.array([w * p / d[x] for x, w, p in zip(xs, ws, ps)])
-        for arr in (src, dst, T, W, coef):
+        for arr in (src, dst, first, weight, phase, coef):
             arr.flags.writeable = False
-        return OrientedEdges(src=src, dst=dst, T=T, W=W, coef=coef)
+        return OrientedEdges(src=src, dst=dst, first=first, weight=weight,
+                             phase=phase, coef=coef)
 
     def to_document(self) -> dict:
         return {
@@ -268,34 +270,53 @@ def from_edge_list(num_vertices: int, ell: int,
                          edges=tuple(Edge(u, v, float(w), s) for u, v, w, s in edges))
 
 
+def _walk_lengths(g: MagneticGraph, root: int, modulus: int) -> np.ndarray:
+    """BFS over (vertex, exponent mod ``modulus``) states from (root, 0).
+
+    Entry y * modulus + e is the fewest edges of a walk from ``root`` to ``y``
+    whose exponents sum to e mod ``modulus``, or -1 if there is no such walk.
+    With modulus 1 these are hop distances; with modulus ell they are hop
+    distances in the lift, from (root, 0) to (y, e).
+    """
+    dist = [-1] * (g.num_vertices * modulus)
+    dist[root * modulus] = 0
+    queue = deque([root * modulus])
+    while queue:
+        state = queue.popleft()
+        x, k = divmod(state, modulus)
+        for y, _, s in g.neighbors(x):
+            nxt = y * modulus + (k + s) % modulus
+            if dist[nxt] < 0:
+                dist[nxt] = dist[state] + 1
+                queue.append(nxt)
+    return np.array(dist, dtype=np.int64)
+
+
+def _farthest_walk(g: MagneticGraph, modulus: int) -> int | float:
+    """Largest entry of ``_walk_lengths`` over every root; math.inf if some
+    state is unreachable from some root."""
+    worst = 0
+    for root in range(g.num_vertices):
+        dist = _walk_lengths(g, root, modulus)
+        if dist.min() < 0:
+            return math.inf
+        worst = max(worst, int(dist.max()))
+    return worst
+
+
 def hop_distances(g: MagneticGraph, source: int) -> np.ndarray:
     """Unweighted BFS hop counts from ``source``; -1 marks unreachable vertices.
 
     Distances are edge counts, not weight sums: the path arguments behind the
     diameter bounds count edges.
     """
-    dist = np.full(g.num_vertices, -1, dtype=np.int64)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        x = queue.popleft()
-        for y, _, _ in g.neighbors(x):
-            if dist[y] < 0:
-                dist[y] = dist[x] + 1
-                queue.append(y)
-    return dist
+    return _walk_lengths(g, source, 1)
 
 
 @memoised_on_graph
 def diameter(g: MagneticGraph) -> int | float:
     """Maximum hop distance over vertex pairs; math.inf if disconnected."""
-    worst = 0
-    for x in range(g.num_vertices):
-        dist = hop_distances(g, x)
-        if dist.min() < 0:
-            return math.inf
-        worst = max(worst, int(dist.max()))
-    return worst
+    return _farthest_walk(g, 1)
 
 
 def connected_components(g: MagneticGraph) -> list[list[int]]:
@@ -310,40 +331,26 @@ def connected_components(g: MagneticGraph) -> list[list[int]]:
     return comps
 
 
+@memoised_on_graph
 def is_connected(g: MagneticGraph) -> bool:
     return len(connected_components(g)) == 1
 
 
+@memoised_on_graph
 def signature_status(g: MagneticGraph) -> SignatureStatus:
     """Decide balancedness and entirety of the signature.
 
-    Balanced: every cycle's phase product is 1. Checked per component with a
-    spanning-tree potential: assign each vertex a group exponent along a BFS
-    tree, then test every non-tree edge for consistency. Entire: the edge
-    exponents generate the full cyclic group, i.e. gcd(ell, all exponents) = 1.
+    Balanced: every cycle's phase product is 1. A closed walk's exponent sum
+    is a sum of cycle sums, and a cycle with a nonzero sum can be walked
+    around from anywhere in its component, so a component is balanced exactly
+    when its first vertex r reaches no state (r, e) with e != 0. Entire: the
+    edge exponents generate the full cyclic group, i.e. gcd(ell, all
+    exponents) = 1.
     """
     ell = g.ell
-    pot = [None] * g.num_vertices
-    balanced = True
-    for root in range(g.num_vertices):
-        if pot[root] is not None:
-            continue
-        pot[root] = 0
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
-            for y, _, s in g.neighbors(x):
-                if pot[y] is None:
-                    pot[y] = (pot[x] + s) % ell
-                    queue.append(y)
-    for u, v, _, s in g.edges:
-        if (pot[u] + s - pot[v]) % ell != 0:
-            balanced = False
-            break
-    gen = ell
-    for e in g.edges:
-        gen = math.gcd(gen, e.s)
-    entire = gen == 1
+    balanced = not any(np.any(_walk_lengths(g, r, ell)[r * ell + 1:(r + 1) * ell] >= 0)
+                       for r, *_ in connected_components(g))
+    entire = math.gcd(ell, *(e.s for e in g.edges)) == 1
     return SignatureStatus(balanced=balanced, entire=entire)
 
 

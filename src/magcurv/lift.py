@@ -10,16 +10,15 @@ use this index order, so results are byte-reproducible.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .combinatorics import DEFAULT_BUDGET, magnetic_girth
 from .errors import PreconditionError, ValidationError
-from .graphs import (Edge, MagneticGraph, Record, diameter, is_connected,
-                     memoised_on_graph, signature_status)
-from .operators import laplacian_matrix, spectrum
+from .graphs import (Edge, MagneticGraph, Record, _farthest_walk, diameter,
+                     is_connected, memoised_on_graph, signature_status)
+from .operators import _differences, laplacian_matrix, spectrum
 
 __all__ = [
     "LiftGraph",
@@ -64,30 +63,14 @@ def build_lift(g: MagneticGraph) -> LiftGraph:
 
 @memoised_on_graph
 def lift_diameter(g: MagneticGraph) -> int | float:
-    """Diameter of the lift, by BFS over (vertex, level) states on the base,
-    without building the lift; math.inf if the lift is disconnected.
+    """Diameter of the lift: the farthest (vertex, level) state of the walk
+    BFS on the base with modulus ell, so no lift is built; math.inf if the
+    lift is disconnected.
 
     (x, k) -> (x, k + j) is an automorphism of the lift, so every vertex above
     x has the eccentricity of (x, 0), and only level 0 is searched from.
     """
-    ell = g.ell
-    worst = 0
-    for root in range(g.num_vertices):
-        dist = [-1] * (g.num_vertices * ell)   # state (x, k) at x * ell + k
-        dist[root * ell] = 0
-        queue = deque([root * ell])
-        while queue:
-            state = queue.popleft()
-            x, k = divmod(state, ell)
-            for y, _, s in g.neighbors(x):
-                nxt = y * ell + (k + s) % ell
-                if dist[nxt] < 0:
-                    dist[nxt] = dist[state] + 1
-                    queue.append(nxt)
-        if min(dist) < 0:
-            return math.inf
-        worst = max(worst, max(dist))
-    return worst
+    return _farthest_walk(g, g.ell)
 
 
 def lift_function(g: MagneticGraph, f) -> np.ndarray:
@@ -137,13 +120,11 @@ class LiftIdentityReport(Record):
 
 def _energy_forms(g: MagneticGraph, P: np.ndarray):
     """Per vertex v, the Hermitian form of f -> energy(g, P f)[v]:
-    sum_r W[v, r] (T P)_r^H (T P)_r over the rows leaving v."""
+    sum_r weight[r] (T P)_r^H (T P)_r over the rows leaving v."""
     oe = g.oriented_edges
-    TP = oe.T @ P
-    for v in range(g.num_vertices):
-        rows = np.flatnonzero(oe.src == v)
-        A = TP[rows]
-        yield (A.conj().T * oe.W[v, rows]) @ A
+    rows = oe.first[1:]
+    for A, w in zip(np.split(_differences(oe, P), rows), np.split(oe.weight, rows)):
+        yield (A.conj().T * w) @ A
 
 
 def verify_lift_identities(g: MagneticGraph) -> LiftIdentityReport:

@@ -11,9 +11,10 @@ positive-semidefiniteness tests of |B2(x)| x |B2(x)| blocks. The spectrum and
 the forms are computed once per graph and live as long as it; their arrays
 are read-only.
 
-The Laplacian, the oriented-edge table and the spectrum are dense N x N
-matrices: target graphs are desk scale (hundreds to a few thousand vertices
-after lifting), so sparse machinery is deliberately omitted.
+The Laplacian and the spectrum are dense N x N matrices: target graphs are
+desk scale (hundreds to a few thousand vertices after lifting), so sparse
+machinery is deliberately omitted. The oriented-edge table keeps one entry
+per oriented edge in each of its arrays.
 """
 
 from __future__ import annotations
@@ -63,11 +64,25 @@ def laplacian_matrix(g: MagneticGraph) -> np.ndarray:
     return M
 
 
+def _differences(edges, f: np.ndarray) -> np.ndarray:
+    """(T f)[r] = sigma_xy f(y) - f(x) on each row r = x -> y, for f of shape
+    (N,) or (N, B)."""
+    phase = edges.phase.reshape((-1,) + (1,) * (f.ndim - 1))
+    return phase * f[edges.dst] - f[edges.src]
+
+
+def _row_sums(edges, terms: np.ndarray) -> np.ndarray:
+    """sum_r weight[r] terms[r] over the rows r leaving each vertex; every
+    vertex has a row, so no segment of the reduction is empty."""
+    weight = edges.weight.reshape((-1,) + (1,) * (terms.ndim - 1))
+    return np.add.reduceat(weight * terms, edges.first, axis=0)
+
+
 def energy(g: MagneticGraph, f) -> np.ndarray:
     """Local energy |grad f|^2(x) = (1/d_x) sum_y p_xy |sigma_xy f(y) - f(x)|^2."""
     vals = as_vertex_function(g, f)
     edges = g.oriented_edges
-    return edges.W @ (np.abs(edges.T @ vals) ** 2)
+    return _row_sums(edges, np.abs(_differences(edges, vals)) ** 2)
 
 
 def gamma(g: MagneticGraph, u, v=None) -> np.ndarray:
@@ -78,7 +93,7 @@ def gamma(g: MagneticGraph, u, v=None) -> np.ndarray:
     uu = as_vertex_function(g, u)
     vv = uu if v is None else as_vertex_function(g, v)
     edges = g.oriented_edges
-    return 0.5 * (edges.W @ ((edges.T @ uu) * np.conj(edges.T @ vv)))
+    return 0.5 * _row_sums(edges, _differences(edges, uu) * np.conj(_differences(edges, vv)))
 
 
 def gamma2(g: MagneticGraph, u, v=None) -> np.ndarray:
@@ -177,10 +192,11 @@ def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def form_family(g: MagneticGraph) -> FormFamily:
     """Assemble each vertex's forms on its 2-ball B from the oriented-edge table.
 
-    With M_B = M[B, B] and the rows r = x -> y_r leaving x:
+    With M_B = M[B, B], the rows r = x -> y_r leaving x and the row vectors
+    T_r = phase[r] e_{y_r} - e_x:
 
-        gamma[x]      = sum_r W[x, r] T_r^H T_r / 2, supported on B1(x);
-        gamma2[x]     = (sum_r W[x, r] gamma[y_r] - gamma[x]
+        gamma[x]      = sum_r weight[r] T_r^H T_r / 2, supported on B1(x);
+        gamma2[x]     = (sum_r weight[r] gamma[y_r] - gamma[x]
                          - M_B^H gamma[x] - gamma[x] M_B) / 2;
         lap_square[x] = conj(M[x, B])^T M[x, B].
 
@@ -194,9 +210,8 @@ def form_family(g: MagneticGraph) -> FormFamily:
     edges = g.oriented_edges
     M = laplacian_matrix(g)
     src, dst, rows = edges.src, edges.dst, np.arange(len(edges.src))
-    starts = np.searchsorted(src, np.arange(n + 1))
-    weight = edges.W[src, rows]  # W[x, r] and sigma_xy of each row r = x -> y
-    phase = edges.T[rows, dst]
+    starts = np.append(edges.first, len(src))
+    weight, phase = edges.weight, edges.phase
 
     balls = _two_balls(g)
     sizes = np.array([len(b) for b in balls])
@@ -222,7 +237,7 @@ def form_family(g: MagneticGraph) -> FormFamily:
                 + 1j * np.bincount(idx, val.imag, block_start[-1]))
 
     G = rank_one_sum(src, rows, weight)
-    # G2 starts as sum_r W[x, r] gamma[y_r], over the pairs of a row x -> y_r
+    # G2 starts as sum_r weight[r] gamma[y_r], over the pairs of a row x -> y_r
     # and a row y_r -> z.
     first, second = _ranges(starts[dst], starts[dst + 1])
     G2 = rank_one_sum(src[first], second, weight[first] * weight[second])

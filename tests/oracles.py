@@ -1,39 +1,50 @@
 """Dense reference implementations that the package's fast routes are checked against."""
 
 import math
+from collections import deque
 
 import numpy as np
 import scipy.linalg
 
 from magcurv.curvature import KERNEL_THRESHOLD, PSD_TOL, _inv_n
 from magcurv.errors import NumericalError
+from magcurv.graphs import SignatureStatus
 from magcurv.operators import laplacian_matrix
+
+
+def dense_rows(g, x):
+    """The rows x -> y of the oriented-edge table as dense vectors, built from
+    the graph: T[i] = sigma_xy e_y - e_x and W[i] = p_xy / d_x for the i-th
+    neighbour y of x."""
+    nbrs = g.neighbors(x)
+    T = np.zeros((len(nbrs), g.num_vertices), dtype=complex)
+    for i, (y, _, s) in enumerate(nbrs):
+        T[i, y] = g.phase(s)
+        T[i, x] = -1.0
+    W = np.array([w / g.degrees[x] for _, w, _ in nbrs])
+    return T, W
 
 
 def dense_form_family(g):
     """The per-vertex forms as full (N, N, N) stacks (gamma, gamma2, lap_square),
     assembled on the whole vertex set by the defining recursion."""
     n = g.num_vertices
-    edges = g.oriented_edges
-    offsets = np.searchsorted(edges.src, np.arange(n + 1))
     M = laplacian_matrix(g)
+    rows = [dense_rows(g, x) for x in range(n)]
 
     G = np.zeros((n, n, n), dtype=complex)
-    for x in range(n):
-        rows = slice(offsets[x], offsets[x + 1])
-        cols = np.append(x, edges.dst[rows])
-        Tx = edges.T[rows][:, cols]
-        terms = Tx.conj()[:, :, None] * Tx[:, None, :]
-        G[x][np.ix_(cols, cols)] = sum(0.5 * edges.W[x, rows, None, None] * terms)
+    for x, (T, W) in enumerate(rows):
+        terms = T.conj()[:, :, None] * T[:, None, :]
+        G[x] = sum(0.5 * W[:, None, None] * terms)
 
     Q = np.conj(M)[:, :, None] * M[:, None, :]
 
     Mh = M.conj().T
     G2 = np.zeros((n, n, n), dtype=complex)
-    for x in range(n):
+    for x, (_, W) in enumerate(rows):
         lap_of_g = -G[x].copy()
-        for r in range(offsets[x], offsets[x + 1]):
-            lap_of_g += edges.W[x, r] * G[edges.dst[r]]
+        for (y, _, _), w in zip(g.neighbors(x), W):
+            lap_of_g += w * G[y]
         raw = 0.5 * (lap_of_g - Mh @ G[x] - G[x] @ M)
         G2[x] = 0.5 * (raw + raw.conj().T)
     return G, G2, Q
@@ -117,3 +128,53 @@ def vertex_kappa_reference(A: np.ndarray, G: np.ndarray) -> tuple[float, np.ndar
         wit = wit - KWp @ ((Bp.conj().T @ vr) / mu_pos)
     return float(vals[0]), wit
 
+
+
+def signature_status_reference(g) -> SignatureStatus:
+    """Balancedness by a spanning-tree potential: give each vertex a group
+    exponent along a BFS tree, then test every edge for consistency.
+    Entirety by gcd(ell, all exponents) = 1."""
+    ell = g.ell
+    pot = [None] * g.num_vertices
+    for root in range(g.num_vertices):
+        if pot[root] is not None:
+            continue
+        pot[root] = 0
+        queue = deque([root])
+        while queue:
+            x = queue.popleft()
+            for y, _, s in g.neighbors(x):
+                if pot[y] is None:
+                    pot[y] = (pot[x] + s) % ell
+                    queue.append(y)
+    balanced = all((pot[e.u] + e.s - pot[e.v]) % ell == 0 for e in g.edges)
+    return SignatureStatus(balanced=balanced,
+                           entire=math.gcd(ell, *(e.s for e in g.edges)) == 1)
+
+
+def shortest_generating_closed_walk_reference(g) -> int | float:
+    """Shortest nonempty closed walk whose exponent sum generates Z_ell, by a
+    BFS on (vertex, exponent) states from each root that stops once no
+    shorter walk back to the root can be found."""
+    if not signature_status_reference(g).entire:
+        return math.inf
+    n, ell = g.num_vertices, g.ell
+    best = math.inf
+    for root in range(n):
+        dist = np.full((n, ell), -1, dtype=np.int64)
+        dist[root, 0] = 0
+        queue = deque([(root, 0)])
+        found = math.inf
+        while queue:
+            x, e = queue.popleft()
+            if dist[x, e] + 1 >= min(best, found):
+                break
+            for y, _, s in g.neighbors(x):
+                e2 = (e + s) % ell
+                if y == root and math.gcd(e2, ell) == 1:
+                    found = min(found, int(dist[x, e]) + 1)
+                if dist[y, e2] < 0:
+                    dist[y, e2] = dist[x, e] + 1
+                    queue.append((y, e2))
+        best = min(best, found)
+    return best

@@ -84,6 +84,18 @@ def test_witness_fails_just_above_kappa_max(t3):
     assert not bool(chk.passed[x])
 
 
+def test_witness_vertex_is_the_lowest_tied_vertex(corpus):
+    # Suprema that agree to rounding must not let the order of the
+    # floating-point work pick the witness. On graph 48 vertices 1 and 4 both
+    # have kappa -1/3, an ulp apart.
+    for g in corpus:
+        result = kappa_max(g, 2.0)
+        per, kappa = result.per_vertex, result.kappa_max
+        tied = (per == kappa) if kappa == -math.inf else (per <= kappa + 1e-12 * max(1.0, abs(kappa)))
+        assert result.witness_vertex == int(np.flatnonzero(tied)[0])
+    assert kappa_max(corpus[48], 2.0).witness_vertex == 1
+
+
 def test_lift_witness_lives_on_the_two_ball():
     lift = build_lift(sparse_graph(30, 5, seed=3)).graph
     result = kappa_max(lift, 2.0)

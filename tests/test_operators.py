@@ -8,7 +8,8 @@ from magcurv.lift import build_lift
 from magcurv.operators import (energy, form_family, gamma, gamma2,
                                laplacian_matrix, spectrum)
 
-from .conftest import graph_strategy, random_functions, sparse_graph, two_n_cycle
+from .conftest import (LIFT_SHAPES, graph_strategy, random_functions, sparse_graph,
+                       two_n_cycle)
 
 # The oracles keep their kind argument: they are the reference that the one
 # operator, applied to g or to g.untwisted(), is compared against.
@@ -202,6 +203,13 @@ def test_lift_forms_take_block_memory():
                                          forms.block_start))
     assert sum(a.nbytes for a in arrays) <= 3 * 16 * int((sizes ** 2).sum()) + index_bytes
     assert all(a.size < n ** 3 for a in arrays)
+
+
+def test_oriented_edge_table_keeps_rows_only():
+    n, ell = LIFT_SHAPES[1]
+    lift = build_lift(sparse_graph(n, ell, seed=1)).graph
+    rows = 2 * len(lift.edges)
+    assert all(a.size <= rows for a in lift.oriented_edges)
 
 
 def test_gamma2_composition_identity(t3):
