@@ -11,10 +11,10 @@ Usage: python scripts/cycle_sharpness.py [--max-n 6]
 
 import argparse
 
-from magcurv.bounds import eigenvalue_lower_bound
+from magcurv.bounds import eigenvalue_lower_bound, lift_diameter_check
 from magcurv.combinatorics import magnetic_girth
 from magcurv.graphs import diameter, from_edge_list
-from magcurv.lift import lift_diameter, lift_diameter_check
+from magcurv.lift import lift_diameter
 
 
 def signed_cycle(n, ell):

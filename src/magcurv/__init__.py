@@ -7,9 +7,10 @@ Harnack / eigenvalue / Cheeger inequalities that tie them together.
 """
 
 from .bounds import (AlphaRecord, BoundsReport, CheegerBoundRecord,
-                     EigenvalueBoundRecord, HarnackRecord, alpha_bound_check,
-                     cheeger_bound_check, eigenvalue_lower_bound,
-                     harnack_check, verify_report)
+                     EigenvalueBoundRecord, HarnackRecord, LiftDiameterResult,
+                     alpha_bound_check, cheeger_bound_check,
+                     eigenvalue_lower_bound, harnack_check, lift_diameter_check,
+                     verify_report)
 from .combinatorics import (CheegerResult, FrustrationResult, cheeger_number,
                             frustration_index, magnetic_girth,
                             shortest_generating_closed_walk)
@@ -22,9 +23,8 @@ from .errors import (DimensionError, EmptySubsetError, MagcurvError,
 from .graphs import (Edge, MagneticGraph, SignatureStatus, connected_components,
                      diameter, from_edge_list, hop_distances, is_connected,
                      load_graph, random_magnetic_graph, signature_status)
-from .lift import (LiftDiameterResult, LiftGraph, LiftIdentityReport,
-                   build_lift, lift_diameter, lift_diameter_check, lift_function,
-                   verify_lift_identities)
+from .lift import (LiftGraph, LiftIdentityReport, build_lift, lift_diameter,
+                   lift_function, verify_lift_identities)
 from .operators import (FormFamily, LocalForms, SpectralData, as_vertex_function,
                         energy, form_family, gamma, gamma2, laplacian_matrix,
                         spectrum)

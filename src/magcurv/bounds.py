@@ -1,5 +1,5 @@
-"""Inequality verification: Harnack bounds, eigenvalue lower bounds, and the
-Cheeger sandwich, aggregated into a BoundsReport.
+"""Inequality verification: Harnack, eigenvalue, covering-diameter and
+Cheeger bounds (the path bounds share one hypothesis check), and BoundsReport.
 
 Every record stores both sides of its inequality; pass means
 LHS <= RHS + 1e-9 * max(1, |RHS|). Eigenpairs are normalized to
@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .combinatorics import DEFAULT_BUDGET, cheeger_number, magnetic_girth
-from .curvature import kappa_max
-from .errors import PreconditionError, SizeError
+from .curvature import _inv_n, kappa_max
+from .errors import PreconditionError, SizeError, ValidationError
 from .graphs import MagneticGraph, Record, diameter, is_connected, signature_status
-from .lift import _path_bound_girth, lift_diameter
+from .lift import lift_diameter
 from .operators import energy, spectrum
 
 __all__ = [
@@ -28,11 +28,13 @@ __all__ = [
     "AlphaRecord",
     "EigenvalueBoundRecord",
     "CheegerBoundRecord",
+    "LiftDiameterResult",
     "BoundsReport",
     "harnack_check",
     "alpha_bound_check",
     "eigenvalue_lower_bound",
     "cheeger_bound_check",
+    "lift_diameter_check",
     "verify_report",
 ]
 
@@ -45,9 +47,12 @@ def _passes(lhs: float, rhs: float) -> bool:
 
 
 def _resolve_kappa(g: MagneticGraph, n: float, kappa) -> float:
+    """kappa_max(g, n) for "auto" or None; a NaN kappa is rejected, +-inf kept."""
     if kappa == "auto" or kappa is None:
         return kappa_max(g, n).kappa_max
-    return float(kappa)
+    if math.isnan(kappa := float(kappa)):
+        raise ValidationError("kappa must be a number, got nan")
+    return kappa
 
 
 def _normalized_eigenpairs(g: MagneticGraph):
@@ -83,8 +88,8 @@ def harnack_check(g: MagneticGraph, n: float, kappa="auto") -> list[HarnackRecor
     """
     if not is_connected(g):
         raise PreconditionError("connected")
+    invn = _inv_n(n)
     kap = _resolve_kappa(g, n, kappa)
-    invn = 0.0 if n == math.inf else 1.0 / n
     records = []
     for i, lam, f in _normalized_eigenpairs(g):
         lhs = float(energy(g, f).max())
@@ -125,7 +130,7 @@ def alpha_bound_check(g: MagneticGraph, n: float, kappa: float,
 def _alpha_record(g: MagneticGraph, n: float, kappa: float, alpha: float,
                   i: int, lam: float, f: np.ndarray) -> AlphaRecord:
     """The alpha-bound record of one normalized eigenpair (i, lam, f)."""
-    invn = 0.0 if n == math.inf else 1.0 / n
+    invn = _inv_n(n)
     applicable = alpha > 2.0 - 2.0 * kappa / lam
     denom = (alpha - 2.0) * lam + 2.0 * kappa
     ill = abs(denom) <= 1e-8 * max(1.0, lam)
@@ -168,9 +173,45 @@ class EigenvalueBoundRecord(Record):
     vacuous_lift: bool
 
 
-def _curvature_path_bound(kappa: float, d: float, n: float, length_sq_num: float,
+def _path_bound_girth(g: MagneticGraph, budget: int) -> int:
+    """Magnetic girth, once the hypotheses of the path bounds hold: connected,
+    unbalanced, entire signature, finite girth. The first to fail is named in
+    PreconditionError; a girth search over budget raises SizeError."""
+    if not is_connected(g):
+        raise PreconditionError("connected")
+    status = signature_status(g)
+    if status.balanced:
+        raise PreconditionError("unbalanced")
+    if not status.entire:
+        raise PreconditionError("entire signature")
+    girth = magnetic_girth(g, budget=budget)
+    if girth == math.inf:
+        raise PreconditionError("finite magnetic girth")
+    return int(girth)
+
+
+@dataclass(frozen=True)
+class LiftDiameterResult(Record):
+    lift_diameter: int
+    bound: int
+    passed: bool
+
+
+def lift_diameter_check(g: MagneticGraph, budget: int = DEFAULT_BUDGET) -> LiftDiameterResult:
+    """Check the covering-diameter estimate: lift diameter <= 2*D + ell*girth.
+
+    Hypotheses (connected, unbalanced, entire signature, finite magnetic
+    girth) are enforced; the violated one is named in the PreconditionError.
+    """
+    girth = _path_bound_girth(g, budget)
+    d_lift = lift_diameter(g)
+    bound = 2 * int(diameter(g)) + g.ell * girth
+    return LiftDiameterResult(lift_diameter=int(d_lift), bound=bound,
+                              passed=d_lift <= bound)
+
+
+def _curvature_path_bound(kappa: float, d: float, invn: float, length_sq_num: float,
                           length_sq_den: float) -> float:
-    invn = 0.0 if n == math.inf else 1.0 / n
     return (1.0 + 4.0 * kappa * d * length_sq_num) / (d * (8.0 - 2.0 * invn) * length_sq_den)
 
 
@@ -179,10 +220,11 @@ def eigenvalue_lower_bound(g: MagneticGraph, n: float, kappa="auto",
     """Lower-bound the least eigenvalue of -magnetic Laplacian by curvature and
     extremal path quantities.
 
-    Hypotheses: connected, unbalanced, entire signature, finite magnetic
-    girth; the failed one is named in PreconditionError. Both the
-    (2D + ell*girth)-based bound and the lift-diameter bound are checked.
+    Hypotheses, checked after n: connected, unbalanced, entire signature,
+    finite magnetic girth; the failed one is named in PreconditionError. Both
+    the (2D + ell*girth)-based bound and the lift-diameter bound are checked.
     """
+    invn = _inv_n(n)
     girth = _path_bound_girth(g, budget)
     kap = _resolve_kappa(g, n, kappa)
     d = g.max_degree
@@ -190,10 +232,10 @@ def eigenvalue_lower_bound(g: MagneticGraph, n: float, kappa="auto",
     length = 2 * dia + g.ell * girth
     lam_min = float(spectrum(g).eigenvalues[0])
     lift_dia = int(lift_diameter(g))
-    bound = _curvature_path_bound(kap, d, n, length ** 2, length ** 2)
-    bound_alt = _curvature_path_bound(kap, d, n, length ** 2,
+    bound = _curvature_path_bound(kap, d, invn, length ** 2, length ** 2)
+    bound_alt = _curvature_path_bound(kap, d, invn, length ** 2,
                                       (2 + g.ell * girth) ** 2)
-    lift_bound = _curvature_path_bound(kap, d, n, lift_dia ** 2, lift_dia ** 2)
+    lift_bound = _curvature_path_bound(kap, d, invn, lift_dia ** 2, lift_dia ** 2)
     return EigenvalueBoundRecord(
         lambda_min=lam_min, diameter=dia, lift_diameter=lift_dia,
         girth=girth, max_degree=d, n=n, kappa=kap,
@@ -223,36 +265,26 @@ def cheeger_bound_check(g: MagneticGraph, n: float, kappa="auto",
                         budget: int = DEFAULT_BUDGET) -> CheegerBoundRecord:
     """Verify the Cheeger sandwich with the exact Cheeger number.
 
-    The curvature/path lower bound uses kappa ("auto" = kappa_max(g, n)) and
-    additionally needs the eigenvalue-bound hypotheses (connected,
-    unbalanced, entire, finite girth); when they fail, or the girth search
+    The curvature/path lower bound is half of eigenvalue_lower_bound's bound,
+    since h1 >= lambda / 2; when its hypotheses fail, or the girth search
     exceeds the budget, it is recorded as not applicable rather than raised.
     """
-    lam = float(spectrum(g).eigenvalues[0])
+    try:
+        path = eigenvalue_lower_bound(g, n, kappa, budget)
+    except (PreconditionError, SizeError):
+        path = None
+    lam = float(spectrum(g).eigenvalues[0]) if path is None else path.lambda_min
     h1 = cheeger_number(g, budget=budget).h1
     d = g.max_degree
     lower = 0.5 * lam
     upper = 2.0 * math.sqrt(2.0 * d * lam) if lam > 0 else 0.0
-    curvature_lower = None
-    curvature_passed = None
-    curvature_vacuous = None
-    try:
-        girth = _path_bound_girth(g, budget)
-    except (PreconditionError, SizeError):
-        pass
-    else:
-        # half the eigenvalue bound, since h1 >= lambda / 2
-        length_sq = (2 * int(diameter(g)) + g.ell * girth) ** 2
-        curvature_lower = 0.5 * _curvature_path_bound(
-            _resolve_kappa(g, n, kappa), d, n, length_sq, length_sq)
-        curvature_passed = _passes(curvature_lower, h1)
-        curvature_vacuous = curvature_lower <= 0.0
+    curvature_lower = None if path is None else 0.5 * path.bound
     return CheegerBoundRecord(
         lambda_min=lam, h1=h1, max_degree=d, lower=lower, upper=upper,
         lower_passed=_passes(lower, h1), upper_passed=_passes(h1, upper),
         curvature_lower=curvature_lower,
-        curvature_lower_passed=curvature_passed,
-        curvature_lower_vacuous=curvature_vacuous)
+        curvature_lower_passed=None if path is None else _passes(curvature_lower, h1),
+        curvature_lower_vacuous=None if path is None else curvature_lower <= 0.0)
 
 
 @dataclass(frozen=True)

@@ -45,38 +45,42 @@ def magnetic_girth(g: MagneticGraph, budget: int = DEFAULT_BUDGET) -> int | floa
     whole signature group; math.inf if the signature is not entire or no such
     cycle exists.
 
-    Exhaustive DFS over simple cycles, each enumerated from its minimum
-    vertex, pruned at the current best length. `budget` caps the number of
-    visited search states (SizeError beyond). Closed walks are excluded; see
-    shortest_generating_closed_walk for the walk-based lower bound.
+    Searches the lengths L = 3, 4, ..., N in increasing order: for each L, a
+    DFS over the simple cycles of exactly L edges, each enumerated from its
+    least vertex, stops at the first that generates. `budget` caps the
+    visited search states over the whole search (SizeError beyond). Closed
+    walks are excluded; see shortest_generating_closed_walk for the
+    walk-based lower bound.
     """
     if not signature_status(g).entire:
         return math.inf
     n, ell = g.num_vertices, g.ell
     adj = [g.neighbors(x) for x in range(n)]
-    best = math.inf
     states = 0
     in_path = [False] * n
 
-    def dfs(root: int, u: int, depth: int, holo: int):
-        nonlocal best, states
+    def closes(root: int, u: int, left: int, holo: int) -> bool:
+        """Do `left` more edges from u, above root, close a generating cycle?"""
+        nonlocal states
         states += 1
         if states > budget:
             raise SizeError(f"cycle search exceeded budget of {budget} states")
+        if left == 1:
+            return any(y == root and math.gcd((holo + s) % ell, ell) == 1
+                       for y, _, s in adj[u])
         for y, _, s in adj[u]:
-            if y == root and depth >= 2:
-                if math.gcd((holo + s) % ell, ell) == 1 and depth + 1 < best:
-                    best = depth + 1
-            elif y > root and not in_path[y] and depth + 2 < best:
+            if y > root and not in_path[y]:
                 in_path[y] = True
-                dfs(root, y, depth + 1, (holo + s) % ell)
+                found = closes(root, y, left - 1, (holo + s) % ell)
                 in_path[y] = False
+                if found:
+                    return True
+        return False
 
-    for root in range(n):
-        in_path[root] = True
-        dfs(root, root, 0, 0)
-        in_path[root] = False
-    return best
+    for length in range(3, n + 1):
+        if any(closes(root, root, length, 0) for root in range(n)):
+            return length
+    return math.inf
 
 
 def shortest_generating_closed_walk(g: MagneticGraph) -> int | float:

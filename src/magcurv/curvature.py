@@ -48,6 +48,9 @@ SLACK_TOL = 1e-9
 # Per-vertex suprema within this fraction of max(1, |kappa_max|) of the
 # minimum tie for the witness vertex: rounding alone moves them by ulps.
 WITNESS_TIE = 1e-12
+# kappa_max_bisect: relative bracket width, and doublings before a side gives up.
+BISECT_TOL = 1e-9
+MAX_DOUBLINGS = 80
 
 
 def _inv_n(n: float) -> float:
@@ -243,8 +246,7 @@ def kappa_max(g: MagneticGraph, n: float) -> CurvatureResult:
                            witnesses=tuple(wits))
 
 
-def kappa_max_bisect(g: MagneticGraph, n: float, tol: float = 1e-9,
-                     max_doublings: int = 80) -> float:
+def kappa_max_bisect(g: MagneticGraph, n: float) -> float:
     """Graph-wide optimal kappa by bisection with cd_check_graph as the oracle.
 
     Independent of the pencil route. It is never below the pencil's kappa,
@@ -257,20 +259,20 @@ def kappa_max_bisect(g: MagneticGraph, n: float, tol: float = 1e-9,
         return cd_check_graph(g, n, k).passed
 
     hi = 1.0
-    for _ in range(max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         if not ok(hi):
             break
         hi *= 2.0
     else:
         raise NumericalError("no failing kappa found; pencil should be +inf")
     lo = -1.0
-    for _ in range(max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         if ok(lo):
             break
         lo *= 2.0
     else:
         return -math.inf
-    while hi - lo > tol * max(1.0, abs(lo), abs(hi)):
+    while hi - lo > BISECT_TOL * max(1.0, abs(lo), abs(hi)):
         mid = 0.5 * (lo + hi)
         if ok(mid):
             lo = mid

@@ -1,4 +1,6 @@
-"""Covering graphs: construction, function lifting, and the exact transfer checks.
+"""Covering graphs: construction, function lifting, the lift diameter and the
+exact transfer checks. The covering-diameter estimate, with the hypotheses of
+the path bounds, is bounds.lift_diameter_check.
 
 The lift of a magnetic graph lives on pairs (vertex, level); level k stands
 for the root of unity exp(2*pi*1j*k/ell) and pair (x, k) gets the flat index
@@ -9,26 +11,21 @@ use this index order, so results are byte-reproducible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import DEFAULT_BUDGET, magnetic_girth
-from .errors import PreconditionError, ValidationError
-from .graphs import (Edge, MagneticGraph, Record, _farthest_walk, diameter,
-                     is_connected, memoised_on_graph, signature_status)
+from .errors import ValidationError
+from .graphs import Edge, MagneticGraph, Record, _farthest_walk, memoised_on_graph
 from .operators import _differences, laplacian_matrix, spectrum
 
 __all__ = [
     "LiftGraph",
     "LiftIdentityReport",
-    "LiftDiameterResult",
     "build_lift",
     "lift_diameter",
     "lift_function",
     "verify_lift_identities",
-    "lift_diameter_check",
 ]
 
 ENERGY_TOL = 1e-12
@@ -159,40 +156,3 @@ def verify_lift_identities(g: MagneticGraph) -> LiftIdentityReport:
     return LiftIdentityReport(max_energy_residual=max_energy,
                               max_laplacian_residual=max_lap,
                               max_eigenpair_residual=max_eig)
-
-
-@dataclass(frozen=True)
-class LiftDiameterResult(Record):
-    lift_diameter: int
-    bound: int
-    passed: bool
-
-
-def _path_bound_girth(g: MagneticGraph, budget: int) -> int:
-    """Magnetic girth, once the hypotheses of the path bounds hold: connected,
-    unbalanced, entire signature, finite girth. The first to fail is named in
-    PreconditionError; a girth search over budget raises SizeError."""
-    if not is_connected(g):
-        raise PreconditionError("connected")
-    status = signature_status(g)
-    if status.balanced:
-        raise PreconditionError("unbalanced")
-    if not status.entire:
-        raise PreconditionError("entire signature")
-    girth = magnetic_girth(g, budget=budget)
-    if girth == math.inf:
-        raise PreconditionError("finite magnetic girth")
-    return int(girth)
-
-
-def lift_diameter_check(g: MagneticGraph, budget: int = DEFAULT_BUDGET) -> LiftDiameterResult:
-    """Check the covering-diameter estimate: lift diameter <= 2*D + ell*girth.
-
-    Hypotheses (connected, unbalanced, entire signature, finite magnetic
-    girth) are enforced; the violated one is named in the PreconditionError.
-    """
-    girth = _path_bound_girth(g, budget)
-    d_lift = lift_diameter(g)
-    bound = 2 * int(diameter(g)) + g.ell * girth
-    return LiftDiameterResult(lift_diameter=int(d_lift), bound=bound,
-                              passed=d_lift <= bound)

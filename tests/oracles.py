@@ -7,7 +7,7 @@ import numpy as np
 import scipy.linalg
 
 from magcurv.curvature import KERNEL_THRESHOLD, PSD_TOL, _inv_n
-from magcurv.errors import NumericalError
+from magcurv.errors import NumericalError, SizeError
 from magcurv.graphs import SignatureStatus
 from magcurv.operators import laplacian_matrix
 
@@ -177,4 +177,38 @@ def shortest_generating_closed_walk_reference(g) -> int | float:
                     dist[y, e2] = dist[x, e] + 1
                     queue.append((y, e2))
         best = min(best, found)
+    return best
+
+
+def magnetic_girth_reference(g, budget: int = 10_000_000) -> int | float:
+    """Magnetic girth by the exhaustive DFS over simple cycles that the
+    package ran before its search by length: each cycle enumerated from its
+    minimum vertex, pruned at the current best length. `budget` caps the
+    visited search states (SizeError beyond)."""
+    if not signature_status_reference(g).entire:
+        return math.inf
+    n, ell = g.num_vertices, g.ell
+    adj = [g.neighbors(x) for x in range(n)]
+    best = math.inf
+    states = 0
+    in_path = [False] * n
+
+    def dfs(root: int, u: int, depth: int, holo: int):
+        nonlocal best, states
+        states += 1
+        if states > budget:
+            raise SizeError(f"cycle search exceeded budget of {budget} states")
+        for y, _, s in adj[u]:
+            if y == root and depth >= 2:
+                if math.gcd((holo + s) % ell, ell) == 1 and depth + 1 < best:
+                    best = depth + 1
+            elif y > root and not in_path[y] and depth + 2 < best:
+                in_path[y] = True
+                dfs(root, y, depth + 1, (holo + s) % ell)
+                in_path[y] = False
+
+    for root in range(n):
+        in_path[root] = True
+        dfs(root, root, 0, 0)
+        in_path[root] = False
     return best

@@ -12,13 +12,14 @@ import math
 import time
 
 from magcurv.bounds import (alpha_bound_check, cheeger_bound_check,
-                            eigenvalue_lower_bound, harnack_check)
+                            eigenvalue_lower_bound, harnack_check,
+                            lift_diameter_check)
 from magcurv.cli import main as cli_main
 from magcurv.combinatorics import frustration_index, magnetic_girth
 from magcurv.curvature import (cd_check_function, cd_check_graph, kappa_max,
                                kappa_max_bisect)
 from magcurv.graphs import diameter, signature_status
-from magcurv.lift import lift_diameter_check, verify_lift_identities
+from magcurv.lift import verify_lift_identities
 
 from .conftest import random_functions, two_n_cycle
 from .test_combinatorics import min_deletions_for_balance

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import magcurv
+import magcurv.lift
 from magcurv.bounds import (alpha_bound_check, cheeger_bound_check,
                             eigenvalue_lower_bound, harnack_check,
-                            verify_report)
+                            lift_diameter_check, verify_report)
 from magcurv.curvature import kappa_max
-from magcurv.errors import PreconditionError
+from magcurv.errors import DimensionError, PreconditionError, ValidationError
 from magcurv.graphs import from_edge_list, signature_status
 from magcurv.operators import energy, spectrum
 
@@ -175,6 +177,22 @@ def test_cheeger_bound_uses_given_kappa(t3):
     assert rec.curvature_lower_vacuous
 
 
+def test_cheeger_bound_is_half_the_eigenvalue_bound(monkeypatch, t3):
+    calls = []
+
+    def counted(name):
+        fn = getattr(magcurv.bounds, name)
+        return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+    for name in ("spectrum", "cheeger_number"):
+        monkeypatch.setattr(magcurv.bounds, name, counted(name))
+    rec = cheeger_bound_check(t3, 2.0, kappa=-1.0)
+    assert sorted(calls) == ["cheeger_number", "spectrum"]
+    path = eigenvalue_lower_bound(t3, 2.0, kappa=-1.0)
+    assert rec.curvature_lower == 0.5 * path.bound
+    assert rec.lambda_min == path.lambda_min
+
+
 def test_cheeger_bound_balanced_degenerates(b3):
     rec = cheeger_bound_check(b3, 2.0)
     assert abs(rec.lambda_min) <= 1e-9
@@ -202,6 +220,34 @@ def test_verify_report_balanced_skips_eigen_bound(b3):
     assert "unbalanced" in report.eigenvalue_skipped
     assert report.cheeger is not None
     assert report.all_passed
+
+
+@pytest.mark.parametrize("n", [1.0, 0.5, 0.0, -2.0, math.nan])
+@pytest.mark.parametrize("kappa", ["auto", 0.0])
+def test_every_check_rejects_a_bad_dimension(t3, b3, n, kappa):
+    # with or without a given kappa, and before any path-bound hypothesis
+    for check in (harnack_check, eigenvalue_lower_bound, cheeger_bound_check,
+                  verify_report):
+        for g in (t3, b3):
+            with pytest.raises(DimensionError, match="n > 1"):
+                check(g, n, kappa)
+    with pytest.raises(DimensionError, match="n > 1"):
+        alpha_bound_check(t3, n, 0.0, 3.0)
+
+
+def test_nan_kappa_is_rejected_and_infinite_kept(t3):
+    for check in (harnack_check, eigenvalue_lower_bound, cheeger_bound_check,
+                  verify_report):
+        with pytest.raises(ValidationError, match="kappa"):
+            check(t3, 2.0, math.nan)
+    assert eigenvalue_lower_bound(t3, 2.0, -math.inf).bound == -math.inf
+    assert not any(r.passed for r in harnack_check(t3, 2.0, math.inf))
+
+
+def test_lift_diameter_check_lives_in_bounds(t3):
+    assert magcurv.lift_diameter_check is lift_diameter_check
+    assert not hasattr(magcurv.lift, "lift_diameter_check")
+    assert lift_diameter_check(t3).passed
 
 
 def test_verify_report_fails_at_uncertified_kappa(t3):

@@ -202,6 +202,19 @@ def test_disconnected_harnack_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("harnack", "--n", "0", "--kappa", "0"), "dimension parameter must satisfy n > 1"),
+    (("verify", "--n", "0.5", "--kappa", "0"), "dimension parameter must satisfy n > 1"),
+    (("harnack", "--kappa", "nan"), "kappa must be a number, got nan"),
+    (("verify", "--kappa", "nan"), "kappa must be a number, got nan"),
+])
+def test_bad_dimension_or_kappa_exit_2(t3_path, capsys, argv, message):
+    # n is checked even when kappa is given, so it never reaches a division
+    code = main([argv[0], t3_path, *argv[1:]])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_unknown_flag_usage_error(t3_path):
     with pytest.raises(SystemExit) as exc:
         main(["spectrum", t3_path, "--nonsense"])

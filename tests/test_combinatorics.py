@@ -13,6 +13,7 @@ from magcurv.errors import EmptySubsetError, SizeError, ValidationError
 from magcurv.graphs import from_edge_list, random_magnetic_graph, signature_status
 
 from .conftest import LIFT_SHAPES, graph_strategy, sparse_graph, two_n_cycle
+from .oracles import magnetic_girth_reference
 
 
 # --- independent oracles ----------------------------------------------------
@@ -146,9 +147,32 @@ def test_girth_requires_generating_cycle():
 
 
 def test_girth_budget_exceeded():
-    g = random_magnetic_graph(12, 0.9, 2, seed=3)
-    with pytest.raises(SizeError):
+    # the only generating cycle has 12 edges; every shorter length is searched first
+    g = two_n_cycle(6, 2)
+    with pytest.raises(SizeError, match="^cycle search exceeded budget of 10 states$"):
         magnetic_girth(g, budget=10)
+    assert magnetic_girth(g) == 12
+
+
+def test_girth_matches_reference_dfs(corpus):
+    # the corpus, and the Z_6 bowtie whose two triangles each fail to generate
+    bowtie = from_edge_list(5, 6, [(0, 1, 1.0, 0), (1, 2, 1.0, 0), (0, 2, 1.0, 4),
+                                   (0, 3, 1.0, 0), (3, 4, 1.0, 0), (0, 4, 1.0, 3)])
+    for g in [*corpus, bowtie]:
+        assert magnetic_girth(g) == magnetic_girth_reference(g)
+
+
+@given(graph_strategy(max_ell=12))
+@settings(max_examples=150, deadline=None)
+def test_girth_matches_reference_dfs_on_random_graphs(g):
+    assert magnetic_girth(g) == magnetic_girth_reference(g)
+
+
+@pytest.mark.parametrize("n, ell, girth", [(40, 4, 3), (48, 3, 3), (36, 4, 4)])
+def test_girth_of_sparse_graphs_within_a_small_budget(n, ell, girth):
+    # millions of long simple paths, but a generating cycle of 3 or 4 edges:
+    # no path longer than the girth is walked
+    assert magnetic_girth(sparse_graph(n, ell, seed=44), budget=10_000) == girth
 
 
 def test_girth_budget_binds_after_a_stored_result(t3):

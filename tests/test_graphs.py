@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from magcurv.bounds import verify_report
+from magcurv.bounds import lift_diameter_check, verify_report
 from magcurv.errors import ParseError, ValidationError
 from magcurv.graphs import (diameter, from_edge_list, is_connected, load_graph,
                             random_magnetic_graph, signature_status)
-from magcurv.lift import lift_diameter_check
 from magcurv.operators import form_family, spectrum
 
 from .conftest import graph_strategy

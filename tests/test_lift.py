@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from magcurv.bounds import lift_diameter_check
 from magcurv.curvature import cd_check_function, cd_check_graph, kappa_max
 from magcurv.errors import PreconditionError, ValidationError
 from magcurv.graphs import connected_components, diameter, is_connected
-from magcurv.lift import (build_lift, lift_diameter, lift_diameter_check,
-                          lift_function, verify_lift_identities)
+from magcurv.lift import (build_lift, lift_diameter, lift_function,
+                          verify_lift_identities)
 from magcurv.operators import laplacian_matrix, spectrum
 
 from .conftest import graph_strategy, random_functions
