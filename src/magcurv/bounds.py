@@ -50,9 +50,14 @@ def _resolve_kappa(g: MagneticGraph, n: float, kappa) -> float:
     """kappa_max(g, n) for "auto" or None; a NaN kappa is rejected, +-inf kept."""
     if kappa == "auto" or kappa is None:
         return kappa_max(g, n).kappa_max
-    if math.isnan(kappa := float(kappa)):
-        raise ValidationError("kappa must be a number, got nan")
-    return kappa
+    return _not_nan("kappa", float(kappa))
+
+
+def _not_nan(name: str, value: float) -> float:
+    """value itself; a NaN is rejected, +-inf kept."""
+    if math.isnan(value):
+        raise ValidationError(f"{name} must be a number, got nan")
+    return value
 
 
 def _normalized_eigenpairs(g: MagneticGraph):
@@ -121,8 +126,10 @@ def alpha_bound_check(g: MagneticGraph, n: float, kappa: float,
     An eigenpair is applicable when alpha > 2 - 2 kappa / lambda; a denominator
     below 1e-8 * max(1, lambda) flags the record ill-conditioned. At
     alpha = 4 - 2 kappa / lambda the right-hand side reduces exactly to the
-    Harnack one. Inapplicable alphas are reported, not raised.
+    Harnack one. Inapplicable alphas are reported, not raised; a NaN kappa
+    or alpha is rejected.
     """
+    kappa, alpha = _not_nan("kappa", kappa), _not_nan("alpha", alpha)
     return [_alpha_record(g, n, kappa, alpha, i, lam, f)
             for i, lam, f in _normalized_eigenpairs(g)]
 

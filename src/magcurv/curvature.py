@@ -14,9 +14,10 @@ per block size, not one per vertex. The optimal curvature kappa_max(n) is the
 per-vertex supremum of feasible kappa, minimized over vertices, and is
 computed two independent ways: a reduced generalized eigenproblem on the
 range of gamma[x] (the pencil route) and bisection against the PSD check.
-The reduced pencil (Ar, Gr) is solved by the Cholesky reduction of a
-Hermitian-definite pencil: with Gr = L L^H, the eigenvalues are those of
-L^-1 Ar L^-H and the eigenvectors are L^-H times its eigenvectors.
+The pencil route works in the eigenbasis of gamma[x], where gamma[x] is
+diagonal: the reduced pencil (Ar, diag(D)) has the eigenvalues of the
+Hermitian D^-1/2 Ar D^-1/2. Each block size takes one kernel eigensolve and
+one reduced eigensolve, whatever the kernel dimension of each block.
 """
 
 from __future__ import annotations
@@ -158,75 +159,71 @@ def _h(X: np.ndarray) -> np.ndarray:
     return X.conj().swapaxes(-1, -2)
 
 
+def _diagonal(X: np.ndarray) -> np.ndarray:
+    """Writable view of the diagonal of each matrix in a C-contiguous stack."""
+    return X.reshape(len(X), -1)[:, ::X.shape[-1] + 1]
+
+
 def _vertex_kappa(A: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """sup{kappa : A[i] - kappa G[i] is PSD} and a witness, for each pair of
     a (b, k, k) stack of Hermitian A and PSD G.
 
-    Splits each G[i] by its eigendecomposition with relative kernel threshold
-    1e-10; the kept eigenvalues are a suffix of the ascending list, so the
-    blocks are solved in groups of equal rank. On the kernel of G the pencil
-    is constant in kappa, so a negative eigenvalue there (or a coupling of the
-    range into a null direction of the kernel block) means no finite kappa
-    works. Otherwise the kernel block is eliminated by a Schur complement and
-    the supremum is the smallest generalized eigenvalue of the reduced
-    definite pencil. Returns (b,) suprema, possibly -inf, and (b, k) witnesses.
+    Rotates A[i] into the eigenbasis of G[i] and splits it there with relative
+    kernel threshold 1e-10; the d[i] kernel directions come first. On the
+    kernel of G the pencil is constant in kappa, so a negative eigenvalue
+    there (or a coupling of the range into a null direction of the kernel
+    block) means no finite kappa works. Otherwise the kernel block is
+    eliminated by a Schur complement, and the supremum is the smallest
+    eigenvalue of D^-1/2 Ar D^-1/2, D holding G's eigenvalues on its range.
+    Blocks of every d share both eigensolves: the kernel corners are padded
+    to the largest d with 2 scale + 1 on the diagonal, above all of their
+    own eigenvalues, and the kernel rows of the reduced matrix with twice its
+    Gershgorin bound plus 1; a block already found -inf goes through the
+    reduced solve too and keeps its kernel witness. Returns (b,) suprema,
+    possibly -inf, and (b, k) witnesses.
     """
     scale = np.maximum(1.0, np.abs(np.linalg.eigvalsh(A)).max(axis=1))  # ||A||_2 without an SVD
-    gw, gv = np.linalg.eigh(G)
-    cut = KERNEL_THRESHOLD * np.maximum(gw[:, -1], 1e-300)
-    nulls = np.count_nonzero(gw <= cut[:, None], axis=1)
-    if np.any(nulls == A.shape[1]):
+    gw, V = np.linalg.eigh(G)
+    ker = gw <= KERNEL_THRESHOLD * np.maximum(gw[:, -1:], 1e-300)  # a prefix of each row
+    if ker[:, -1].any():
         raise NumericalError("first form vanished at a vertex; graph invariant broken")
-    kappa = np.empty(len(A))
+    At = _h(V) @ A @ V
     wit = np.empty(A.shape[:2], dtype=complex)
-    for d in np.unique(nulls):
-        idx = np.flatnonzero(nulls == d)
-        kappa[idx], wit[idx] = _fixed_rank_kappa(A[idx], G[idx], gv[idx], d, scale[idx])
-    return kappa, wit
-
-
-def _fixed_rank_kappa(A: np.ndarray, G: np.ndarray, V: np.ndarray, d: int,
-                      scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_vertex_kappa for blocks whose G has exactly d kernel directions, the
-    first d columns of its eigenvectors V."""
-    R, K = V[:, :, d:], V[:, :, :d]
-    Ar = _h(R) @ A @ R
-    Gr = _h(R) @ G @ R
-    kappa = np.full(len(A), -math.inf)
-    wit = np.empty(A.shape[:2], dtype=complex)
-    live = np.ones(len(A), dtype=bool)
+    dead = np.zeros(len(A), dtype=bool)
+    d = int(ker.sum(axis=1).max())
     if d:
-        Ak = _h(K) @ A @ K
-        mu, Wk = np.linalg.eigh(0.5 * (Ak + _h(Ak)))
-        KW = K @ Wk
+        kd = ker[:, :d]
+        corner = At[:, :d, :d] * (kd[:, :, None] & kd[:, None, :])
+        _diagonal(corner)[:] += ~kd * (2.0 * scale[:, None] + 1.0)
+        mu, Wk = np.linalg.eigh(0.5 * (corner + _h(corner)))
+        KW = V[:, :, :d] @ Wk
         neg = mu[:, 0] < -PSD_TOL * scale
         wit[neg] = KW[neg, :, 0]
-        B = _h(R) @ A @ KW
-        pos = mu > KERNEL_THRESHOLD * scale[:, None]
-        null_sq = np.where(pos, 0.0, (np.abs(B) ** 2).sum(axis=1))  # per kernel column
+        B = (At[:, :, :d] @ Wk) * ~ker[:, :, None]  # range rows only
+        pos = kd & (mu > KERNEL_THRESHOLD * scale[:, None])
+        null_sq = (np.abs(B) ** 2).sum(axis=1) * (kd & ~pos)  # per kernel column
         coupled = ~neg & (np.sqrt(null_sq.sum(axis=1)) > 1e-7 * scale)
-        j = np.argmax(null_sq[coupled], axis=1)
+        j = null_sq[coupled].argmax(axis=1)
         wit[coupled] = KW[coupled, :, j]
-        live = ~(neg | coupled)
+        dead = neg | coupled
         # Schur step on the positive kernel directions; weight 0 on the null ones
-        Bw = B * np.divide(1.0, mu, out=np.zeros_like(mu), where=pos)[:, None, :]
-        Ar = Ar - Bw @ _h(B)
-    Ar = 0.5 * (Ar[live] + _h(Ar[live]))
-    Gr = 0.5 * (Gr[live] + _h(Gr[live]))
+        Bw = B * (pos / np.where(pos, mu, 1.0))[:, None, :]
+        At = At - Bw @ _h(B)
+    s = np.where(ker, 0.0, 1.0 / np.sqrt(np.where(ker, 1.0, gw)))
+    C = s[:, :, None] * At * s[:, None, :]
+    C = 0.5 * (C + _h(C))
+    _diagonal(C)[:] += ker * (2.0 * np.abs(C).sum(axis=2).max(axis=1, keepdims=True) + 1.0)
     try:
-        # Gr = L L^H turns the pencil (Ar, Gr) into the Hermitian L^-1 Ar L^-H.
-        L = np.linalg.cholesky(Gr)
-        vals, Y = np.linalg.eigh(np.linalg.solve(L, _h(np.linalg.solve(L, Ar))))
+        vals, Y = np.linalg.eigh(C)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"reduced pencil eigensolver failed: {exc}") from exc
-    vr = np.linalg.solve(_h(L), Y[:, :, :1])
-    w = R[live] @ vr
+    vr = (s * Y[:, :, 0])[:, :, None]
+    w = V @ vr
     if d:
         # kernel-side component of the null vector eliminated by the Schur step
-        w = w - KW[live] @ (_h(Bw[live]) @ vr)
-    kappa[live] = vals[:, 0]
-    wit[live] = w[:, :, 0]
-    return kappa, wit
+        w = w - KW @ (_h(Bw) @ vr)
+    return (np.where(dead, -math.inf, vals[:, 0]),
+            np.where(dead[:, None], wit, w[:, :, 0]))
 
 
 def kappa_max(g: MagneticGraph, n: float) -> CurvatureResult:

@@ -244,6 +244,14 @@ def test_nan_kappa_is_rejected_and_infinite_kept(t3):
     assert not any(r.passed for r in harnack_check(t3, 2.0, math.inf))
 
 
+def test_alpha_bound_check_rejects_nan_and_keeps_infinite(t3):
+    for kappa, alpha in ((math.nan, 3.0), (0.0, math.nan)):
+        with pytest.raises(ValidationError, match="must be a number, got nan"):
+            alpha_bound_check(t3, 2.0, kappa, alpha)
+    records = alpha_bound_check(t3, 2.0, -math.inf, 3.0)
+    assert len(records) == 3 and not any(r.applicable for r in records)
+
+
 def test_lift_diameter_check_lives_in_bounds(t3):
     assert magcurv.lift_diameter_check is lift_diameter_check
     assert not hasattr(magcurv.lift, "lift_diameter_check")

@@ -17,6 +17,13 @@ NO_SCIPY_PROBE = (
     "import sys; from magcurv.cli import main; code = main(['verify', '-', '--json']); "
     "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'), file=sys.stderr); "
     "sys.exit(code)")
+# Runs `magcurv verify PATH --json` and kappa_max on the document at PATH in a
+# fresh interpreter, then prints on stderr whether scipy was imported.
+KAPPA_NO_SCIPY_PROBE = (
+    "import sys; from magcurv.cli import main; from magcurv.curvature import kappa_max; "
+    "from magcurv.graphs import load_graph; code = main(['verify', sys.argv[1], '--json']); "
+    "kappa_max(load_graph(open(sys.argv[1]).read()), 2.0); "
+    "print('scipy' in sys.modules, file=sys.stderr); sys.exit(code)")
 
 T3 = {"ell": 2, "num_vertices": 3,
       "edges": [{"u": 0, "v": 1, "w": 1.0, "s": 0},
@@ -281,3 +288,14 @@ def test_verify_loads_no_scipy(corpus):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["all_passed"] is True
     assert proc.stderr.splitlines()[-1] == "[]"
+
+
+def test_verify_and_kappa_max_load_no_scipy(t3_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", KAPPA_NO_SCIPY_PROBE, t3_path],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["all_passed"] is True
+    assert proc.stderr.splitlines()[-1] == "False"

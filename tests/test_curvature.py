@@ -230,3 +230,47 @@ def test_vertex_pencil_kernel_semantics():
         assert abs(k - lo) <= 1e-7
         resid = np.linalg.norm((A - k * B) @ w)
         assert resid <= 1e-6 * np.linalg.norm(A)
+
+
+def test_merged_stack_matches_each_block_alone():
+    """One stack holding every kernel dimension 0..k-1 of gamma, with a
+    negative kernel block, a coupling into a null kernel direction and an
+    active Schur step, gives each block what it gets as a stack of one: the
+    padding of the shared eigensolves never reaches another block."""
+    from magcurv.curvature import _vertex_kappa
+
+    rng = np.random.default_rng(7)
+
+    def complex_normal():
+        return rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+
+    def hermitian():
+        B = complex_normal()
+        return (B + B.conj().T) / 2.0
+
+    def rotated(A, G):
+        U = np.linalg.qr(complex_normal())[0]
+        return U @ A @ U.conj().T, U @ np.diag(G).astype(complex) @ U.conj().T
+
+    coupled = np.diag([1.0, 1.0, 0.4, 0.0]).astype(complex)
+    coupled[0, 3] = coupled[3, 0] = 0.2
+    F = complex_normal()
+    pencils = [
+        (hermitian(), F @ F.conj().T + np.eye(4)),                           # d = 0
+        rotated(hermitian() + 4.0 * np.eye(4), [1.0, 0.5, 0.25, 0.0]),        # d = 1, Schur
+        rotated(np.diag([1.0, 1.0, -0.3, 0.1]).astype(complex),
+                [1.0, 0.5, 0.0, 0.0]),                                       # d = 2, negative
+        rotated(coupled, [1.0, 0.5, 0.0, 0.0]),                              # d = 2, coupled
+        rotated(hermitian() + 4.0 * np.eye(4), [2.0, 0.0, 0.0, 0.0]),         # d = 3, Schur
+    ]
+    A = np.array([a for a, _ in pencils])
+    G = np.array([b for _, b in pencils])
+    kap, wit = _vertex_kappa(A, G)
+    assert [math.isinf(k) for k in kap] == [False, False, True, True, False]
+    for i in range(len(pencils)):
+        alone, alone_wit = _vertex_kappa(A[i:i + 1], G[i:i + 1])
+        if math.isinf(alone[0]):
+            assert kap[i] == alone[0]
+        else:
+            assert abs(kap[i] - alone[0]) <= 1e-12 * max(1.0, abs(alone[0]))
+        assert same_direction(wit[i], alone_wit[0])

@@ -151,3 +151,35 @@ def test_badly_scaled_weights(g):
         return float(np.real(w.conj() @ F @ w))
 
     assert (b - km - step) * q(blk.gamma) <= 1e-9 * s * q(np.eye(len(w))) + q(A - km * blk.gamma)
+
+
+# Three graphs drawn as badly_scaled_graphs draws them, with kappa at one
+# vertex computed from the definitions at 60 significant digits (mpmath).
+# Each is a known way the float pencil or the dense oracle goes wrong, so a
+# test_badly_scaled_weights run can hit one by chance.
+PINNED_60_DIGITS = [
+    # A direction of gamma[2] sits at the kernel cut: the dense oracle calls
+    # the vertex -inf, the package finds the value.
+    pytest.param(3, 3, [(0, 1, 28058.424314339507, 0), (0, 2, 11.640317484369824, 2),
+                        (1, 2, 1.5723183675083284e-08, 2)],
+                 2, -0.9991706180313811, id="near_cut_finite"),
+    pytest.param(6, 3, [(0, 1, 1.2193100452390124e-08, 1), (0, 3, 2.2052897057709498e-07, 0),
+                        (0, 4, 10.247247976366317, 2), (0, 5, 5910.406169439525, 0),
+                        (1, 2, 8904744.929431096, 1), (3, 4, 0.010553646246123281, 2),
+                        (3, 5, 983.1838230315606, 0), (4, 5, 0.18313227790499342, 2)],
+                 3, -0.7147652102963094, id="near_cut_minus_inf", marks=pytest.mark.xfail(
+                     strict=True, reason="a direction of gamma[3] sits at the 1e-10 kernel "
+                     "cut, so the pencil reports -inf; deciding it needs the exact CD "
+                     "check of ROADMAP item 3")),
+    pytest.param(6, 1, [(0, 1, 1.0, 0), (0, 2, 1.0, 0), (0, 3, 1e-05, 0), (0, 4, 1.0, 0),
+                        (1, 5, 10000.0, 0)],
+                 1, -0.33333555554814817, id="float_error", marks=pytest.mark.xfail(
+                     strict=True, reason="float error that the package and the dense "
+                     "oracle share moves kappa by 5e-6 relative, far from the kernel cut")),
+]
+
+
+@pytest.mark.parametrize("n, ell, edges, x, want", PINNED_60_DIGITS)
+def test_badly_scaled_vertex_against_60_digits(n, ell, edges, x, want):
+    got = kappa_max(from_edge_list(n, ell, edges), N_DIM).per_vertex[x]
+    assert abs(got - want) <= 1e-9 * abs(want)
