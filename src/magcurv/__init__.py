@@ -12,8 +12,7 @@ from .bounds import (AlphaRecord, BoundsReport, CheegerBoundRecord,
                      eigenvalue_lower_bound, harnack_check, lift_diameter_check,
                      verify_report)
 from .combinatorics import (CheegerResult, FrustrationResult, cheeger_number,
-                            frustration_index, magnetic_girth,
-                            shortest_generating_closed_walk)
+                            frustration_index, magnetic_girth)
 from .curvature import (CDFunctionCheck, CDGraphCheck, CurvatureResult,
                         cd_check_function, cd_check_graph, kappa_max,
                         kappa_max_bisect)

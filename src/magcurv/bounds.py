@@ -61,14 +61,16 @@ def _not_nan(name: str, value: float) -> float:
 
 
 def _normalized_eigenpairs(g: MagneticGraph):
-    """Nontrivial eigenpairs of -Laplacian, each scaled to max |f| = 1."""
+    """Nontrivial eigenpairs (i, lambda, f) of -Laplacian, each f scaled to
+    max |f| = 1, with the local energy |grad f|^2 of f."""
     spec = spectrum(g)
     out = []
     for i, lam in enumerate(spec.eigenvalues):
         if lam <= TRIVIAL_EIGENVALUE:
             continue
         f = spec.eigenvectors[:, i]
-        out.append((i, float(lam), f / np.abs(f).max()))
+        f = f / np.abs(f).max()
+        out.append((i, float(lam), f, energy(g, f)))
     return out
 
 
@@ -95,13 +97,16 @@ def harnack_check(g: MagneticGraph, n: float, kappa="auto") -> list[HarnackRecor
         raise PreconditionError("connected")
     invn = _inv_n(n)
     kap = _resolve_kappa(g, n, kappa)
-    records = []
-    for i, lam, f in _normalized_eigenpairs(g):
-        lhs = float(energy(g, f).max())
-        rhs = ((8.0 - 2.0 * invn) * lam - 4.0 * kap)
-        records.append(HarnackRecord(eigen_index=i, lam=lam, lhs=lhs, rhs=rhs,
-                                     slack=rhs - lhs, passed=_passes(lhs, rhs)))
-    return records
+    return [_harnack_record(invn, kap, *pair) for pair in _normalized_eigenpairs(g)]
+
+
+def _harnack_record(invn: float, kappa: float, i: int, lam: float, f: np.ndarray,
+                    grad: np.ndarray) -> HarnackRecord:
+    """The Harnack record of one normalized eigenpair (i, lam, f) with energy grad."""
+    lhs = float(grad.max())
+    rhs = ((8.0 - 2.0 * invn) * lam - 4.0 * kappa)
+    return HarnackRecord(eigen_index=i, lam=lam, lhs=lhs, rhs=rhs,
+                         slack=rhs - lhs, passed=_passes(lhs, rhs))
 
 
 @dataclass(frozen=True)
@@ -130,18 +135,17 @@ def alpha_bound_check(g: MagneticGraph, n: float, kappa: float,
     or alpha is rejected.
     """
     kappa, alpha = _not_nan("kappa", kappa), _not_nan("alpha", alpha)
-    return [_alpha_record(g, n, kappa, alpha, i, lam, f)
-            for i, lam, f in _normalized_eigenpairs(g)]
-
-
-def _alpha_record(g: MagneticGraph, n: float, kappa: float, alpha: float,
-                  i: int, lam: float, f: np.ndarray) -> AlphaRecord:
-    """The alpha-bound record of one normalized eigenpair (i, lam, f)."""
     invn = _inv_n(n)
+    return [_alpha_record(invn, kappa, alpha, *pair) for pair in _normalized_eigenpairs(g)]
+
+
+def _alpha_record(invn: float, kappa: float, alpha: float, i: int, lam: float,
+                  f: np.ndarray, grad: np.ndarray) -> AlphaRecord:
+    """The alpha-bound record of one normalized eigenpair (i, lam, f) with energy grad."""
     applicable = alpha > 2.0 - 2.0 * kappa / lam
     denom = (alpha - 2.0) * lam + 2.0 * kappa
     ill = abs(denom) <= 1e-8 * max(1.0, lam)
-    lhs = energy(g, f) + alpha * lam * np.abs(f) ** 2
+    lhs = grad + alpha * lam * np.abs(f) ** 2
     if applicable and not ill:
         rhs = ((alpha * alpha - 4.0 * invn) * lam + 2.0 * kappa * alpha) / denom * lam
         passed = bool(all(_passes(float(v), rhs) for v in lhs))
@@ -280,6 +284,12 @@ def cheeger_bound_check(g: MagneticGraph, n: float, kappa="auto",
         path = eigenvalue_lower_bound(g, n, kappa, budget)
     except (PreconditionError, SizeError):
         path = None
+    return _cheeger_record(g, path, budget)
+
+
+def _cheeger_record(g: MagneticGraph, path: EigenvalueBoundRecord | None,
+                    budget: int) -> CheegerBoundRecord:
+    """The Cheeger record around the path-bound record, None when it was skipped."""
     lam = float(spectrum(g).eigenvalues[0]) if path is None else path.lambda_min
     h1 = cheeger_number(g, budget=budget).h1
     d = g.max_degree
@@ -409,9 +419,13 @@ def verify_report(g: MagneticGraph, n: float = 2.0, kappa="auto",
     """
     status = signature_status(g)
     kap = _resolve_kappa(g, n, kappa)
-    harnack = harnack_check(g, n, kap)
-    alpha_records = [_alpha_record(g, n, kap, 4.0 - 2.0 * kap / lam, i, lam, f)
-                     for i, lam, f in _normalized_eigenpairs(g)]
+    if not is_connected(g):
+        raise PreconditionError("connected")
+    invn = _inv_n(n)
+    pairs = _normalized_eigenpairs(g)
+    harnack = [_harnack_record(invn, kap, *pair) for pair in pairs]
+    alpha_records = [_alpha_record(invn, kap, 4.0 - 2.0 * kap / pair[1], *pair)
+                     for pair in pairs]
     try:
         girth_finite = magnetic_girth(g, budget=budget) != math.inf
     except SizeError:
@@ -427,7 +441,7 @@ def verify_report(g: MagneticGraph, n: float = 2.0, kappa="auto",
 
     cheeger_rec, cheeger_skip = None, None
     try:
-        cheeger_rec = cheeger_bound_check(g, n, kap, budget=budget)
+        cheeger_rec = _cheeger_record(g, eigen_rec, budget)
     except SizeError as exc:
         cheeger_skip = f"budget: {exc}"
 

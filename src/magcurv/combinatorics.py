@@ -23,15 +23,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptySubsetError, SizeError, ValidationError
-from .graphs import (MagneticGraph, Record, _walk_lengths, memoised_on_graph,
-                     signature_status)
+from .graphs import (MagneticGraph, Record, _walk_lengths, connected_components,
+                     memoised_on_graph, signature_status)
 
 __all__ = [
     "DEFAULT_BUDGET",
     "FrustrationResult",
     "CheegerResult",
     "magnetic_girth",
-    "shortest_generating_closed_walk",
     "frustration_index",
     "cheeger_number",
 ]
@@ -45,16 +44,21 @@ def magnetic_girth(g: MagneticGraph, budget: int = DEFAULT_BUDGET) -> int | floa
     whole signature group; math.inf if the signature is not entire or no such
     cycle exists.
 
-    Searches the lengths L = 3, 4, ..., N in increasing order: for each L, a
-    DFS over the simple cycles of exactly L edges, each enumerated from its
-    least vertex, stops at the first that generates. `budget` caps the
-    visited search states over the whole search (SizeError beyond). Closed
-    walks are excluded; see shortest_generating_closed_walk for the
-    walk-based lower bound.
+    A generating cycle, walked m times for the inverse m of its holonomy,
+    is a closed walk of holonomy 1; so when no component's least vertex r
+    reaches (r, 1) in the (vertex, exponent) BFS, the girth is math.inf
+    without a search. Otherwise the lengths L = 3, 4, ..., N are searched in
+    increasing order: for each L, a DFS over the simple cycles of exactly L
+    edges, each enumerated from its least vertex, stops at the first that
+    generates. `budget` caps the visited search states over the whole search
+    (SizeError beyond).
     """
     if not signature_status(g).entire:
         return math.inf
     n, ell = g.num_vertices, g.ell
+    if all(_walk_lengths(g, comp[0], ell)[comp[0] * ell + 1 % ell] < 0
+           for comp in connected_components(g)):
+        return math.inf
     adj = [g.neighbors(x) for x in range(n)]
     states = 0
     in_path = [False] * n
@@ -83,23 +87,6 @@ def magnetic_girth(g: MagneticGraph, budget: int = DEFAULT_BUDGET) -> int | floa
     return math.inf
 
 
-def shortest_generating_closed_walk(g: MagneticGraph) -> int | float:
-    """Shortest closed walk whose phase product generates the group.
-
-    The least entry (r, e) of the (vertex, exponent) BFS from each root r,
-    over the generators e. This is a lower bound for the magnetic girth
-    (every simple cycle is a closed walk) and is diagnostic only.
-    """
-    if not signature_status(g).entire:
-        return math.inf
-    n, ell = g.num_vertices, g.ell
-    if ell == 1:
-        return 2   # 0 generates, but only nonempty walks count: an edge there and back
-    gens = np.array([e for e in range(1, ell) if math.gcd(e, ell) == 1])
-    lengths = [d for r in range(n) for d in _walk_lengths(g, r, ell)[r * ell + gens].tolist()]
-    return min((d for d in lengths if d > 0), default=math.inf)
-
-
 @functools.cache
 def _edge_costs(ell: int) -> np.ndarray:
     """costs[s, a, b] = |xi^a - xi^s xi^b| = 2 sin(pi * ((a - b - s) mod ell) / ell)."""
@@ -110,9 +97,14 @@ def _edge_costs(ell: int) -> np.ndarray:
     return costs
 
 
-def _min_fill_order(adj: list[set[int]]) -> tuple[list[int], int]:
+def _min_fill_order(adj: list[set[int]], labels: int,
+                    budget: int) -> tuple[list[int], int]:
     """Greedy min-fill elimination order, ties to the smallest vertex, and its
-    width: the most neighbours a vertex still has when it is eliminated."""
+    width: the most neighbours a vertex still has when it is eliminated.
+
+    Stops after the first vertex whose table, labels^(neighbours + 1)
+    entries, exceeds the budget; the width is then that vertex's.
+    """
     adj = [set(a) for a in adj]
     remaining = set(range(len(adj)))
     order, width = [], 0
@@ -129,6 +121,8 @@ def _min_fill_order(adj: list[set[int]]) -> tuple[list[int], int]:
             adj[y] -= {x, y}
         remaining.remove(x)
         order.append(x)
+        if labels ** (width + 1) > budget:
+            break
     return order, width
 
 
@@ -224,7 +218,7 @@ def _frustration(g: MagneticGraph, verts: tuple[int, ...],
     for iu, iv, _, _ in edges:
         adj[iu].add(iv)
         adj[iv].add(iu)
-    order, width = _min_fill_order(adj)
+    order, width = _min_fill_order(adj, ell, budget)
     order = [x for x in order if adj[x]]  # an isolated vertex keeps exponent 0
     if ell ** (width + 1) > budget:
         raise SizeError(f"exact frustration needs {ell}^{width + 1} table entries "
@@ -341,7 +335,8 @@ def cheeger_number(g: MagneticGraph, budget: int = DEFAULT_BUDGET) -> CheegerRes
     the min-fill width, checked before any search (SizeError beyond).
     """
     n, ell = g.num_vertices, g.ell
-    order, width = _min_fill_order([{y for y, _, _ in g.neighbors(x)} for x in range(n)])
+    order, width = _min_fill_order([{y for y, _, _ in g.neighbors(x)} for x in range(n)],
+                                   ell + 1, budget)
     if (ell + 1) ** (width + 1) > budget:
         raise SizeError(f"exact Cheeger needs {ell + 1}^{width + 1} table entries "
                         f"at elimination width {width}, over budget {budget}")

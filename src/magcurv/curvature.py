@@ -9,15 +9,16 @@ is positive semidefinite: the quantifier over all complex vertex functions is
 discharged by a PSD test, not by sampling. All three forms vanish outside the
 2-ball B2(x), so every test runs on the |B2(x)| x |B2(x)| blocks of
 form_family(g), and runs on all blocks of one size at once: each eigensolve
-takes a (b, k, k) stack from FormFamily.stacks(), so a graph costs one call
-per block size, not one per vertex. The optimal curvature kappa_max(n) is the
-per-vertex supremum of feasible kappa, minimized over vertices, and is
-computed two independent ways: a reduced generalized eigenproblem on the
-range of gamma[x] (the pencil route) and bisection against the PSD check.
-The pencil route works in the eigenbasis of gamma[x], where gamma[x] is
-diagonal: the reduced pencil (Ar, diag(D)) has the eigenvalues of the
-Hermitian D^-1/2 Ar D^-1/2. Each block size takes one kernel eigensolve and
-one reduced eigensolve, whatever the kernel dimension of each block.
+takes one of the (b, k, k) stacks that FormFamily stores, so a graph costs
+one call per block size, not one per vertex. The optimal curvature
+kappa_max(n) is the per-vertex supremum of feasible kappa, minimized over
+vertices, and is computed two independent ways: a reduced generalized
+eigenproblem on the range of gamma[x] (the pencil route) and bisection
+against the PSD check. The pencil route works in the eigenbasis of
+gamma[x], where gamma[x] is diagonal: the reduced pencil (Ar, diag(D)) has
+the eigenvalues of the Hermitian D^-1/2 Ar D^-1/2. Each block size takes one
+kernel eigensolve and one reduced eigensolve, whatever the kernel dimension
+of each block.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ import numpy as np
 
 from .errors import DimensionError, NumericalError
 from .graphs import MagneticGraph
-from .operators import (as_vertex_function, form_family, gamma, gamma2,
-                        laplacian_matrix)
+from .operators import _apply_laplacian, as_vertex_function, form_family, gamma, gamma2
 
 __all__ = [
     "PSD_TOL",
@@ -86,10 +86,9 @@ def cd_check_function(g: MagneticGraph, f, n: float, kappa: float) -> CDFunction
     """
     invn = _inv_n(n)
     vals = as_vertex_function(g, f)
-    L = laplacian_matrix(g)
     g2 = np.real(gamma2(g, vals))
     g1 = np.real(gamma(g, vals))
-    lf2 = np.abs(L @ vals) ** 2
+    lf2 = np.abs(_apply_laplacian(g.oriented_edges, vals)) ** 2
     slack = g2 - invn * lf2 - kappa * g1
     scale = np.maximum(1.0, np.abs(g2) + invn * lf2 + abs(kappa) * g1)
     passed = slack >= -SLACK_TOL * scale
@@ -119,7 +118,7 @@ def cd_check_graph(g: MagneticGraph, n: float, kappa: float) -> CDGraphCheck:
     n_vert = g.num_vertices
     mins = np.empty(n_vert)
     cuts = np.empty(n_vert)
-    for xs, blk in form_family(g).stacks():
+    for xs, blk in form_family(g).stacks:
         eigs = np.linalg.eigvalsh(blk.gamma2 - invn * blk.lap_square - kappa * blk.gamma)
         mins[xs] = eigs[:, 0] if blk.support.shape[1] == n_vert else np.minimum(eigs[:, 0], 0.0)
         cuts[xs] = -PSD_TOL * np.maximum(1.0, np.abs(eigs).max(axis=1))
@@ -233,7 +232,7 @@ def kappa_max(g: MagneticGraph, n: float) -> CurvatureResult:
     n_vert = g.num_vertices
     per = np.empty(n_vert)
     wits = np.zeros((n_vert, n_vert), dtype=complex)
-    for xs, blk in forms.stacks():
+    for xs, blk in forms.stacks:
         per[xs], local = _vertex_kappa(blk.gamma2 - invn * blk.lap_square, blk.gamma)
         wits[xs[:, None], blk.support] = local
     kappa = float(per.min())

@@ -7,9 +7,10 @@ All of them are assembled from the graph's cached oriented-edge table
 (MagneticGraph.oriented_edges). The forms of vertex x are Hermitian matrices
 on its 2-ball B2(x), the vertices at most two edges away, outside which they
 vanish, so "for every complex function f" quantifiers downstream reduce to
-positive-semidefiniteness tests of |B2(x)| x |B2(x)| blocks. The spectrum and
-the forms are computed once per graph and live as long as it; their arrays
-are read-only.
+positive-semidefiniteness tests of |B2(x)| x |B2(x)| blocks. The blocks are
+stored as one (b, k, k) stack per 2-ball size k, the layout the curvature
+checks read. The spectrum and the forms are computed once per graph and live
+as long as it; their arrays are read-only.
 
 The Laplacian and the spectrum are dense N x N matrices: target graphs are
 desk scale (hundreds to a few thousand vertices after lifting), so sparse
@@ -78,6 +79,11 @@ def _row_sums(edges, terms: np.ndarray) -> np.ndarray:
     return np.add.reduceat(weight * terms, edges.first, axis=0)
 
 
+def _apply_laplacian(edges, f: np.ndarray) -> np.ndarray:
+    """(Lf)(x) = sum_y p_xy (sigma_xy f(y) - f(x)) / d_x, from the edge table."""
+    return _row_sums(edges, _differences(edges, f))
+
+
 def energy(g: MagneticGraph, f) -> np.ndarray:
     """Local energy |grad f|^2(x) = (1/d_x) sum_y p_xy |sigma_xy f(y) - f(x)|^2."""
     vals = as_vertex_function(g, f)
@@ -103,13 +109,15 @@ def gamma2(g: MagneticGraph, u, v=None) -> np.ndarray:
 
     where L is the magnetic Laplacian and the outer Delta is the plain one,
     the Laplacian of g.untwisted(), since gamma(u, v) is an ordinary vertex
-    function.
+    function. Both are applied row by row from the oriented-edge table.
     """
     uu = as_vertex_function(g, u)
     vv = uu if v is None else as_vertex_function(g, v)
-    L = laplacian_matrix(g)
-    first = laplacian_matrix(g.untwisted()) @ gamma(g, uu, vv)
-    return 0.5 * (first - gamma(g, uu, L @ vv) - gamma(g, L @ uu, vv))
+    edges = g.oriented_edges
+    h = gamma(g, uu, vv)
+    first = _row_sums(edges, h[edges.dst] - h[edges.src])
+    return 0.5 * (first - gamma(g, uu, _apply_laplacian(edges, vv))
+                  - gamma(g, _apply_laplacian(edges, uu), vv))
 
 
 class LocalForms(NamedTuple):
@@ -130,49 +138,23 @@ class LocalForms(NamedTuple):
 
 @dataclass(frozen=True)
 class FormFamily:
-    """The per-vertex forms of a graph, every vertex's blocks stored back to back.
+    """The per-vertex forms of a graph, stacked by 2-ball size.
 
-    ``block(x)`` gives vertex x's LocalForms as views: its support is
-    support[support_start[x]:support_start[x + 1]], and its k x k blocks are
-    the row-major slices [block_start[x]:block_start[x + 1]] of gamma, gamma2
-    and lap_square. Memory is O(sum_x |B2(x)|^2).
+    ``stacks`` holds one (xs, LocalForms) per size k, ascending: the vertices
+    xs whose 2-ball has k vertices, ascending, and their forms stacked, with
+    (b, k) supports and (b, k, k) blocks; row i belongs to vertex xs[i]. All
+    arrays are read-only. Memory is O(sum_x |B2(x)|^2).
     """
 
-    support: np.ndarray        # (S,) int, the supports in vertex order
-    support_start: np.ndarray  # (N + 1,) int
-    block_start: np.ndarray    # (N + 1,) int
-    gamma: np.ndarray          # (Q,) complex
-    gamma2: np.ndarray         # (Q,) complex
-    lap_square: np.ndarray     # (Q,) complex
+    stacks: tuple[tuple[np.ndarray, LocalForms], ...]
 
     def block(self, x: int) -> LocalForms:
-        support = self.support[self.support_start[x]:self.support_start[x + 1]]
-        k = len(support)
-        cut = slice(self.block_start[x], self.block_start[x + 1])
-        return LocalForms(support, self.gamma[cut].reshape(k, k),
-                          self.gamma2[cut].reshape(k, k),
-                          self.lap_square[cut].reshape(k, k))
-
-    def stacks(self):
-        """The blocks grouped by size: for each size k, the vertices xs whose
-        2-ball has k vertices, ascending, and their LocalForms stacked, with
-        (b, k) supports and (b, k, k) forms copied out of the packed arrays."""
-        sizes = np.diff(self.support_start)
-        for xs, k in _size_groups(sizes):
-            cells = _block_cells(self.block_start[xs], k)
-            yield xs, LocalForms(self.support[self.support_start[xs, None] + np.arange(k)],
-                                 self.gamma[cells], self.gamma2[cells], self.lap_square[cells])
-
-
-def _size_groups(sizes: np.ndarray):
-    """(vertices x with sizes[x] = k, k) for each distinct k, ascending."""
-    for k in np.unique(sizes):
-        yield np.flatnonzero(sizes == k), int(k)
-
-
-def _block_cells(starts: np.ndarray, k: int) -> np.ndarray:
-    """(b, k, k) positions in the packed arrays of the k x k blocks at starts."""
-    return starts[:, None, None] + np.arange(k * k).reshape(k, k)
+        """Vertex x's LocalForms, as views of its row of its size's stack."""
+        for xs, blk in self.stacks:
+            i = np.searchsorted(xs, x)
+            if i < len(xs) and xs[i] == x:
+                return LocalForms(*(a[i] for a in blk))
+        raise IndexError(f"no vertex {x}")
 
 
 def _two_balls(g: MagneticGraph) -> list[list[int]]:
@@ -202,9 +184,10 @@ def form_family(g: MagneticGraph) -> FormFamily:
 
     The rank-one terms of gamma[x] and of the neighbours' gamma[y_r] (over
     the rows y_r -> z two steps out) are scattered into the blocks of all
-    vertices at once; the products with M_B run on stacks of the blocks of
-    equal size, where each gamma2 block is forced Hermitian by averaging,
-    guarded by a residue check that names the lowest failing vertex.
+    vertices at once, into flat buffers laid out so that the blocks of each
+    size form one stack. The products with M_B run on those stacks, where
+    each gamma2 block is forced Hermitian by averaging, guarded by a residue
+    check that names the lowest failing vertex.
     """
     n = g.num_vertices
     edges = g.oriented_edges
@@ -217,7 +200,11 @@ def form_family(g: MagneticGraph) -> FormFamily:
     sizes = np.array([len(b) for b in balls])
     support = np.array([v for b in balls for v in b], dtype=np.intp)
     support_start = np.concatenate(([0], np.cumsum(sizes)))
-    block_start = np.concatenate(([0], np.cumsum(sizes ** 2)))
+    # Blocks are laid out by (size, vertex): each size's blocks are one stack.
+    area = sizes ** 2
+    by_size = np.argsort(sizes, kind="stable")
+    block_start = np.empty_like(area)
+    block_start[by_size] = np.cumsum(area[by_size]) - area[by_size]
     keys = np.repeat(np.arange(n), sizes) * n + support
 
     def local(x, v):
@@ -225,7 +212,7 @@ def form_family(g: MagneticGraph) -> FormFamily:
         return np.searchsorted(keys, x * n + v) - support_start[x]
 
     def flat(x, i, j):
-        """Position of entry (i, j) of vertex x's block in the packed arrays."""
+        """Position of entry (i, j) of vertex x's block in the flat buffers."""
         return block_start[x] + i * sizes[x] + j
 
     def rank_one_sum(x, r, c):
@@ -233,8 +220,8 @@ def form_family(g: MagneticGraph) -> FormFamily:
         a, b, h, p = local(x, src[r]), local(x, dst[r]), 0.5 * c, phase[r]
         idx = np.concatenate((flat(x, a, a), flat(x, b, b), flat(x, a, b), flat(x, b, a)))
         val = np.concatenate((h, h, -h * p, -h * p.conj()))
-        return (np.bincount(idx, val.real, block_start[-1])
-                + 1j * np.bincount(idx, val.imag, block_start[-1]))
+        return (np.bincount(idx, val.real, area.sum())
+                + 1j * np.bincount(idx, val.imag, area.sum()))
 
     G = rank_one_sum(src, rows, weight)
     # G2 starts as sum_r weight[r] gamma[y_r], over the pairs of a row x -> y_r
@@ -242,32 +229,33 @@ def form_family(g: MagneticGraph) -> FormFamily:
     first, second = _ranges(starts[dst], starts[dst + 1])
     G2 = rank_one_sum(src[first], second, weight[first] * weight[second])
 
-    Q = np.empty_like(G)
     centre = local(np.arange(n), np.arange(n))
     resid = np.empty(n)
     limit = np.empty(n)
-    for xs, k in _size_groups(sizes):
-        cells = _block_cells(block_start[xs], k)
-        Gx = G[cells]
+    stacks = []
+    for k in np.unique(sizes).tolist():
+        xs = np.flatnonzero(sizes == k)
+        cut = slice(block_start[xs[0]], block_start[xs[0]] + len(xs) * k * k)
+        Gx, G2x = G[cut].reshape(-1, k, k), G2[cut].reshape(-1, k, k)
         B = support[support_start[xs, None] + np.arange(k)]
         M_B = M[B[:, :, None], B[:, None, :]]
-        raw = 0.5 * (G2[cells] - Gx - M_B.conj().swapaxes(1, 2) @ Gx - Gx @ M_B)
+        raw = 0.5 * (G2x - Gx - M_B.conj().swapaxes(1, 2) @ Gx - Gx @ M_B)
         raw_h = raw.conj().swapaxes(1, 2)
         resid[xs] = np.linalg.norm(raw - raw_h, axis=(1, 2))
         limit[xs] = HERMITIZE_GUARD * np.maximum(1.0, np.linalg.norm(raw, axis=(1, 2)))
-        G2[cells] = 0.5 * (raw + raw_h)
+        G2x[:] = 0.5 * (raw + raw_h)
         row = M_B[np.arange(len(xs)), centre[xs]]
-        Q[cells] = row.conj()[:, :, None] * row[:, None, :]
+        stacks.append((xs, LocalForms(B, Gx, G2x, row.conj()[:, :, None] * row[:, None, :])))
     failed = np.flatnonzero(resid > limit)
     if len(failed):
         x = failed[0]
         raise NumericalError(
             f"anti-Hermitian residue {resid[x]:.3e} in gamma2 form at vertex {x}")
 
-    for arr in (support, support_start, block_start, G, G2, Q):
-        arr.flags.writeable = False
-    return FormFamily(support=support, support_start=support_start,
-                      block_start=block_start, gamma=G, gamma2=G2, lap_square=Q)
+    for xs, blk in stacks:
+        for arr in (xs, *blk):
+            arr.flags.writeable = False
+    return FormFamily(stacks=tuple(stacks))
 
 
 @dataclass(frozen=True)

@@ -88,7 +88,7 @@ def test_verify_budget_overrun_skips_only_its_records(tmp_path, capsys):
         "budget: cycle search exceeded budget of 5 states"
     assert payload["cheeger"] is None
     assert payload["cheeger_skipped"] == \
-        "budget: exact Cheeger needs 4^9 table entries at elimination width 8, over budget 5"
+        "budget: exact Cheeger needs 4^2 table entries at elimination width 1, over budget 5"
     assert len(payload["harnack"]) == len(payload["alpha"]) > 0
 
 

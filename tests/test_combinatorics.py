@@ -6,14 +6,13 @@ import pytest
 from hypothesis import assume, given, settings
 
 from magcurv.bounds import verify_report
-from magcurv.combinatorics import (DEFAULT_BUDGET, CheegerResult, cheeger_number,
-                                   frustration_index, magnetic_girth,
-                                   shortest_generating_closed_walk)
+from magcurv.combinatorics import (DEFAULT_BUDGET, CheegerResult, _min_fill_order,
+                                   cheeger_number, frustration_index, magnetic_girth)
 from magcurv.errors import EmptySubsetError, SizeError, ValidationError
 from magcurv.graphs import from_edge_list, random_magnetic_graph, signature_status
 
 from .conftest import LIFT_SHAPES, graph_strategy, sparse_graph, two_n_cycle
-from .oracles import magnetic_girth_reference
+from .oracles import magnetic_girth_reference, shortest_generating_closed_walk_reference
 
 
 # --- independent oracles ----------------------------------------------------
@@ -127,8 +126,6 @@ def test_girth_examples(t3, b3, c4sigma):
     assert magnetic_girth(t3) == 3
     assert magnetic_girth(c4sigma) == 4
     assert magnetic_girth(b3) == math.inf  # signature not entire
-    walk = shortest_generating_closed_walk(t3)
-    assert walk == 3 and type(walk) is int
 
 
 def test_girth_two_n_cycles():
@@ -144,6 +141,15 @@ def test_girth_requires_generating_cycle():
                               (0, 3, 1.0, 0), (3, 4, 1.0, 1)])
     assert signature_status(g).entire
     assert magnetic_girth(g) == math.inf
+
+
+def test_girth_without_a_generating_closed_walk_searches_no_cycle():
+    # every cycle has trivial holonomy and the generator sits on a pendant
+    # edge: no closed walk generates, so no cycle is searched, whatever the budget
+    g = random_magnetic_graph(16, 0.3, 2, seed=7)
+    g = from_edge_list(17, 2, [(e.u, e.v, e.w, 0) for e in g.edges] + [(0, 16, 1.0, 1)])
+    assert signature_status(g).entire
+    assert magnetic_girth(g, budget=1) == math.inf
 
 
 def test_girth_budget_exceeded():
@@ -202,7 +208,7 @@ def test_girth_overrun_is_searched_once_per_verify(monkeypatch):
 def test_closed_walk_is_lower_bound(small_corpus):
     for g in small_corpus:
         girth = magnetic_girth(g)
-        walk = shortest_generating_closed_walk(g)
+        walk = shortest_generating_closed_walk_reference(g)
         assert walk == math.inf or type(walk) is int
         if girth != math.inf:
             assert walk <= girth
@@ -215,7 +221,7 @@ def test_girth_is_closed_walk_for_prime_ell(g):
     # for prime ell a shortest generating closed walk splits at a repeated
     # vertex into a shorter piece that still generates, so it is a cycle
     assume(g.ell in (2, 3, 5))
-    assert magnetic_girth(g) == shortest_generating_closed_walk(g)
+    assert magnetic_girth(g) == shortest_generating_closed_walk_reference(g)
 
 
 def test_girth_exceeds_closed_walk_for_composite_ell():
@@ -225,7 +231,7 @@ def test_girth_exceeds_closed_walk_for_composite_ell():
                                    (0, 3, 1.0, 0), (3, 4, 1.0, 0), (0, 4, 1.0, 3)])
     assert signature_status(bowtie).entire
     assert magnetic_girth(bowtie) == math.inf
-    assert shortest_generating_closed_walk(bowtie) == 6
+    assert shortest_generating_closed_walk_reference(bowtie) == 6
 
 
 # --- frustration index -------------------------------------------------------
@@ -435,16 +441,29 @@ def test_cheeger_budget():
 @pytest.mark.parametrize("budget, message", [
     (15_624, "exact Cheeger needs 5^6 table entries at elimination width 5, "
              "over budget 15624"),
-    (1, "exact Cheeger needs 5^6 table entries at elimination width 5, over budget 1"),
+    (1, "exact Cheeger needs 5^2 table entries at elimination width 1, over budget 1"),
 ])
 def test_cheeger_budget_names_the_smallest_overrun(corpus, budget, message):
-    # the largest elimination table, (ell + 1)^(width + 1) entries, is checked
-    # before any search; one entry more of budget lets the search run
+    # the elimination tables, (ell + 1)^(width + 1) entries, are checked before
+    # any search, and the first over budget is named; the largest has 5^6
+    # entries, so one entry more of budget lets the search run
     g = next(h for h in corpus if (h.num_vertices, h.ell) == (10, 4))
     with pytest.raises(SizeError) as err:
         cheeger_number(g, budget=budget)
     assert str(err.value) == message
     assert cheeger_number(g, budget=5 ** 6) == cheeger_number(g)
+
+
+def test_min_fill_order_stops_at_the_first_table_over_budget():
+    # the order is a prefix of the unbounded one that ends at the first vertex
+    # whose table is over budget, long before every vertex is ordered
+    g = sparse_graph(200, 2, seed=1)
+    adj = [{y for y, _, _ in g.neighbors(x)} for x in range(g.num_vertices)]
+    full, full_width = _min_fill_order(adj, 3, math.inf)
+    order, width = _min_fill_order(adj, 3, DEFAULT_BUDGET)
+    assert len(order) < len(full) == g.num_vertices
+    assert order == full[:len(order)]
+    assert 3 ** (width + 1) > DEFAULT_BUDGET and width <= full_width
 
 
 def test_cheeger_matches_reference_on_corpus(corpus):

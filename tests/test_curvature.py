@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from magcurv import curvature
 from magcurv.curvature import (cd_check_function, cd_check_graph, kappa_max,
                                kappa_max_bisect)
 from magcurv.errors import DimensionError
@@ -147,7 +148,31 @@ def test_one_form_build_serves_every_curvature_check(monkeypatch):
     assert check.passed and check.min_eigenvalues.shape == (6,)
     assert abs(kappa_max_bisect(g, 2.0) - km) <= 1e-6
     assert builds == [g]
-    assert np.diff(form_family(g).support_start).tolist() == [5] * 6
+    assert [(xs.tolist(), blk.gamma.shape) for xs, blk in form_family(g).stacks] == [
+        ([0, 1, 2, 3, 4, 5], (6, 5, 5))]
+
+
+def test_curvature_checks_read_the_stored_stacks(monkeypatch):
+    # the stacks are stored, not gathered per call: every access hands out
+    # the arrays of the one build, and the pencil receives them uncopied
+    g = two_n_cycle(3, 3)
+    stored = form_family(g).stacks
+    received = []
+    forms = curvature.form_family
+    monkeypatch.setattr(curvature, "form_family",
+                        lambda h: received.append(forms(h)) or received[-1])
+    solved = []
+    solve = curvature._vertex_kappa
+    monkeypatch.setattr(curvature, "_vertex_kappa",
+                        lambda A, G: solved.append(G) or solve(A, G))
+    kappa_max(g, 2.0)
+    cd_check_graph(g, 2.0, 0.0)
+    assert len(received) == 2
+    for got in received:
+        for (xs, blk), (xs0, blk0) in zip(got.stacks, stored, strict=True):
+            assert xs is xs0 and all(a is b for a, b in zip(blk, blk0))
+    assert len(solved) == len(stored)
+    assert all(np.shares_memory(G, blk.gamma) for G, (_, blk) in zip(solved, stored))
 
 
 @given(graph_strategy(max_vertices=6))

@@ -126,13 +126,14 @@ def test_spectrum_and_forms_are_computed_once(t3):
     assert spectrum(t3) is spectrum(t3)
     assert form_family(t3) is form_family(t3)
     assert spectrum(t3.untwisted()) is not spectrum(t3)
-    # each vertex's blocks are read-only views of the one stored build
+    # each vertex's blocks are read-only views of its row of the stored stacks
     forms = form_family(t3)
-    for x in range(3):
-        blk = forms.block(x)
-        for local, packed in zip(blk, (forms.support, forms.gamma, forms.gamma2,
-                                       forms.lap_square)):
-            assert np.shares_memory(local, packed) and not local.flags.writeable
+    assert sorted(x for xs, _ in forms.stacks for x in xs.tolist()) == [0, 1, 2]
+    for xs, stack in forms.stacks:
+        for i, x in enumerate(xs.tolist()):
+            for local, stacked in zip(forms.block(x), stack):
+                assert np.shares_memory(local, stacked) and not local.flags.writeable
+                assert np.array_equal(local, stacked[i])
 
 
 def test_base_diameter_is_computed_once(monkeypatch, t3):

@@ -196,12 +196,13 @@ def test_lift_forms_take_block_memory():
     lift = build_lift(sparse_graph(40, 4, seed=1)).graph
     n = lift.num_vertices
     forms = form_family(lift)
-    sizes = np.diff(forms.support_start)
-    assert sizes.max() < n
-    arrays = [v for v in vars(forms).values() if isinstance(v, np.ndarray)]
-    index_bytes = sum(a.nbytes for a in (forms.support, forms.support_start,
-                                         forms.block_start))
-    assert sum(a.nbytes for a in arrays) <= 3 * 16 * int((sizes ** 2).sum()) + index_bytes
+    assert all(blk.support.shape[1] < n for _, blk in forms.stacks)
+    arrays = [a for xs, blk in forms.stacks for a in (xs, *blk)]
+    # the buffers the stacks own or view, each counted once
+    buffers = {id(b): b for b in (a if a.base is None else a.base for a in arrays)}
+    index_bytes = sum(xs.nbytes + blk.support.nbytes for xs, blk in forms.stacks)
+    block_entries = sum(blk.gamma.size for _, blk in forms.stacks)
+    assert sum(b.nbytes for b in buffers.values()) <= 3 * 16 * block_entries + index_bytes
     assert all(a.size < n ** 3 for a in arrays)
 
 
@@ -309,7 +310,9 @@ def test_plain_equals_magnetic_all_zero_exponents(b3):
     plain = b3.untwisted()
     assert np.abs(laplacian_matrix(plain) - laplacian_matrix(b3)).max() <= 1e-14
     forms_p, forms_m = form_family(plain), form_family(b3)
-    assert np.abs(forms_p.gamma2 - forms_m.gamma2).max() <= 1e-14
+    for (xs_p, p), (xs_m, m) in zip(forms_p.stacks, forms_m.stacks, strict=True):
+        assert np.array_equal(xs_p, xs_m)
+        assert np.abs(p.gamma2 - m.gamma2).max() <= 1e-14
     assert np.abs(spectrum(plain).eigenvalues
                   - spectrum(b3).eigenvalues).max() <= 1e-14
 
