@@ -5,7 +5,7 @@ Draws a connected random base graph with average degree about 3 (weights in
 [0.5, 2], random phases), lifts it to about --vertices vertices, redrawing
 until the lift is connected, and computes kappa_max(2) of the lift. The time and the
 tracemalloc peak cover kappa_max alone, including the oriented-edge table,
-the Laplacian and the 2-ball forms it builds; the peak is taken on a second,
+the 2-ball forms and the witnesses it builds; the peak is taken on a second,
 identical lift, because tracing slows the allocations it records.
 
 The base carries phases in the 4th roots of unity (ELL), so its lift has

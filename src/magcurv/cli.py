@@ -63,12 +63,6 @@ def _read_graph(path: str):
     return load_graph(text)
 
 
-def _parse_n(value: str) -> float:
-    if value.lower() in ("inf", "infinity"):
-        return math.inf
-    return float(value)
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -86,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("spectrum", parents=[graph], help="eigenvalues/eigenvectors of -Laplacian")
 
     p = sub.add_parser("curvature", parents=[graph], help="optimal curvature kappa_max(n)")
-    p.add_argument("--n", type=_parse_n, default=2.0, help="dimension parameter (or inf)")
+    p.add_argument("--n", type=float, default=2.0, help="dimension parameter (or inf)")
 
     sub.add_parser("girth", parents=[graph, budget], help="magnetic girth")
 
@@ -102,13 +96,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("cheeger", parents=[graph, budget], help="magnetic Cheeger number")
 
     p = sub.add_parser("harnack", parents=[graph], help="Harnack inequality per eigenpair")
-    p.add_argument("--n", type=_parse_n, default=2.0)
+    p.add_argument("--n", type=float, default=2.0)
     p.add_argument("--kappa", type=float, default=None,
                    help="curvature lower bound (default: certified kappa_max)")
 
     p = sub.add_parser("verify", parents=[graph, budget],
                        help="verify every applicable inequality")
-    p.add_argument("--n", type=_parse_n, default=2.0)
+    p.add_argument("--n", type=float, default=2.0)
     p.add_argument("--kappa", type=float, default=None)
 
     p = sub.add_parser("generate", help="random connected magnetic graph document")

@@ -103,26 +103,31 @@ def _min_fill_order(adj: list[set[int]], labels: int,
     width: the most neighbours a vertex still has when it is eliminated.
 
     Stops after the first vertex whose table, labels^(neighbours + 1)
-    entries, exceeds the budget; the width is then that vertex's.
+    entries, exceeds the budget; the width is then that vertex's. Each
+    vertex's (fill, vertex) key is kept: eliminating x joins its neighbours,
+    which changes only their fills and their neighbours', so only those are
+    recomputed.
     """
     adj = [set(a) for a in adj]
-    remaining = set(range(len(adj)))
     order, width = [], 0
 
     def fill(x):
         return sum(len(adj[x] - adj[y]) - 1 for y in adj[x]) // 2
 
-    while remaining:
-        x = min(remaining, key=lambda v: (fill(v), v))
+    keys = {v: (fill(v), v) for v in range(len(adj))}
+    while keys:
+        _, x = min(keys.values())
         nbrs = adj[x]
         width = max(width, len(nbrs))
         for y in nbrs:
             adj[y] |= nbrs
             adj[y] -= {x, y}
-        remaining.remove(x)
+        del keys[x]
         order.append(x)
         if labels ** (width + 1) > budget:
             break
+        for v in nbrs.union(*(adj[y] for y in nbrs)):
+            keys[v] = (fill(v), v)
     return order, width
 
 

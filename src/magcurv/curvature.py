@@ -18,7 +18,7 @@ against the PSD check. The pencil route works in the eigenbasis of
 gamma[x], where gamma[x] is diagonal: the reduced pencil (Ar, diag(D)) has
 the eigenvalues of the Hermitian D^-1/2 Ar D^-1/2. Each block size takes one
 kernel eigensolve and one reduced eigensolve, whatever the kernel dimension
-of each block.
+of each block. Witnesses stay on the 2-balls too: nothing here is N x N.
 """
 
 from __future__ import annotations
@@ -133,7 +133,9 @@ class CurvatureResult:
 
     ``witnesses[x]`` is the minimizing function at vertex x (a generalized
     eigenvector of the reduced pencil), or the violating kernel direction when
-    per_vertex[x] = -inf; it has length N and is zero outside B2(x).
+    per_vertex[x] = -inf, on the 2-ball B2(x): its |B2(x)| values align with
+    form_family(g).block(x).support, and the function is zero elsewhere. To
+    embed it, f = np.zeros(N, complex); f[support] = witnesses[x].
     ``witness_vertex`` is the lowest vertex whose supremum is within
     WITNESS_TIE * max(1, |kappa_max|) of kappa_max, or the lowest -inf vertex.
     """
@@ -228,18 +230,16 @@ def _vertex_kappa(A: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def kappa_max(g: MagneticGraph, n: float) -> CurvatureResult:
     """Optimal kappa(n) per vertex and graph-wide, by the reduced-pencil route."""
     invn = _inv_n(n)
-    forms = form_family(g)  # its dense Laplacian is freed before the witnesses exist
-    n_vert = g.num_vertices
-    per = np.empty(n_vert)
-    wits = np.zeros((n_vert, n_vert), dtype=complex)
-    for xs, blk in forms.stacks:
+    per = np.empty(g.num_vertices)
+    wits = {}
+    for xs, blk in form_family(g).stacks:
         per[xs], local = _vertex_kappa(blk.gamma2 - invn * blk.lap_square, blk.gamma)
-        wits[xs[:, None], blk.support] = local
+        wits.update(zip(xs.tolist(), local))
     kappa = float(per.min())
     tie = 0.0 if kappa == -math.inf else WITNESS_TIE * max(1.0, abs(kappa))
     return CurvatureResult(n=n, per_vertex=per, kappa_max=kappa,
                            witness_vertex=int(np.argmax(per <= kappa + tie)),
-                           witnesses=tuple(wits))
+                           witnesses=tuple(wits[x] for x in range(len(per))))
 
 
 def kappa_max_bisect(g: MagneticGraph, n: float) -> float:

@@ -12,10 +12,10 @@ stored as one (b, k, k) stack per 2-ball size k, the layout the curvature
 checks read. The spectrum and the forms are computed once per graph and live
 as long as it; their arrays are read-only.
 
-The Laplacian and the spectrum are dense N x N matrices: target graphs are
-desk scale (hundreds to a few thousand vertices after lifting), so sparse
-machinery is deliberately omitted. The oriented-edge table keeps one entry
-per oriented edge in each of its arrays.
+The dense N x N Laplacian serves only the spectrum and the lift identities
+(target graphs are desk scale, so sparse machinery is deliberately omitted);
+the forms take M[B, B] from the edge table, linear in sum_x |B2(x)|^2. The
+oriented-edge table keeps one entry per oriented edge in each of its arrays.
 """
 
 from __future__ import annotations
@@ -157,12 +157,6 @@ class FormFamily:
         raise IndexError(f"no vertex {x}")
 
 
-def _two_balls(g: MagneticGraph) -> list[list[int]]:
-    """B2(x) of every vertex, ascending: the vertices at most two edges from x."""
-    balls = [{x}.union(y for y, _, _ in g.neighbors(x)) for x in range(g.num_vertices)]
-    return [sorted(set().union(*(balls[y] for y in ball))) for ball in balls]
-
-
 def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All pairs (i, j) with j in range(lo[i], hi[i]), ordered by i, then j."""
     count = hi - lo
@@ -182,30 +176,33 @@ def form_family(g: MagneticGraph) -> FormFamily:
                          - M_B^H gamma[x] - gamma[x] M_B) / 2;
         lap_square[x] = conj(M[x, B])^T M[x, B].
 
-    The rank-one terms of gamma[x] and of the neighbours' gamma[y_r] (over
-    the rows y_r -> z two steps out) are scattered into the blocks of all
-    vertices at once, into flat buffers laid out so that the blocks of each
-    size form one stack. The products with M_B run on those stacks, where
-    each gamma2 block is forced Hermitian by averaging, guarded by a residue
-    check that names the lowest failing vertex.
+    The rows leaving x and the pairs of a row x -> y_r and a row y_r -> z
+    are the rows leaving B1(x); their ends make up B. Their rank-one terms
+    and Laplacian entries are scattered into the blocks of all vertices at
+    once, into flat buffers laid out so that the blocks of each size form
+    one stack; rows of M_B outside B1(x) stay 0, as they meet only zeros of
+    gamma[x]. The products with M_B run on those stacks, where each gamma2
+    block is forced Hermitian by averaging, guarded by a residue check that
+    names the lowest failing vertex.
     """
     n = g.num_vertices
     edges = g.oriented_edges
-    M = laplacian_matrix(g)
     src, dst, rows = edges.src, edges.dst, np.arange(len(edges.src))
     starts = np.append(edges.first, len(src))
     weight, phase = edges.weight, edges.phase
 
-    balls = _two_balls(g)
-    sizes = np.array([len(b) for b in balls])
-    support = np.array([v for b in balls for v in b], dtype=np.intp)
+    first, second = _ranges(starts[dst], starts[dst + 1])
+    # (x, r) for each row r leaving a vertex of B1(x)
+    ball, ball_rows = np.concatenate((src, src[first])), np.concatenate((rows, second))
+    keys = np.unique(ball * n + dst[ball_rows])
+    support = keys % n
+    sizes = np.bincount(keys // n, minlength=n)
     support_start = np.concatenate(([0], np.cumsum(sizes)))
     # Blocks are laid out by (size, vertex): each size's blocks are one stack.
     area = sizes ** 2
     by_size = np.argsort(sizes, kind="stable")
     block_start = np.empty_like(area)
     block_start[by_size] = np.cumsum(area[by_size]) - area[by_size]
-    keys = np.repeat(np.arange(n), sizes) * n + support
 
     def local(x, v):
         """Position of vertex v in the support of vertex x."""
@@ -224,10 +221,13 @@ def form_family(g: MagneticGraph) -> FormFamily:
                 + 1j * np.bincount(idx, val.imag, area.sum()))
 
     G = rank_one_sum(src, rows, weight)
-    # G2 starts as sum_r weight[r] gamma[y_r], over the pairs of a row x -> y_r
-    # and a row y_r -> z.
-    first, second = _ranges(starts[dst], starts[dst + 1])
+    # G2 starts as sum_r weight[r] gamma[y_r], over the pairs.
     G2 = rank_one_sum(src[first], second, weight[first] * weight[second])
+    # M_B on B1(x): coef[r] at (u, dst[r]) and -1 at (u, u) for each row r leaving u
+    M = np.zeros(area.sum(), dtype=complex)
+    u = local(ball, src[ball_rows])
+    M[flat(ball, u, local(ball, dst[ball_rows]))] = edges.coef[ball_rows]
+    M[flat(ball, u, u)] = -1.0
 
     centre = local(np.arange(n), np.arange(n))
     resid = np.empty(n)
@@ -236,9 +236,8 @@ def form_family(g: MagneticGraph) -> FormFamily:
     for k in np.unique(sizes).tolist():
         xs = np.flatnonzero(sizes == k)
         cut = slice(block_start[xs[0]], block_start[xs[0]] + len(xs) * k * k)
-        Gx, G2x = G[cut].reshape(-1, k, k), G2[cut].reshape(-1, k, k)
+        Gx, G2x, M_B = (a[cut].reshape(-1, k, k) for a in (G, G2, M))
         B = support[support_start[xs, None] + np.arange(k)]
-        M_B = M[B[:, :, None], B[:, None, :]]
         raw = 0.5 * (G2x - Gx - M_B.conj().swapaxes(1, 2) @ Gx - Gx @ M_B)
         raw_h = raw.conj().swapaxes(1, 2)
         resid[xs] = np.linalg.norm(raw - raw_h, axis=(1, 2))

@@ -212,3 +212,29 @@ def magnetic_girth_reference(g, budget: int = 10_000_000) -> int | float:
         dfs(root, root, 0, 0)
         in_path[root] = False
     return best
+
+
+def min_fill_order_reference(adj, labels, budget):
+    """Greedy min-fill order and width as the package found them before it
+    kept each vertex's fill: every remaining vertex's fill is recomputed at
+    every step, ties to the smallest vertex, stopping after the first vertex
+    whose table, labels^(neighbours + 1) entries, exceeds the budget."""
+    adj = [set(a) for a in adj]
+    remaining = set(range(len(adj)))
+    order, width = [], 0
+
+    def fill(x):
+        return sum(len(adj[x] - adj[y]) - 1 for y in adj[x]) // 2
+
+    while remaining:
+        x = min(remaining, key=lambda v: (fill(v), v))
+        nbrs = adj[x]
+        width = max(width, len(nbrs))
+        for y in nbrs:
+            adj[y] |= nbrs
+            adj[y] -= {x, y}
+        remaining.remove(x)
+        order.append(x)
+        if labels ** (width + 1) > budget:
+            break
+    return order, width

@@ -214,12 +214,26 @@ def test_disconnected_harnack_exit_2(tmp_path, capsys):
     (("verify", "--n", "0.5", "--kappa", "0"), "dimension parameter must satisfy n > 1"),
     (("harnack", "--kappa", "nan"), "kappa must be a number, got nan"),
     (("verify", "--kappa", "nan"), "kappa must be a number, got nan"),
+    (("curvature", "--n=-INF"), "dimension parameter must satisfy n > 1"),
 ])
 def test_bad_dimension_or_kappa_exit_2(t3_path, capsys, argv, message):
     # n is checked even when kappa is given, so it never reaches a division
     code = main([argv[0], t3_path, *argv[1:]])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["inf", "Infinity"])
+def test_n_parses_infinity_in_any_case(t3_path, capsys, text):
+    code, out = run(capsys, "curvature", t3_path, "--n", text, "--json")
+    assert code == 0 and json.loads(out)["n"] == "inf"
+
+
+def test_non_numeric_n_is_a_usage_error(t3_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", t3_path, "--n", "two"])
+    assert exc.value.code == 2
+    assert "argument --n: invalid float value: 'two'" in capsys.readouterr().err
 
 
 def test_unknown_flag_usage_error(t3_path):

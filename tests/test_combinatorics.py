@@ -12,7 +12,8 @@ from magcurv.errors import EmptySubsetError, SizeError, ValidationError
 from magcurv.graphs import from_edge_list, random_magnetic_graph, signature_status
 
 from .conftest import LIFT_SHAPES, graph_strategy, sparse_graph, two_n_cycle
-from .oracles import magnetic_girth_reference, shortest_generating_closed_walk_reference
+from .oracles import (magnetic_girth_reference, min_fill_order_reference,
+                      shortest_generating_closed_walk_reference)
 
 
 # --- independent oracles ----------------------------------------------------
@@ -461,9 +462,32 @@ def test_min_fill_order_stops_at_the_first_table_over_budget():
     adj = [{y for y, _, _ in g.neighbors(x)} for x in range(g.num_vertices)]
     full, full_width = _min_fill_order(adj, 3, math.inf)
     order, width = _min_fill_order(adj, 3, DEFAULT_BUDGET)
+    # long orders, where the fills kept from earlier steps must stay exact
+    assert (full, full_width) == min_fill_order_reference(adj, 3, math.inf)
+    assert (order, width) == min_fill_order_reference(adj, 3, DEFAULT_BUDGET)
     assert len(order) < len(full) == g.num_vertices
     assert order == full[:len(order)]
     assert 3 ** (width + 1) > DEFAULT_BUDGET and width <= full_width
+
+
+def adjacency(g):
+    return [{y for y, _, _ in g.neighbors(x)} for x in range(g.num_vertices)]
+
+
+def test_min_fill_order_matches_reference_on_corpus(corpus):
+    # every budget from no elimination at all to the whole order
+    for g in corpus:
+        adj = adjacency(g)
+        for budget in (1, 5 ** 4, math.inf):
+            assert _min_fill_order(adj, g.ell + 1, budget) == \
+                min_fill_order_reference(adj, g.ell + 1, budget)
+
+
+@given(graph_strategy(max_vertices=12))
+@settings(max_examples=40, deadline=None)
+def test_min_fill_order_matches_reference(g):
+    adj = adjacency(g)
+    assert _min_fill_order(adj, 2, math.inf) == min_fill_order_reference(adj, 2, math.inf)
 
 
 def test_cheeger_matches_reference_on_corpus(corpus):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,16 +102,30 @@ def test_lift_witness_lives_on_the_two_ball():
     lift = build_lift(sparse_graph(30, 5, seed=3)).graph
     result = kappa_max(lift, 2.0)
     x = result.witness_vertex
-    support = form_family(lift).block(x).support
+    forms = form_family(lift)
+    assert all(w.shape == forms.block(y).support.shape for y, w in enumerate(result.witnesses))
+    support = forms.block(x).support
     assert len(support) < lift.num_vertices
-    wit = result.witnesses[x]
-    assert wit.shape == (lift.num_vertices,)
-    outside = np.setdiff1d(np.arange(lift.num_vertices), support)
-    assert np.all(wit[outside] == 0)
+    wit = np.zeros(lift.num_vertices, dtype=complex)
+    wit[support] = result.witnesses[x]
     kap = float(result.per_vertex[x])
     assert bool(cd_check_function(lift, wit, 2.0, kap).passed[x])
     above = kap + 1e-6 * max(1.0, abs(kap))
     assert not bool(cd_check_function(lift, wit, 2.0, above).passed[x])
+
+
+def test_kappa_max_peak_is_below_one_dense_array():
+    # forms and witnesses live on the 2-balls, so on a 2000-vertex lift the
+    # traced peak of kappa_max stays below one N x N complex array (61 MiB)
+    lift = build_lift(sparse_graph(500, 4, seed=1)).graph
+    n = lift.num_vertices
+    tracemalloc.start()
+    try:
+        kappa_max(lift, 2.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * n * n
 
 
 def test_all_ones_fails_above_vertex_kappa_t3(t3):

@@ -41,7 +41,7 @@ def assert_kernel_matches_reference(g, conditioned=False):
         blk = forms.block(x)
         A = blk.gamma2 - blk.lap_square / N_DIM
         want, want_wit = vertex_kappa_reference(A, blk.gamma)
-        got, wit = result.per_vertex[x], result.witnesses[x][blk.support]
+        got, wit = result.per_vertex[x], result.witnesses[x]
         if want == -math.inf:
             assert got == -math.inf and same_direction(wit, want_wit)
             continue
@@ -143,7 +143,7 @@ def test_badly_scaled_weights(g):
     step = 1e-6 * max(1.0, abs(km))
     assert b >= km - step
     blk = forms.block(result.witness_vertex)
-    w = result.witnesses[result.witness_vertex][blk.support]
+    w = result.witnesses[result.witness_vertex]
     A = blk.gamma2 - blk.lap_square / N_DIM
     s = max(1.0, float(np.abs(np.linalg.eigvalsh(A - b * blk.gamma)).max()))
 

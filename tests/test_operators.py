@@ -135,6 +135,22 @@ def test_gamma2_residue_guard_raises(c4sigma, monkeypatch):
         form_family.__wrapped__(c4sigma)
 
 
+def test_forms_need_no_dense_laplacian(monkeypatch):
+    # the blocks, M_B included, come from the oriented-edge table alone
+    g = build_lift(sparse_graph(*LIFT_SHAPES[0], seed=1)).graph
+    want = form_family(g)
+
+    def dense(_):
+        raise AssertionError("form_family built the dense Laplacian")
+
+    monkeypatch.setattr(operators, "laplacian_matrix", dense)
+    got = form_family.__wrapped__(g)
+    assert len(got.stacks) == len(want.stacks)
+    for (xs, blk), (ys, ref) in zip(got.stacks, want.stacks):
+        assert np.array_equal(xs, ys)
+        assert all(np.array_equal(a, b) for a, b in zip(blk, ref))
+
+
 def test_forms_psd(t3, c4sigma):
     for g in (t3, c4sigma):
         forms = form_family(g)
