@@ -1,6 +1,6 @@
 """Covering graphs: construction, function lifting, the lift diameter and the
-exact transfer checks. The covering-diameter estimate, with the hypotheses of
-the path bounds, is bounds.lift_diameter_check.
+exact transfer checks on the oriented-edge tables. The covering-diameter
+estimate, with the hypotheses of the path bounds, is bounds.lift_diameter_check.
 
 The lift of a magnetic graph lives on pairs (vertex, level); level k stands
 for the root of unity exp(2*pi*1j*k/ell) and pair (x, k) gets the flat index
@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
 from .graphs import Edge, MagneticGraph, Record, _farthest_walk, memoised_on_graph
-from .operators import _differences, laplacian_matrix, spectrum
+from .operators import _apply_laplacian, as_vertex_function, spectrum
 
 __all__ = [
     "LiftGraph",
@@ -48,7 +47,8 @@ class LiftGraph:
 
 
 def build_lift(g: MagneticGraph) -> LiftGraph:
-    """Construct the covering graph; every lift vertex inherits its base degree."""
+    """Construct the covering graph; every lift vertex inherits its base degree,
+    and its rows of the oriented-edge table follow those of its base vertex."""
     ell = g.ell
     edges = []
     for e in g.edges:
@@ -71,13 +71,11 @@ def lift_diameter(g: MagneticGraph) -> int | float:
 
 
 def lift_function(g: MagneticGraph, f) -> np.ndarray:
-    """Lift embedding: value at (x, k) is exp(2*pi*1j*k/ell) * f(x)."""
-    vals = np.asarray(f, dtype=complex)
-    if vals.shape != (g.num_vertices,):
-        raise ValidationError(
-            f"function length {vals.shape} does not match {g.num_vertices} vertices")
-    roots = np.exp(2j * np.pi * np.arange(g.ell) / g.ell)
-    return np.kron(vals, roots)
+    """Lift embedding: value at (x, k) is exp(2*pi*1j*k/ell) * f(x), for f of
+    shape (N,) or a batch (N, B); the result has N * ell rows."""
+    vals = as_vertex_function(g, f)
+    lifted = np.multiply.outer(vals, np.exp(2j * np.pi * np.arange(g.ell) / g.ell))
+    return lifted.swapaxes(1, -1).reshape((-1,) + vals.shape[1:])
 
 
 @dataclass(frozen=True)
@@ -115,39 +113,41 @@ class LiftIdentityReport(Record):
         return {**super().to_json_dict(), "all_ok": self.all_ok}
 
 
-def _energy_forms(g: MagneticGraph, P: np.ndarray):
-    """Per vertex v, the Hermitian form of f -> energy(g, P f)[v]:
-    sum_r weight[r] (T P)_r^H (T P)_r over the rows leaving v."""
-    oe = g.oriented_edges
-    rows = oe.first[1:]
-    for A, w in zip(np.split(_differences(oe, P), rows), np.split(oe.weight, rows)):
-        yield (A.conj().T * w) @ A
-
-
 def verify_lift_identities(g: MagneticGraph) -> LiftIdentityReport:
-    """Confirm the transfer identities exactly, as matrix identities.
+    """Confirm the transfer identities exactly, row by row on the oriented-edge
+    tables of the base and the lift.
 
-    With P the lift embedding as a matrix, the lift Laplacian must satisfy
-    L_lift P = P L_base, and the energy form of the lift at (x, k), pulled
-    back by P, must equal the magnetic energy form at x; each then holds for
-    every complex f. Entries of both sides are at most 1 in modulus, so the
-    largest entrywise difference is held to 1e-12. Additionally every
-    eigenpair of the magnetic operator lifts to an eigenpair of the lift
-    operator with 2-norm residual <= 1e-9.
+    With P the lift embedding as a matrix, L_lift P = P L_base must hold, and
+    the lift's energy form at (x, k), pulled back by P, must be the magnetic
+    one at x. The rows leaving (x, k) pair in order with the rows leaving x;
+    with u = omega^k and v = omega^m on a lift row (x, k) -> (y, m) and its
+    base row r, the nonzero entries are coef' v vs u coef[r] (the diagonals
+    are -u on both sides) and, in the forms, weight' conj(u) v vs weight[r]
+    phase[r], weight' |v|^2 vs weight[r] |phase[r]|^2 and the row sums at
+    (x, x). Rows that do not pair make both residuals inf. Entries are at most
+    1 in modulus, so differences are held to 1e-12. Every eigenpair of the
+    magnetic operator must lift with 2-norm residual <= 1e-9.
     """
-    lift = build_lift(g)
-    n, ell = g.num_vertices, g.ell
-    L_lift = laplacian_matrix(lift.graph)
-    roots = np.exp(2j * np.pi * np.arange(ell) / ell)
-    P = np.kron(np.eye(n), roots[:, None])   # lift_function as a matrix
-    max_lap = float(np.abs(L_lift @ P - P @ laplacian_matrix(g)).max())
-    lifted = _energy_forms(lift.graph, P)   # (x, k) in index order x * ell + k
-    max_energy = max(float(np.abs(next(lifted) - F).max())
-                     for F in _energy_forms(g, np.eye(n)) for _ in range(ell))
+    ell, base, lift = g.ell, g.oriented_edges, build_lift(g).graph.oriented_edges
+    level = lift_function(g, np.ones(g.num_vertices))   # omega^k at (x, k)
+    u, v = level[lift.src], level[lift.dst]
+    counts = np.diff(base.first, append=len(base.src))
+    max_lap = max_energy = np.inf
+    if np.array_equal(np.diff(lift.first, append=len(u)), np.repeat(counts, ell)):
+        r = base.first[lift.src // ell] + np.arange(len(u)) - lift.first[lift.src]
+        if np.array_equal(base.dst[r], lift.dst // ell):
+            w, p = base.weight[r], base.phase[r]
+            max_lap = float(np.abs(lift.coef * v - u * base.coef[r]).max())
+            centre = (np.add.reduceat(lift.weight * np.abs(u) ** 2, lift.first)
+                      - np.repeat(np.add.reduceat(base.weight, base.first), ell))
+            entries = (lift.weight * u.conj() * v - w * p,
+                       lift.weight * np.abs(v) ** 2 - w * np.abs(p) ** 2, centre)
+            max_energy = float(np.abs(np.concatenate(entries)).max())
 
     spec = spectrum(g)
-    F = P @ spec.eigenvectors   # column i is lift_function of eigenvector i
-    max_eig = float(np.linalg.norm(-(L_lift @ F) - F * spec.eigenvalues, axis=0).max())
+    F = lift_function(g, spec.eigenvectors)
+    max_eig = float(np.linalg.norm(-_apply_laplacian(lift, F) - F * spec.eigenvalues,
+                                   axis=0).max())
 
     return LiftIdentityReport(max_energy_residual=max_energy,
                               max_laplacian_residual=max_lap,

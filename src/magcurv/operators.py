@@ -12,10 +12,10 @@ stored as one (b, k, k) stack per 2-ball size k, the layout the curvature
 checks read. The spectrum and the forms are computed once per graph and live
 as long as it; their arrays are read-only.
 
-The dense N x N Laplacian serves only the spectrum and the lift identities
-(target graphs are desk scale, so sparse machinery is deliberately omitted);
-the forms take M[B, B] from the edge table, linear in sum_x |B2(x)|^2. The
-oriented-edge table keeps one entry per oriented edge in each of its arrays.
+The dense N x N Laplacian serves only the spectrum (target graphs are desk
+scale, so sparse machinery is deliberately omitted). The forms, linear in
+sum_x |B2(x)|^2, and the lift identities read the oriented-edge table,
+which keeps one entry per oriented edge in each of its arrays.
 """
 
 from __future__ import annotations

@@ -65,6 +65,13 @@ def build_corpus(count: int = 200, seed0: int = 20_000) -> list[MagneticGraph]:
 LIFT_SHAPES = ((48, 3), (40, 4), (30, 5), (36, 4))
 
 
+def twisted(g: MagneticGraph, j: int) -> MagneticGraph:
+    """g twisted by the j-th character of Z_ell: every exponent s becomes
+    j * s mod ell. The lift's spectrum is the union of these over j."""
+    return from_edge_list(g.num_vertices, g.ell,
+                          [(e.u, e.v, e.w, j * e.s % g.ell) for e in g.edges])
+
+
 def sparse_graph(n: int, ell: int, seed: int) -> MagneticGraph:
     """Connected random graph with average degree about 3."""
     return random_magnetic_graph(n, 3.0 / (n - 1), ell, seed=seed)

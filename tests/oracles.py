@@ -9,7 +9,8 @@ import scipy.linalg
 from magcurv.curvature import KERNEL_THRESHOLD, PSD_TOL, _inv_n
 from magcurv.errors import NumericalError, SizeError
 from magcurv.graphs import SignatureStatus
-from magcurv.operators import laplacian_matrix
+from magcurv.lift import LiftIdentityReport, build_lift
+from magcurv.operators import _differences, laplacian_matrix, spectrum
 
 
 def dense_rows(g, x):
@@ -238,3 +239,44 @@ def min_fill_order_reference(adj, labels, budget):
         if labels ** (width + 1) > budget:
             break
     return order, width
+
+
+def _energy_forms(g, P: np.ndarray):
+    """Per vertex v, the Hermitian form of f -> energy(g, P f)[v]:
+    sum_r weight[r] (T P)_r^H (T P)_r over the rows leaving v."""
+    oe = g.oriented_edges
+    rows = oe.first[1:]
+    for A, w in zip(np.split(_differences(oe, P), rows), np.split(oe.weight, rows)):
+        yield (A.conj().T * w) @ A
+
+
+def lift_identities_reference(g) -> LiftIdentityReport:
+    """The transfer identities as the package checked them on dense matrices:
+    the lift embedding P, the lift Laplacian and one N x N energy form per
+    lift vertex.
+
+    With P the lift embedding as a matrix, the lift Laplacian must satisfy
+    L_lift P = P L_base, and the energy form of the lift at (x, k), pulled
+    back by P, must equal the magnetic energy form at x; each then holds for
+    every complex f. Entries of both sides are at most 1 in modulus, so the
+    largest entrywise difference is held to 1e-12. Additionally every
+    eigenpair of the magnetic operator lifts to an eigenpair of the lift
+    operator with 2-norm residual <= 1e-9.
+    """
+    lift = build_lift(g)
+    n, ell = g.num_vertices, g.ell
+    L_lift = laplacian_matrix(lift.graph)
+    roots = np.exp(2j * np.pi * np.arange(ell) / ell)
+    P = np.kron(np.eye(n), roots[:, None])   # lift_function as a matrix
+    max_lap = float(np.abs(L_lift @ P - P @ laplacian_matrix(g)).max())
+    lifted = _energy_forms(lift.graph, P)   # (x, k) in index order x * ell + k
+    max_energy = max(float(np.abs(next(lifted) - F).max())
+                     for F in _energy_forms(g, np.eye(n)) for _ in range(ell))
+
+    spec = spectrum(g)
+    F = P @ spec.eigenvectors   # column i is lift_function of eigenvector i
+    max_eig = float(np.linalg.norm(-(L_lift @ F) - F * spec.eigenvalues, axis=0).max())
+
+    return LiftIdentityReport(max_energy_residual=max_energy,
+                              max_laplacian_residual=max_lap,
+                              max_eigenpair_residual=max_eig)

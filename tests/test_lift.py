@@ -4,15 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from magcurv import lift as lift_module
+from magcurv import operators
 from magcurv.bounds import lift_diameter_check
 from magcurv.curvature import cd_check_function, cd_check_graph, kappa_max
 from magcurv.errors import PreconditionError, ValidationError
-from magcurv.graphs import connected_components, diameter, is_connected
-from magcurv.lift import (build_lift, lift_diameter, lift_function,
+from magcurv.graphs import MagneticGraph, connected_components, diameter, is_connected
+from magcurv.lift import (LiftGraph, build_lift, lift_diameter, lift_function,
                           verify_lift_identities)
 from magcurv.operators import laplacian_matrix, spectrum
 
-from .conftest import graph_strategy, random_functions
+from .conftest import (LIFT_SHAPES, graph_strategy, random_functions, sparse_graph,
+                       twisted)
+from .oracles import lift_identities_reference
 
 
 def assert_is_cycle(g, length):
@@ -83,6 +87,20 @@ def test_lift_function_examples(t3):
         lift_function(t3, np.ones(4))
 
 
+def test_lift_function_lifts_a_batch_column_by_column(corpus):
+    for g in corpus[:20]:
+        fs = random_functions(g, 3, seed=5)
+        batch = lift_function(g, fs)
+        assert batch.shape == (g.num_vertices * g.ell, 3)
+        for j in range(3):
+            assert np.array_equal(batch[:, j], lift_function(g, fs[:, j]))
+
+
+def test_lift_function_rejects_non_finite_values(t3):
+    with pytest.raises(ValidationError, match="non-finite"):
+        lift_function(t3, np.array([1.0, np.nan, 0.0]))
+
+
 @given(graph_strategy())
 @settings(max_examples=30, deadline=None)
 def test_lift_norm_scaling(g):
@@ -101,17 +119,72 @@ def test_lift_identities_t3(t3):
     assert rep.all_ok
 
 
-def test_lift_identities_reject_a_wrong_lift(monkeypatch, t3):
-    # The lift of the untwisted triangle (two disjoint triangles) is not the
-    # covering graph of t3: all three identities must fail.
-    from magcurv import lift as lift_module
-    monkeypatch.setattr(lift_module, "build_lift",
-                        lambda g: build_lift(g.untwisted()))
+def _relifted(g, change):
+    """build_lift(g) with its edge list passed through ``change``."""
+    lifted = build_lift(g).graph
+    return LiftGraph(base=g, graph=MagneticGraph(lifted.num_vertices, 1,
+                                                 tuple(change(list(lifted.edges), g.ell))))
+
+
+def _move_up_one_level(edges, ell):
+    e = edges[0]
+    return [e._replace(v=e.v - e.v % ell + (e.v + 1) % ell)] + edges[1:]
+
+
+WRONG_LIFTS = {
+    # two disjoint triangles, the lift of the untwisted triangle
+    "untwisted": lambda g: build_lift(g.untwisted()),
+    "first_edge_dropped": lambda g: _relifted(g, lambda edges, ell: edges[1:]),
+    "first_edge_one_level_up": lambda g: _relifted(g, _move_up_one_level),
+    "one_weight_x1.001": lambda g: _relifted(
+        g, lambda edges, ell: [edges[0]._replace(w=edges[0].w * 1.001)] + edges[1:]),
+}
+
+
+@pytest.mark.parametrize("wrong", WRONG_LIFTS)
+def test_lift_identities_reject_a_wrong_lift(monkeypatch, t3, wrong):
+    # Not the covering graph of t3: all three identities must fail.
+    monkeypatch.setattr(lift_module, "build_lift", WRONG_LIFTS[wrong])
     rep = verify_lift_identities(t3)
-    assert rep.max_energy_residual > 0.1
-    assert rep.max_laplacian_residual > 0.1
-    assert rep.max_eigenpair_residual > 0.1
+    assert rep.max_energy_residual > lift_module.ENERGY_TOL
+    assert rep.max_laplacian_residual > lift_module.LAPLACIAN_TOL
+    assert rep.max_eigenpair_residual > lift_module.EIGENPAIR_TOL
     assert not rep.all_ok
+
+
+def assert_matches_dense_reference(g):
+    got, want = verify_lift_identities(g), lift_identities_reference(g)
+    assert got.all_ok == want.all_ok
+    for field in ("max_energy_residual", "max_laplacian_residual",
+                  "max_eigenpair_residual"):
+        assert abs(getattr(got, field) - getattr(want, field)) <= 1e-15, field
+
+
+def test_lift_identities_match_dense_reference(corpus):
+    for g in corpus:
+        assert_matches_dense_reference(g)
+    for shape in LIFT_SHAPES:
+        assert_matches_dense_reference(sparse_graph(*shape, seed=sum(shape)))
+
+
+@given(graph_strategy())
+@settings(max_examples=40, deadline=None)
+def test_lift_identities_match_dense_reference_fuzz(g):
+    assert_matches_dense_reference(g)
+
+
+def test_lift_identities_need_no_dense_laplacian(monkeypatch, t3, corpus):
+    graphs = [t3, *corpus[:20]]
+    for g in graphs:
+        spectrum(g)   # memoised: the base spectrum is the dense Laplacian's one use
+
+    def dense(_):
+        raise AssertionError("verify_lift_identities built a dense Laplacian")
+
+    monkeypatch.setattr(operators, "laplacian_matrix", dense)
+    monkeypatch.setattr(lift_module, "laplacian_matrix", dense, raising=False)
+    for g in graphs:
+        assert verify_lift_identities(g).all_ok
 
 
 def test_zero_function_zero_residual(t3):
@@ -207,3 +280,27 @@ def test_lift_cd_implies_base_cd(small_corpus):
         kap_lift = kappa_max(lift.graph, 2.0).kappa_max
         assert cd_check_graph(g, 2.0, kap_lift - 1e-8).passed
 
+
+def test_lift_spectrum_is_the_union_of_the_twisted_spectra(corpus):
+    for g in corpus:
+        lifted = spectrum(build_lift(g).graph).eigenvalues
+        union = np.sort(np.concatenate([spectrum(twisted(g, j)).eigenvalues
+                                        for j in range(g.ell)]))
+        assert np.abs(np.sort(lifted) - union).max() <= 1e-12
+
+
+def test_lift_curvature_is_at_most_every_twisted_curvature(corpus):
+    # Gamma, Gamma2 and |L.|^2 pull back along each character embedding, so
+    # kappa(lift) <= kappa(twisted(g, j)) for every j; it is not an equality.
+    strict = 0
+    for g in corpus:
+        lift = build_lift(g).graph
+        for n in (2.0, math.inf):
+            k_lift = kappa_max(lift, n).kappa_max
+            k_min = min(kappa_max(twisted(g, j), n).kappa_max for j in range(g.ell))
+            if k_min == -math.inf:
+                assert k_lift == -math.inf
+                continue
+            assert k_lift <= k_min + 1e-12 * max(1.0, abs(k_min))
+            strict += k_lift < k_min - 1e-9
+    assert strict > 0
