@@ -186,8 +186,10 @@ class EigenvalueBoundRecord(Record):
 
 def _path_bound_girth(g: MagneticGraph, budget: int) -> int:
     """Magnetic girth, once the hypotheses of the path bounds hold: connected,
-    unbalanced, entire signature, finite girth. The first to fail is named in
-    PreconditionError; a girth search over budget raises SizeError."""
+    unbalanced, entire signature (the closed-walk holonomies generate Z_ell),
+    finite girth. The first to fail is named in PreconditionError, so the
+    girth is searched only on an entire signature; a search over budget
+    raises SizeError."""
     if not is_connected(g):
         raise PreconditionError("connected")
     status = signature_status(g)

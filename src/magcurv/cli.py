@@ -59,8 +59,10 @@ def _emit_json(payload: dict):
 
 
 def _read_graph(path: str):
-    text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
-    return load_graph(text)
+    if path == "-":
+        return load_graph(sys.stdin.read())
+    with open(path, encoding="utf-8") as fh:
+        return load_graph(fh.read())
 
 
 @functools.cache

@@ -15,7 +15,6 @@ silent fallback.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -23,8 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptySubsetError, SizeError, ValidationError
-from .graphs import (MagneticGraph, Record, _walk_lengths, connected_components,
-                     memoised_on_graph, signature_status)
+from .graphs import MagneticGraph, Record, memoised_on_graph, signature_status
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -41,24 +39,19 @@ DEFAULT_BUDGET = 10_000_000
 @memoised_on_graph
 def magnetic_girth(g: MagneticGraph, budget: int = DEFAULT_BUDGET) -> int | float:
     """Length of the shortest simple cycle whose phase product generates the
-    whole signature group; math.inf if the signature is not entire or no such
-    cycle exists.
+    whole signature group; math.inf if no such cycle exists.
 
-    A generating cycle, walked m times for the inverse m of its holonomy,
-    is a closed walk of holonomy 1; so when no component's least vertex r
-    reaches (r, 1) in the (vertex, exponent) BFS, the girth is math.inf
-    without a search. Otherwise the lengths L = 3, 4, ..., N are searched in
-    increasing order: for each L, a DFS over the simple cycles of exactly L
-    edges, each enumerated from its least vertex, stops at the first that
-    generates. `budget` caps the visited search states over the whole search
+    A generating cycle is a closed walk whose holonomy generates, so the
+    girth is math.inf without a search when the signature is not entire.
+    Otherwise the lengths L = 3, 4, ..., N are searched in increasing order:
+    for each L, a DFS over the simple cycles of exactly L edges, each
+    enumerated from its least vertex, stops at the first that generates.
+    `budget` caps the visited search states over the whole search
     (SizeError beyond).
     """
     if not signature_status(g).entire:
         return math.inf
     n, ell = g.num_vertices, g.ell
-    if all(_walk_lengths(g, comp[0], ell)[comp[0] * ell + 1 % ell] < 0
-           for comp in connected_components(g)):
-        return math.inf
     adj = [g.neighbors(x) for x in range(n)]
     states = 0
     in_path = [False] * n
@@ -87,14 +80,12 @@ def magnetic_girth(g: MagneticGraph, budget: int = DEFAULT_BUDGET) -> int | floa
     return math.inf
 
 
-@functools.cache
-def _edge_costs(ell: int) -> np.ndarray:
-    """costs[s, a, b] = |xi^a - xi^s xi^b| = 2 sin(pi * ((a - b - s) mod ell) / ell)."""
+def _edge_costs(ell: int, exponents: list[int]) -> np.ndarray:
+    """costs[i, a, b] = |xi^a - xi^s xi^b| = 2 sin(pi * ((a - b - s) mod ell) / ell)
+    for the i-th exponent s, read from one table of the ell sines."""
     table = 2.0 * np.sin(np.pi * np.arange(ell) / ell)
-    a = np.arange(ell)
-    costs = table[(a[:, None] - a - a[:, None, None]) % ell]
-    costs.flags.writeable = False
-    return costs
+    a, s = np.arange(ell), np.array(exponents, dtype=np.int64)
+    return table[(a[:, None] - a - s[:, None, None]) % ell]
 
 
 def _min_fill_order(adj: list[set[int]], labels: int,
@@ -239,18 +230,18 @@ def _frustration(g: MagneticGraph, verts: tuple[int, ...],
     domains = [ell] * k
     for first, last in {c: i for i, c in enumerate(comp)}.items():
         domains[0 if first == 0 else last] = 1
-    costs = _edge_costs(ell)
+    costs = _edge_costs(ell, [s for *_, s in edges])
     factors = []
-    for iu, iv, w, s in edges:
-        t = w * costs[s, :domains[iu], :domains[iv]]
+    for (iu, iv, w, _), cost in zip(edges, costs):
+        t = w * cost[:domains[iu], :domains[iv]]
         factors.append(((iu, iv), t) if iu < iv else ((iv, iu), t.T))
     steps, minimum = _eliminate(order, domains, factors)
     slack = _TIE * 2.0 * sum(w for _, _, w, _ in edges)
 
     def value(tau):
         total = 0.0
-        for iu, iv, w, s in edges:
-            total += w * costs[s, tau[iu], tau[iv]]
+        for (iu, iv, w, _), cost in zip(edges, costs):
+            total += w * cost[tau[iu], tau[iv]]
         return float(total)
 
     tau = min(_near_optimal(steps, domains, minimum, slack, budget),
@@ -316,12 +307,12 @@ def _cheeger_sets(g: MagneticGraph, order: list[int], lam: float,
     n, ell = g.num_vertices, g.ell
     domains = [ell + 1] * n
     domains[order[-1]] = 2
-    unit = np.full((ell, ell + 1, ell + 1), 1.0 - lam)
+    unit = np.full((len(g.edges), ell + 1, ell + 1), 1.0 - lam)
     unit[:, 0, 0] = 0.0
-    unit[:, 1:, 1:] = _edge_costs(ell) - 2.0 * lam
+    unit[:, 1:, 1:] = _edge_costs(ell, [e.s for e in g.edges]) - 2.0 * lam
     factors = []
-    for e in g.edges:
-        t = e.w * unit[e.s, :domains[e.u], :domains[e.v]]
+    for e, cost in zip(g.edges, unit):
+        t = e.w * cost[:domains[e.u], :domains[e.v]]
         factors.append(((e.u, e.v), t) if e.u < e.v else ((e.v, e.u), t.T))
     steps, minimum = _eliminate(order, domains, factors)
     slack = _TIE * 2.0 * (1.0 + lam) * sum(e.w for e in g.edges)

@@ -99,8 +99,8 @@ class MagneticGraph:
         if not isinstance(ell, int) or ell < 1:
             raise ValidationError(f"ell must be a positive integer, got {ell!r}")
         seen: set[tuple[int, int]] = set()
-        adj: list[list[tuple[int, float, int]]] = [[] for _ in range(n)]
-        deg = np.zeros(n)
+        adj: dict[int, list[tuple[int, float, int]]] = {}
+        deg: dict[int, float] = {}
         norm: list[Edge] = []
         for e in self.edges:
             try:
@@ -120,17 +120,18 @@ class MagneticGraph:
             if not 0 <= s < ell:
                 raise ValidationError(f"exponent {s} out of range [0, {ell})")
             norm.append(Edge(u, v, w, s))
-            adj[u].append((v, w, s))
-            adj[v].append((u, w, (ell - s) % ell))
-            deg[u] += w
-            deg[v] += w
-        if deg.min(initial=math.inf) <= 0:
-            isolated = int(np.argmin(deg)) if len(deg) else 0
+            adj.setdefault(u, []).append((v, w, s))
+            adj.setdefault(v, []).append((u, w, (ell - s) % ell))
+            deg[u] = deg.get(u, 0.0) + w
+            deg[v] = deg.get(v, 0.0) + w
+        if len(adj) < n:  # checked before anything of length n is allocated
+            isolated = next(x for x in range(n) if x not in adj)
             raise ValidationError(f"isolated vertex {isolated} (zero degree)")
-        deg.flags.writeable = False
+        degrees = np.array([deg[x] for x in range(n)])
+        degrees.flags.writeable = False
         object.__setattr__(self, "edges", tuple(norm))
-        object.__setattr__(self, "degrees", deg)
-        object.__setattr__(self, "_adjacency", tuple(tuple(a) for a in adj))
+        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "_adjacency", tuple(tuple(adj[x]) for x in range(n)))
 
     def neighbors(self, x: int) -> tuple[tuple[int, float, int], ...]:
         """Oriented star at ``x``: tuples (y, weight, exponent of x -> y)."""
@@ -338,20 +339,20 @@ def is_connected(g: MagneticGraph) -> bool:
 
 @memoised_on_graph
 def signature_status(g: MagneticGraph) -> SignatureStatus:
-    """Decide balancedness and entirety of the signature.
+    """Decide balancedness and entirety of the signature from the closed walks.
 
-    Balanced: every cycle's phase product is 1. A closed walk's exponent sum
-    is a sum of cycle sums, and a cycle with a nonzero sum can be walked
-    around from anywhere in its component, so a component is balanced exactly
-    when its first vertex r reaches no state (r, e) with e != 0. Entire: the
-    edge exponents generate the full cyclic group, i.e. gcd(ell, all
-    exponents) = 1.
+    The exponent sums of the closed walks at a vertex r are the states (r, e)
+    that r reaches in the (vertex, exponent) BFS; they form a subgroup of
+    Z_ell, and a gauge change leaves them unchanged. Balanced: that subgroup
+    is trivial for the first vertex r of every component, i.e. every cycle's
+    phase product is 1. Entire: the closed-walk holonomies generate Z_ell,
+    a gauge-invariant property, i.e. some component's r reaches (r, 1).
     """
     ell = g.ell
-    balanced = not any(np.any(_walk_lengths(g, r, ell)[r * ell + 1:(r + 1) * ell] >= 0)
-                       for r, *_ in connected_components(g))
-    entire = math.gcd(ell, *(e.s for e in g.edges)) == 1
-    return SignatureStatus(balanced=balanced, entire=entire)
+    closed = [_walk_lengths(g, r, ell)[r * ell:(r + 1) * ell] >= 0
+              for r, *_ in connected_components(g)]
+    return SignatureStatus(balanced=not any(c[1:].any() for c in closed),
+                           entire=any(c[1 % ell] for c in closed))
 
 
 def random_magnetic_graph(num_vertices: int, edge_prob: float, ell: int,

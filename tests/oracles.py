@@ -133,24 +133,27 @@ def vertex_kappa_reference(A: np.ndarray, G: np.ndarray) -> tuple[float, np.ndar
 
 def signature_status_reference(g) -> SignatureStatus:
     """Balancedness by a spanning-tree potential: give each vertex a group
-    exponent along a BFS tree, then test every edge for consistency.
-    Entirety by gcd(ell, all exponents) = 1."""
+    exponent along a BFS tree, then test every edge for consistency. The
+    edge defects generate each component's closed-walk holonomies, so the
+    signature is entire when some component has gcd(ell, its defects) = 1."""
     ell = g.ell
-    pot = [None] * g.num_vertices
+    pot, comp = [None] * g.num_vertices, [None] * g.num_vertices
     for root in range(g.num_vertices):
         if pot[root] is not None:
             continue
-        pot[root] = 0
+        pot[root], comp[root] = 0, root
         queue = deque([root])
         while queue:
             x = queue.popleft()
             for y, _, s in g.neighbors(x):
                 if pot[y] is None:
-                    pot[y] = (pot[x] + s) % ell
+                    pot[y], comp[y] = (pot[x] + s) % ell, root
                     queue.append(y)
-    balanced = all((pot[e.u] + e.s - pot[e.v]) % ell == 0 for e in g.edges)
-    return SignatureStatus(balanced=balanced,
-                           entire=math.gcd(ell, *(e.s for e in g.edges)) == 1)
+    defects = {r: [] for r in set(comp)}
+    for e in g.edges:
+        defects[comp[e.u]].append((pot[e.u] + e.s - pot[e.v]) % ell)
+    return SignatureStatus(balanced=not any(any(d) for d in defects.values()),
+                           entire=any(math.gcd(ell, *d) == 1 for d in defects.values()))
 
 
 def shortest_generating_closed_walk_reference(g) -> int | float:

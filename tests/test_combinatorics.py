@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,20 +137,22 @@ def test_girth_two_n_cycles():
 
 
 def test_girth_requires_generating_cycle():
-    # entire signature but the only cycle has trivial phase product:
-    # a balanced square plus a pendant edge carrying the generator
+    # a balanced square plus a pendant edge carrying the generator: the only
+    # cycle has trivial phase product, and a gauge change at the pendant
+    # vertex removes the generator, so the signature is not entire
     g = from_edge_list(5, 2, [(0, 1, 1.0, 0), (1, 2, 1.0, 0), (2, 3, 1.0, 0),
                               (0, 3, 1.0, 0), (3, 4, 1.0, 1)])
-    assert signature_status(g).entire
+    assert not signature_status(g).entire
     assert magnetic_girth(g) == math.inf
 
 
 def test_girth_without_a_generating_closed_walk_searches_no_cycle():
     # every cycle has trivial holonomy and the generator sits on a pendant
-    # edge: no closed walk generates, so no cycle is searched, whatever the budget
+    # edge: no closed walk generates, so the signature is not entire and no
+    # cycle is searched, whatever the budget
     g = random_magnetic_graph(16, 0.3, 2, seed=7)
     g = from_edge_list(17, 2, [(e.u, e.v, e.w, 0) for e in g.edges] + [(0, 16, 1.0, 1)])
-    assert signature_status(g).entire
+    assert not signature_status(g).entire
     assert magnetic_girth(g, budget=1) == math.inf
 
 
@@ -427,6 +430,17 @@ def test_cheeger_scales_past_subset_enumeration(g):
     assert report.cheeger_skipped is None
     assert report.cheeger.h1 == res.h1
     assert report.cheeger.lower_passed and report.cheeger.upper_passed
+
+
+def test_cheeger_cost_tables_stay_within_the_search():
+    # two vertices and ell = 200: the largest elimination table has 201^2
+    # entries, and the cost tables are one (ell, ell) slice per edge
+    g = from_edge_list(2, 200, [(0, 1, 1.0, 1)])
+    tracemalloc.start()
+    cheeger_number(g)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 def test_cheeger_budget():

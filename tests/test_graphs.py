@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -50,6 +51,23 @@ def test_load_rejects_loop_duplicate_isolated():
         from_edge_list(2, 1, [(0, 1, 1.0, 0), (1, 0, 2.0, 0)])
     with pytest.raises(ValidationError):
         from_edge_list(3, 1, [(0, 1, 1.0, 0)])  # vertex 2 isolated
+
+
+def test_oversized_vertex_count_is_rejected_before_allocating():
+    # one edge touches at most two vertices: a million-vertex document with
+    # one edge is rejected without building anything of length N
+    doc = {"ell": 2, "num_vertices": 10**6, "edges": [{"u": 0, "v": 1, "w": 1.0, "s": 0}]}
+    tracemalloc.start()
+    with pytest.raises(ValidationError, match=r"^isolated vertex 2 \(zero degree\)$"):
+        load_graph(json.dumps(doc))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 1 << 20
+    # the lowest untouched vertex is named, and edge errors come first
+    with pytest.raises(ValidationError, match=r"^isolated vertex 1 \(zero degree\)$"):
+        from_edge_list(5, 1, [(0, 3, 1.0, 0), (2, 4, 1.0, 0)])
+    with pytest.raises(ValidationError, match="^edge weight must be positive"):
+        from_edge_list(10**6, 1, [(0, 1, 1.0, 0), (1, 2, -1.0, 0)])
 
 
 def test_load_rejects_malformed_documents():
