@@ -46,11 +46,25 @@ def _passes(lhs: float, rhs: float) -> bool:
     return bool(lhs <= rhs + INEQ_TOL * max(1.0, abs(rhs)))
 
 
-def _resolve_kappa(g: MagneticGraph, n: float, kappa) -> float:
-    """kappa_max(g, n) for "auto" or None; a NaN kappa is rejected, +-inf kept."""
+def _arguments(n: float, kappa) -> tuple[float, float | None]:
+    """(1/n, kappa) once both are valid; kappa is None for "auto" or None, to
+    be certified by kappa_max only after the hypotheses hold. A NaN kappa is
+    rejected, +-inf kept."""
+    invn = _inv_n(n)
     if kappa == "auto" or kappa is None:
-        return kappa_max(g, n).kappa_max
-    return _not_nan("kappa", float(kappa))
+        return invn, None
+    return invn, _not_nan("kappa", float(kappa))
+
+
+def _record_or_skip(check, *args):
+    """(check(*args), None), or (None, the reason) when a hypothesis fails
+    or a search exceeds its budget."""
+    try:
+        return check(*args), None
+    except PreconditionError as exc:
+        return None, f"hypothesis failed: {exc.hypothesis}"
+    except SizeError as exc:
+        return None, f"budget: {exc}"
 
 
 def _not_nan(name: str, value: float) -> float:
@@ -91,12 +105,12 @@ def harnack_check(g: MagneticGraph, n: float, kappa="auto") -> list[HarnackRecor
 
     kappa = "auto" certifies the tightest instance, kappa_max(g, n).
     Eigenvalues below 1e-12 are skipped as trivial. Requires a connected
-    graph.
+    graph, checked after n and kappa.
     """
+    invn, kap = _arguments(n, kappa)
     if not is_connected(g):
         raise PreconditionError("connected")
-    invn = _inv_n(n)
-    kap = _resolve_kappa(g, n, kappa)
+    kap = kappa_max(g, n).kappa_max if kap is None else kap
     return [_harnack_record(invn, kap, *pair) for pair in _normalized_eigenpairs(g)]
 
 
@@ -233,13 +247,14 @@ def eigenvalue_lower_bound(g: MagneticGraph, n: float, kappa="auto",
     """Lower-bound the least eigenvalue of -magnetic Laplacian by curvature and
     extremal path quantities.
 
-    Hypotheses, checked after n: connected, unbalanced, entire signature,
-    finite magnetic girth; the failed one is named in PreconditionError. Both
-    the (2D + ell*girth)-based bound and the lift-diameter bound are checked.
+    Hypotheses, checked after n and kappa: connected, unbalanced, entire
+    signature, finite magnetic girth; the failed one is named in
+    PreconditionError. Both the (2D + ell*girth)-based bound and the
+    lift-diameter bound are checked.
     """
-    invn = _inv_n(n)
+    invn, kap = _arguments(n, kappa)
     girth = _path_bound_girth(g, budget)
-    kap = _resolve_kappa(g, n, kappa)
+    kap = kappa_max(g, n).kappa_max if kap is None else kap
     d = g.max_degree
     dia = int(diameter(g))
     length = 2 * dia + g.ell * girth
@@ -282,10 +297,7 @@ def cheeger_bound_check(g: MagneticGraph, n: float, kappa="auto",
     since h1 >= lambda / 2; when its hypotheses fail, or the girth search
     exceeds the budget, it is recorded as not applicable rather than raised.
     """
-    try:
-        path = eigenvalue_lower_bound(g, n, kappa, budget)
-    except (PreconditionError, SizeError):
-        path = None
+    path, _ = _record_or_skip(eigenvalue_lower_bound, g, n, kappa, budget)
     return _cheeger_record(g, path, budget)
 
 
@@ -413,44 +425,29 @@ def verify_report(g: MagneticGraph, n: float = 2.0, kappa="auto",
                   budget: int = DEFAULT_BUDGET) -> BoundsReport:
     """Run every applicable inequality check on one graph.
 
-    Requires a connected graph. kappa = "auto" uses the certified
-    kappa_max(g, n), and every check gets the same kappa; every eigenpair
-    gets one alpha record at the reduction value alpha = 4 - 2 kappa / lambda.
+    Requires a connected graph, checked after n and kappa and before
+    kappa_max. kappa = "auto" uses the certified kappa_max(g, n), and every
+    check gets the same kappa; every eigenpair gets one alpha record at the
+    reduction value alpha = 4 - 2 kappa / lambda.
     Bound checks whose hypotheses fail are recorded as skipped; a search over
     budget skips only the record that needs it (girth_finite is then None).
     """
-    status = signature_status(g)
-    kap = _resolve_kappa(g, n, kappa)
+    invn, kap = _arguments(n, kappa)
     if not is_connected(g):
         raise PreconditionError("connected")
-    invn = _inv_n(n)
+    status = signature_status(g)
+    kap = kappa_max(g, n).kappa_max if kap is None else kap
     pairs = _normalized_eigenpairs(g)
     harnack = [_harnack_record(invn, kap, *pair) for pair in pairs]
     alpha_records = [_alpha_record(invn, kap, 4.0 - 2.0 * kap / pair[1], *pair)
                      for pair in pairs]
-    try:
-        girth_finite = magnetic_girth(g, budget=budget) != math.inf
-    except SizeError:
-        girth_finite = None
-
-    eigen_rec, eigen_skip = None, None
-    try:
-        eigen_rec = eigenvalue_lower_bound(g, n, kap, budget=budget)
-    except PreconditionError as exc:
-        eigen_skip = f"hypothesis failed: {exc.hypothesis}"
-    except SizeError as exc:
-        eigen_skip = f"budget: {exc}"
-
-    cheeger_rec, cheeger_skip = None, None
-    try:
-        cheeger_rec = _cheeger_record(g, eigen_rec, budget)
-    except SizeError as exc:
-        cheeger_skip = f"budget: {exc}"
-
+    girth, _ = _record_or_skip(magnetic_girth, g, budget)
+    eigen_rec, eigen_skip = _record_or_skip(eigenvalue_lower_bound, g, n, kap, budget)
+    cheeger_rec, cheeger_skip = _record_or_skip(_cheeger_record, g, eigen_rec, budget)
     return BoundsReport(
         num_vertices=g.num_vertices, ell=g.ell, n=n, kappa=kap,
         connected=True, balanced=status.balanced, entire=status.entire,
-        girth_finite=girth_finite,
+        girth_finite=None if girth is None else girth != math.inf,
         harnack=tuple(harnack), alpha=tuple(alpha_records),
         eigenvalue=eigen_rec, eigenvalue_skipped=eigen_skip,
         cheeger=cheeger_rec, cheeger_skipped=cheeger_skip)

@@ -241,10 +241,7 @@ def main(argv: list[str] | None = None) -> int:
     except SizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except MagcurvError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (MagcurvError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,14 +3,15 @@
 Exact desk-scale search throughout. Group arithmetic stays in integer
 exponents: the modulus |tau(x) - sigma_xy tau(y)| equals 2 sin(pi * delta /
 ell) for the integer exponent difference delta, so objective values are
-reproducible to the last bit. Frustration and Cheeger are min-sum variable
-eliminations along a greedy min-fill order: frustration labels each vertex of
-the subset with an exponent, and Cheeger labels every vertex "outside" or
-with an exponent and minimises the ratio by Dinkelbach's parametric method.
-Every labelling within a hair of the minimum is rescored in the summation
-order of the definitions, so values and tie-breaks match an exhaustive search
-bit for bit. Budgets are explicit; exceeding one raises SizeError, never a
-silent fallback.
+reproducible to the last bit. Frustration and Cheeger only build pairwise
+cost terms for one min-sum search, which eliminates along a greedy min-fill
+order and decodes every labelling within a hair of the minimum: frustration
+labels each vertex of the subset with an exponent, and Cheeger labels every
+vertex "outside" or with an exponent and minimises the ratio by Dinkelbach's
+parametric method. Those labellings are rescored in the summation order of
+the definitions, so values and tie-breaks match an exhaustive search bit for
+bit. Budgets are explicit; exceeding one raises SizeError, never a silent
+fallback.
 """
 
 from __future__ import annotations
@@ -131,20 +132,27 @@ _BLOCK = 1 << 12
 _TIE = 1e-9
 
 
-def _eliminate(order: list[int], domains: list[int], factors: list):
-    """Min-sum elimination of the variables in `order`.
+def _near_minimisers(order: list[int], domains: list[int], terms: list, slack: float,
+                     budget: int) -> list[tuple[int, ...]]:
+    """Every labelling whose sum of pairwise terms is within `slack` of the
+    minimum, by min-sum elimination of the variables in `order`.
 
-    A factor is (scope, table): ascending variables, one table axis each;
-    every variable is on a factor. A factor waits in the bucket of its first
+    A term ((u, v), table) adds table[label of u, label of v], the table cut
+    to the two domains; every variable in `order` is on a term, and every
+    other variable keeps label 0. A table waits in the bucket of its first
     variable in `order`. Eliminating x sums its bucket a block of labels of x
     at a time and keeps the running minimum, so the table over x and its
-    neighbours is never built once it exceeds _BLOCK entries. Returns the
-    steps (x, bucket, message scope, message) and the overall minimum.
+    neighbours is never built once it exceeds _BLOCK entries. The steps are
+    then decoded backwards: a step's message is the least sum its variable
+    and the ones eliminated before it can still add, so each branch carries
+    the best total below it and is cut once that exceeds the minimum plus
+    `slack`. `budget` caps the decoded states (SizeError beyond).
     """
     rank = {x: i for i, x in enumerate(order)}
     buckets: list[list] = [[] for _ in order]
-    for f in factors:
-        buckets[min(rank[v] for v in f[0])].append(f)
+    for (u, v), t in terms:
+        t = t[:domains[u], :domains[v]]
+        buckets[min(rank[u], rank[v])].append(((u, v), t) if u < v else ((v, u), t.T))
     steps, minimum = [], 0.0
     for x, mine in zip(order, buckets):
         scope = tuple(sorted({v for s, _ in mine for v in s} - {x}))
@@ -161,18 +169,6 @@ def _eliminate(order: list[int], domains: list[int], factors: list):
             buckets[min(rank[v] for v in scope)].append((scope, msg))
         else:
             minimum += float(msg)
-    return steps, minimum
-
-
-def _near_optimal(steps, domains: list[int], minimum: float, slack: float,
-                  budget: int) -> list[tuple[int, ...]]:
-    """Every labelling whose sum is within `slack` of the minimum.
-
-    Decodes the steps backwards. A step's message is the least sum its
-    variable and the ones eliminated before it can still add, so each branch
-    carries the best total below it and is cut once that exceeds the
-    threshold. `budget` caps the visited states (SizeError beyond).
-    """
     threshold = minimum + slack
     found: list[tuple[int, ...]] = []
     stack = [(len(steps) - 1, minimum, [0] * len(domains))]
@@ -231,11 +227,7 @@ def _frustration(g: MagneticGraph, verts: tuple[int, ...],
     for first, last in {c: i for i, c in enumerate(comp)}.items():
         domains[0 if first == 0 else last] = 1
     costs = _edge_costs(ell, [s for *_, s in edges])
-    factors = []
-    for (iu, iv, w, _), cost in zip(edges, costs):
-        t = w * cost[:domains[iu], :domains[iv]]
-        factors.append(((iu, iv), t) if iu < iv else ((iv, iu), t.T))
-    steps, minimum = _eliminate(order, domains, factors)
+    terms = [((iu, iv), w * cost) for (iu, iv, w, _), cost in zip(edges, costs)]
     slack = _TIE * 2.0 * sum(w for _, _, w, _ in edges)
 
     def value(tau):
@@ -244,7 +236,7 @@ def _frustration(g: MagneticGraph, verts: tuple[int, ...],
             total += w * cost[tau[iu], tau[iv]]
         return float(total)
 
-    tau = min(_near_optimal(steps, domains, minimum, slack, budget),
+    tau = min(_near_minimisers(order, domains, terms, slack, budget),
               key=lambda tau: (value(tau), tau[::-1]))
     return value(tau), tau
 
@@ -310,13 +302,9 @@ def _cheeger_sets(g: MagneticGraph, order: list[int], lam: float,
     unit = np.full((len(g.edges), ell + 1, ell + 1), 1.0 - lam)
     unit[:, 0, 0] = 0.0
     unit[:, 1:, 1:] = _edge_costs(ell, [e.s for e in g.edges]) - 2.0 * lam
-    factors = []
-    for e, cost in zip(g.edges, unit):
-        t = e.w * cost[:domains[e.u], :domains[e.v]]
-        factors.append(((e.u, e.v), t) if e.u < e.v else ((e.v, e.u), t.T))
-    steps, minimum = _eliminate(order, domains, factors)
+    terms = [((e.u, e.v), e.w * cost) for e, cost in zip(g.edges, unit)]
     slack = _TIE * 2.0 * (1.0 + lam) * sum(e.w for e in g.edges)
-    found = _near_optimal(steps, domains, minimum, slack, budget)
+    found = _near_minimisers(order, domains, terms, slack, budget)
     return {tuple(x for x in range(n) if lab[x]) for lab in found} - {()}
 
 

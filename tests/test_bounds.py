@@ -11,7 +11,13 @@ from magcurv.bounds import (alpha_bound_check, cheeger_bound_check,
 from magcurv.curvature import kappa_max
 from magcurv.errors import DimensionError, PreconditionError, ValidationError
 from magcurv.graphs import from_edge_list, signature_status
-from magcurv.operators import energy, spectrum
+from magcurv.operators import energy, form_family, spectrum
+
+
+@pytest.fixture
+def split4():
+    """Two disjoint edges: disconnected."""
+    return from_edge_list(4, 2, [(0, 1, 1.0, 1), (2, 3, 1.0, 1)])
 
 
 def test_harnack_b3_plain(b3):
@@ -224,24 +230,38 @@ def test_verify_report_balanced_skips_eigen_bound(b3):
 
 @pytest.mark.parametrize("n", [1.0, 0.5, 0.0, -2.0, math.nan])
 @pytest.mark.parametrize("kappa", ["auto", 0.0])
-def test_every_check_rejects_a_bad_dimension(t3, b3, n, kappa):
-    # with or without a given kappa, and before any path-bound hypothesis
+def test_every_check_rejects_a_bad_dimension(t3, b3, split4, n, kappa):
+    # with or without a given kappa, and before any hypothesis
     for check in (harnack_check, eigenvalue_lower_bound, cheeger_bound_check,
                   verify_report):
-        for g in (t3, b3):
+        for g in (t3, b3, split4):
             with pytest.raises(DimensionError, match="n > 1"):
                 check(g, n, kappa)
     with pytest.raises(DimensionError, match="n > 1"):
         alpha_bound_check(t3, n, 0.0, 3.0)
 
 
-def test_nan_kappa_is_rejected_and_infinite_kept(t3):
+def test_nan_kappa_is_rejected_and_infinite_kept(t3, b3, split4):
+    # before any hypothesis
     for check in (harnack_check, eigenvalue_lower_bound, cheeger_bound_check,
                   verify_report):
-        with pytest.raises(ValidationError, match="kappa"):
-            check(t3, 2.0, math.nan)
+        for g in (t3, b3, split4):
+            with pytest.raises(ValidationError, match="kappa"):
+                check(g, 2.0, math.nan)
     assert eigenvalue_lower_bound(t3, 2.0, -math.inf).bound == -math.inf
     assert not any(r.passed for r in harnack_check(t3, 2.0, math.inf))
+
+
+def test_a_disconnected_graph_certifies_no_kappa(split4, monkeypatch):
+    # connectivity is checked before kappa_max builds a curvature form
+    builds = []
+    build = form_family.__wrapped__
+    monkeypatch.setattr(form_family, "__wrapped__",
+                        lambda h: builds.append(h) or build(h))
+    for check in (verify_report, harnack_check):
+        with pytest.raises(PreconditionError, match="connected"):
+            check(split4, 2.0)
+    assert builds == []
 
 
 def test_alpha_bound_check_rejects_nan_and_keeps_infinite(t3):

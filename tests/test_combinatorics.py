@@ -469,6 +469,25 @@ def test_cheeger_budget_names_the_smallest_overrun(corpus, budget, message):
     assert cheeger_number(g, budget=5 ** 6) == cheeger_number(g)
 
 
+def test_the_decode_of_tied_labellings_has_its_own_budget():
+    # an odd cycle with one flipped edge fits the width check, 2^3 entries for
+    # frustration and 3^3 for Cheeger, yet decoding its tied labellings visits
+    # more states than that
+    def odd_cycle(m):
+        return from_edge_list(m, 2, [(i, i + 1, 1.0, 0) for i in range(m - 1)]
+                              + [(0, m - 1, 1.0, 1)])
+
+    c5, c7 = odd_cycle(5), odd_cycle(7)
+    with pytest.raises(SizeError, match="^near-optimal labelling search exceeded "
+                                        "budget of 8 states$"):
+        frustration_index(c5, range(5), budget=8)
+    assert frustration_index(c5, range(5), budget=15).value == 2.0
+    with pytest.raises(SizeError, match="^near-optimal labelling search exceeded "
+                                        "budget of 27 states$"):
+        cheeger_number(c7, budget=27)
+    assert cheeger_number(c7, budget=28).h1 == 1 / 7
+
+
 def test_min_fill_order_stops_at_the_first_table_over_budget():
     # the order is a prefix of the unbounded one that ends at the first vertex
     # whose table is over budget, long before every vertex is ordered
