@@ -5,8 +5,9 @@ Draws a connected random base graph with average degree about 3 (weights in
 [0.5, 2], random phases), lifts it to about --vertices vertices, redrawing
 until the lift is connected, and computes kappa_max(2) of the lift. The time and the
 tracemalloc peak cover kappa_max alone, including the oriented-edge table,
-the 2-ball forms and the witnesses it builds; the peak is taken on a second,
-identical lift, because tracing slows the allocations it records.
+the deg(x) x deg(x) matrices of the 1-ball reduction and the witnesses on the
+2-balls that it builds; the peak is taken on a second, identical lift,
+because tracing slows the allocations it records.
 
 The base carries phases in the 4th roots of unity (ELL), so its lift has
 four vertices per base vertex; it is drawn from SEED, so a given --vertices

@@ -14,8 +14,7 @@ from .bounds import (AlphaRecord, BoundsReport, CheegerBoundRecord,
 from .combinatorics import (CheegerResult, FrustrationResult, cheeger_number,
                             frustration_index, magnetic_girth)
 from .curvature import (CDFunctionCheck, CDGraphCheck, CurvatureResult,
-                        cd_check_function, cd_check_graph, kappa_max,
-                        kappa_max_bisect)
+                        cd_check_function, cd_check_graph, kappa_max)
 from .errors import (DimensionError, EmptySubsetError, MagcurvError,
                      NumericalError, ParseError, PreconditionError, SizeError,
                      ValidationError)
@@ -24,8 +23,7 @@ from .graphs import (Edge, MagneticGraph, SignatureStatus, connected_components,
                      load_graph, random_magnetic_graph, signature_status)
 from .lift import (LiftGraph, LiftIdentityReport, build_lift, lift_diameter,
                    lift_function, verify_lift_identities)
-from .operators import (FormFamily, LocalForms, SpectralData, as_vertex_function,
-                        energy, form_family, gamma, gamma2, laplacian_matrix,
-                        spectrum)
+from .operators import (SpectralData, as_vertex_function, energy, gamma, gamma2,
+                        laplacian_matrix, spectrum)
 
 __version__ = "0.1.0"

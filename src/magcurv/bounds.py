@@ -308,7 +308,8 @@ def _cheeger_record(g: MagneticGraph, path: EigenvalueBoundRecord | None,
     h1 = cheeger_number(g, budget=budget).h1
     d = g.max_degree
     lower = 0.5 * lam
-    upper = 2.0 * math.sqrt(2.0 * d * lam) if lam > 0 else 0.0
+    # on a balanced graph lambda is 0, and its rounding noise is not squared up
+    upper = 2.0 * math.sqrt(2.0 * d * lam) if lam > TRIVIAL_EIGENVALUE else 0.0
     curvature_lower = None if path is None else 0.5 * path.bound
     return CheegerBoundRecord(
         lambda_min=lam, h1=h1, max_degree=d, lower=lower, upper=upper,

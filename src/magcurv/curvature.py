@@ -1,36 +1,49 @@
-"""Curvature-dimension certificates.
+"""Curvature-dimension certificates, decided on each vertex's 1-ball.
 
 A graph satisfies CD(n, kappa) exactly when, at every vertex x, the Hermitian
-matrix
+form
 
-    M_x(n, kappa) = gamma2[x] - (1/n) lap_square[x] - kappa * gamma[x]
+    M_x(n, kappa)(f) = gamma2(f)(x) - (1/n) |Lf(x)|^2 - kappa * gamma(f)(x)
 
-is positive semidefinite: the quantifier over all complex vertex functions is
-discharged by a PSD test, not by sampling. All three forms vanish outside the
-2-ball B2(x), so every test runs on the |B2(x)| x |B2(x)| blocks of
-form_family(g), and runs on all blocks of one size at once: each eigensolve
-takes one of the (b, k, k) stacks that FormFamily stores, so a graph costs
-one call per block size, not one per vertex. The optimal curvature
-kappa_max(n) is the per-vertex supremum of feasible kappa, minimized over
-vertices, and is computed two independent ways: a reduced generalized
-eigenproblem on the range of gamma[x] (the pencil route) and bisection
-against the PSD check. The pencil route works in the eigenbasis of
-gamma[x], where gamma[x] is diagonal: the reduced pencil (Ar, diag(D)) has
-the eigenvalues of the Hermitian D^-1/2 Ar D^-1/2. Each block size takes one
-kernel eigensolve and one reduced eigensolve, whatever the kernel dimension
-of each block. Witnesses stay on the 2-balls too: nothing here is N x N.
+is positive semidefinite in f: the quantifier over all complex vertex
+functions is discharged by a PSD test, not by sampling. M_x reads f on the
+2-ball B2(x) only, and it reduces exactly to a deg(x) x deg(x) matrix that
+does not depend on n or kappa (Cushing, Kamtue, Liu, Muench, Peyerimhoff and
+Snodgrass, "Bakry-Emery curvature on graphs as an eigenvalue problem", Calc.
+Var. PDE 61, 2022; the signature adds one scalar):
+
+- f on S2(x) = B2(x) \\ B1(x) enters gamma2 alone, through a diagonal block,
+  so it is eliminated by an exact Schur complement: the best value at z is
+  l_z / D_z, where l_z collects the two-step walks x -> y -> z.
+- In the difference coordinates g_0 = f(x), g_y = sigma_xy f(y) - f(x), gamma
+  is 0 + diag(a_y / 2) with a_y = w_xy / d_x, and |Lf(x)|^2 = |sum_y a_y g_y|^2.
+- g_0 leaves one scalar, the value of 2 gamma2 along it. It is 0 exactly when
+  the edges at S1(x) are balanced, which the integer exponents decide; the
+  direction is then a kernel vector of every form. Otherwise it is positive
+  and g_0 is eliminated by a Schur complement.
+
+Scaled by diag(a)^(-1/2), this leaves kappa_x(n) = lambda_min(R_x - (1/n) u u^H)
+with u_y = sqrt(2 a_y), so |u|^2 = 2. Every kappa_x is finite. R_x is
+assembled once per graph from the oriented-edge table, over the rows x -> y
+and the pairs of rows x -> y -> z, as a sum of weighted squares of
+differences of unit phases, so a holonomy that the exponents make trivial
+contributes an exact 0. The matrices are stacked by degree, so each check
+takes one eigensolve per degree, and nothing here is N x N. Badly scaled
+weights take two guarded steps: g_0 eliminated pair by pair where the Schur
+step would cancel digits, and lambda_min refined where R_x is graded.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, NumericalError
-from .graphs import MagneticGraph
-from .operators import _apply_laplacian, as_vertex_function, form_family, gamma, gamma2
+from .errors import DimensionError
+from .graphs import MagneticGraph, memoised_on_graph
+from .operators import _apply_laplacian, as_vertex_function, gamma, gamma2
 
 __all__ = [
     "PSD_TOL",
@@ -40,18 +53,22 @@ __all__ = [
     "cd_check_function",
     "cd_check_graph",
     "kappa_max",
-    "kappa_max_bisect",
 ]
 
 PSD_TOL = 1e-9
-KERNEL_THRESHOLD = 1e-10
 SLACK_TOL = 1e-9
 # Per-vertex suprema within this fraction of max(1, |kappa_max|) of the
 # minimum tie for the witness vertex: rounding alone moves them by ulps.
 WITNESS_TIE = 1e-12
-# kappa_max_bisect: relative bracket width, and doublings before a side gives up.
-BISECT_TOL = 1e-9
-MAX_DOUBLINGS = 80
+# Ratio of scales past which float work loses digits that matter: the
+# twisted terms of a row against its a_y (then g_0 is eliminated pair by
+# pair), and ||A|| against max(1, |lambda_min(A)|) (then kappa_max refines
+# lambda_min from a bracket of GRADED_STEP * the largest absolute row sum).
+GRADED = 100.0
+GRADED_STEP = 1e-13
+# Most pairs of twisted terms one vertex may take, which bounds the memory
+# of dense, badly scaled graphs; past it the vertex keeps the Schur step.
+PAIR_LIMIT = 2048
 
 
 def _inv_n(n: float) -> float:
@@ -95,9 +112,179 @@ def cd_check_function(g: MagneticGraph, f, n: float, kappa: float) -> CDFunction
     return CDFunctionCheck(n=n, kappa=kappa, slack=slack, passed=passed)
 
 
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All pairs (i, j) with j in range(lo[i], hi[i]), ordered by i, then j."""
+    count = hi - lo
+    i = np.repeat(np.arange(len(lo)), count)
+    return i, np.arange(len(i)) - np.repeat(np.cumsum(count) - count, count) + lo[i]
+
+
+def _sums(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """np.bincount for complex values."""
+    return (np.bincount(index, values.real, size)
+            + 1j * np.bincount(index, values.imag, size))
+
+
+class OneBall(NamedTuple):
+    """The reduced CD problem of every vertex, and the map from its minimisers
+    back to functions on the 2-balls.
+
+    ``stacks`` holds one (xs, R, u) per degree d, ascending: the vertices xs
+    of degree d, ascending, and their (b, d, d) matrices R_x and (b, d)
+    vectors u_x; row i belongs to xs[i], and index j to the j-th row of the
+    oriented-edge table leaving it. A vector h on those rows has difference
+    coordinates g_y = h_y / sqrt(a_y) and g_0 = sum_y elim[y] g_y. Each pair
+    of rows x -> y -> z with z in S2(x), y being the end of row ``via``,
+    adds ``spread`` * (2 g_y + g_0) to the value at z, which is entry
+    ``target`` of one array over the pairs (x, z). ``supports[x]`` is B2(x),
+    ascending, and ``order`` sorts the values at the vertices, at the row
+    ends and at the pairs (x, z), concatenated, into those supports. The
+    arrays are read-only.
+    """
+
+    stacks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    elim: np.ndarray      # (R,) complex
+    via: np.ndarray       # (P,) int
+    target: np.ndarray    # (P,) int
+    spread: np.ndarray    # (P,) complex
+    order: np.ndarray     # (N + R + G,) int
+    supports: tuple[np.ndarray, ...]
+
+
+@memoised_on_graph
+def _one_ball(g: MagneticGraph) -> OneBall:
+    """Assemble R_x, u_x and the extension to S2(x) of every vertex x.
+
+    With a the weight of a row x -> y and b that of a row y -> z, 2 gamma2(f)(x)
+    minimised over f on S2(x) is, in the difference coordinates,
+
+        sum_y (2 a_y b_yx - a_y) |g_y|^2 + |sum_y a_y g_y|^2
+        + sum over y ~ z in S1(x):  a_y b_yz |tau (g_z + g_0) - 2 g_y - g_0|^2 / 2
+        + sum over z in S2(x) and y < y' ~ z:
+              c c' |pi (2 g_y + g_0) - pi' (2 g_y' + g_0)|^2 / (2 D_z).
+
+    tau = sigma_xy sigma_yz conj(sigma_xz) is the holonomy of the triangle,
+    c = a_y b_yz, D_z is the sum of c over y ~ z, and pi = conj(sigma_xy
+    sigma_yz); the minimising f(z) is l_z / D_z with l_z the sum of
+    c pi (2 g_y + g_0). A squared term is twisted when its g_0 coefficient is
+    not 0, which the exponents decide. The terms are scattered as rank-one
+    matrices into flat buffers laid out by degree, and g_0 is eliminated by a
+    Schur step on the sums zero[x] |g_0|^2 + 2 Re(conj(g_0) row0 . g) of the
+    twisted ones. Where their weight on a row y exceeds GRADED * a_y, that
+    step would cancel them down to a few digits, so the vertex takes instead
+    the form Lagrange's identity gives, the sum over pairs i < j of its
+    twisted terms of h_i h_j |t0_i (t_j . g) - t0_j (t_i . g)|^2 / zero[x],
+    if they make at most PAIR_LIMIT pairs.
+    """
+    n, ell = g.num_vertices, g.ell
+    edges = g.oriented_edges
+    src, dst, a, s = edges.src, edges.dst, edges.weight, edges.exponent
+    rows = len(src)
+    starts = np.append(edges.first, rows)
+    deg = np.diff(starts)
+    local = np.arange(rows) - edges.first[src]
+    roots = np.exp(2j * np.pi * np.arange(ell) / ell)
+    area = deg ** 2
+    by_deg = np.argsort(deg, kind="stable")
+    block_start = np.empty_like(area)
+    block_start[by_deg] = np.cumsum(area[by_deg]) - area[by_deg]
+
+    # the pairs of rows r1 = x -> y, r2 = y -> z, and r3 = x -> z where z ~ x
+    r1, r2 = _ranges(starts[dst], starts[dst + 1])
+    x, z = src[r1], dst[r2]
+    key = src * n + dst
+    by_key = np.argsort(key)
+    r3 = by_key[np.minimum(np.searchsorted(key, x * n + z, sorter=by_key), rows - 1)]
+    back = z == x
+    tri = ~back & (key[r3] == x * n + z)
+    c = a[r1] * a[r2]
+
+    far = np.flatnonzero(~back & ~tri)
+    far = far[np.argsort(x[far] * n + z[far], kind="stable")]
+    pair_key = x[far] * n + z[far]
+    new = np.diff(pair_key, prepend=-1) != 0
+    target = np.cumsum(new) - 1
+    group_end = np.append(np.flatnonzero(new)[1:], len(far))
+    D = np.bincount(target, c[far])
+    k, m = _ranges(np.arange(len(far)) + 1, group_end[target])
+    via, exp = r1[far], -(s[r1] + s[r2])[far] % ell
+    pi = roots[exp]
+
+    # the squared terms h |tp g_p + tq g_q + t0 g_0|^2 at vertex w
+    e = (s[r1] + s[r2] - s[r3])[tri] % ell
+    tau = roots[e]
+    w, p, q, h, tp, tq, t0, twist = (np.concatenate(pair) for pair in zip(
+        (x[tri], r1[tri], r3[tri], 0.5 * c[tri], np.full(len(e), -2.0 + 0j), tau,
+         tau - 1.0, e != 0),
+        (x[far][k], via[k], via[m], c[far][k] * c[far][m] / (2.0 * D[target[k]]),
+         2.0 * pi[k], -2.0 * pi[m], pi[k] - pi[m], exp[k] != exp[m])))
+    zero = np.bincount(w, h * np.abs(t0) ** 2, n)
+    load = np.bincount(np.concatenate((p, q)), np.concatenate(
+        (h * np.abs(tp) ** 2, h * np.abs(tq) ** 2)) * np.tile(twist, 2), rows) / a
+    twists = np.bincount(w, twist, n)
+    paired = (np.bincount(src, load > GRADED, n) > 0) & (twists * (twists - 1) <= 2 * PAIR_LIMIT)
+    tw = np.flatnonzero(twist & paired[w])
+    tw = tw[np.argsort(w[tw], kind="stable")]
+    i, j = (tw[v] for v in _ranges(np.arange(len(tw)) + 1,
+                                      np.searchsorted(w[tw], w[tw], side="right")))
+    plain = ~(twist & paired[w])
+
+    def flat(r, r2):
+        """Entry (local[r], local[r2]) of the block of their common source."""
+        return block_start[src[r]] + local[r] * deg[src[r]] + local[r2]
+
+    def squares(weight, coords, coefs):
+        """Entries of sum weight |sum_k coefs[k] g_coords[k]|^2. Coefficients
+        of one coordinate are added first, so that they cancel exactly."""
+        coefs = list(coefs)
+        for u in range(len(coords)):
+            for v in range(u + 1, len(coords)):
+                same = coords[u] == coords[v]
+                coefs[u], coefs[v] = coefs[u] + np.where(same, coefs[v], 0.0), coefs[v] * ~same
+        return [(flat(ca, cb), weight * sa.conj() * sb)
+                for ca, sa in zip(coords, coefs) for cb, sb in zip(coords, coefs)]
+
+    diag = np.concatenate((np.arange(rows), r1[back]))
+    entries = ([(flat(diag, diag), np.concatenate((-a, 2.0 * c[back])).astype(complex))]
+               + squares(h[plain], (p[plain], q[plain]), (tp[plain], tq[plain]))
+               + squares(h[i] * h[j] / zero[w[i]], (p[j], q[j], p[i], q[i]),
+                         (t0[i] * tp[j], t0[i] * tq[j], -t0[j] * tp[i], -t0[j] * tq[i])))
+    P = _sums(*map(np.concatenate, zip(*entries)), int(area.sum()))
+    # the minimising g_0 = sum_y elim[y] g_y
+    row0 = _sums(np.concatenate((p, q)), np.concatenate((h * t0.conj() * tp, h * t0.conj() * tq)),
+                 rows)
+    twisted = twists > 0
+    elim = np.where(twisted[src], -row0 / np.where(twisted, zero, 1.0)[src], 0.0)
+    schur = np.where(paired[src], 0.0, elim)
+
+    stacks = []
+    for d in np.unique(deg).tolist():
+        xs = np.flatnonzero(deg == d)
+        cut = block_start[xs[0]] + np.arange(len(xs) * d * d)
+        rr = edges.first[xs, None] + np.arange(d)
+        # the Schur step on g_0, where it was not taken pair by pair
+        R = P[cut].reshape(-1, d, d) + row0[rr].conj()[:, :, None] * schur[rr][:, None, :]
+        root = np.sqrt(a[rr])
+        outer = root[:, :, None] * root[:, None, :]
+        R = R / outer + outer
+        R = 0.5 * (R + R.conj().swapaxes(1, 2))
+        stacks.append((xs, R, np.sqrt(2.0) * root))
+
+    ends = np.concatenate((np.arange(n) * (n + 1), key, pair_key[new]))
+    order = np.argsort(ends)
+    sizes = 1 + deg + np.bincount(x[far][new], minlength=n)
+    supports = np.split(ends[order] % n, np.cumsum(sizes)[:-1])
+    spread = c[far] * pi / D[target]
+    for arr in (elim, via, target, spread, order, *supports, *(a for st in stacks for a in st)):
+        arr.flags.writeable = False
+    return OneBall(stacks=tuple(stacks), elim=elim, via=via, target=target,
+                   spread=spread, order=order, supports=tuple(supports))
+
+
 @dataclass(frozen=True)
 class CDGraphCheck:
-    """Graph-wide CD certificate: per-vertex minimum eigenvalue of M_x(n, kappa)."""
+    """Graph-wide CD certificate: per vertex, the smallest eigenvalue of the
+    reduced matrix R_x - (1/n) u_x u_x^H - kappa I and its PSD cut."""
 
     n: float
     kappa: float
@@ -109,42 +296,46 @@ class CDGraphCheck:
 def cd_check_graph(g: MagneticGraph, n: float, kappa: float) -> CDGraphCheck:
     """Exact graph-wide CD(n, kappa) decision via per-vertex PSD tests.
 
-    A Hermitian matrix is accepted as PSD when its minimum eigenvalue is
-    >= -1e-9 * max(1, spectral norm). The test runs on the 2-ball block; the
-    N x N matrix pads it with zeros, so where the 2-ball misses a vertex its
-    minimum eigenvalue is min(block minimum, 0).
+    M_x(n, kappa) is congruent to 0 + (R_x - (1/n) u_x u_x^H - kappa I), or
+    to a positive scalar plus it, so it is PSD exactly when the reduced
+    matrix is. That is accepted when its minimum eigenvalue is >= -1e-9 *
+    max(1, spectral norm).
     """
     invn = _inv_n(n)
-    n_vert = g.num_vertices
-    mins = np.empty(n_vert)
-    cuts = np.empty(n_vert)
-    for xs, blk in form_family(g).stacks:
-        eigs = np.linalg.eigvalsh(blk.gamma2 - invn * blk.lap_square - kappa * blk.gamma)
-        mins[xs] = eigs[:, 0] if blk.support.shape[1] == n_vert else np.minimum(eigs[:, 0], 0.0)
+    mins = np.empty(g.num_vertices)
+    cuts = np.empty(g.num_vertices)
+    for xs, R, u in _one_ball(g).stacks:
+        eye = np.eye(R.shape[1])
+        eigs = np.linalg.eigvalsh(R - invn * u[:, :, None] * u.conj()[:, None, :] - kappa * eye)
+        mins[xs] = eigs[:, 0]
         cuts[xs] = -PSD_TOL * np.maximum(1.0, np.abs(eigs).max(axis=1))
-    passed = bool(np.all(mins >= cuts))
-    return CDGraphCheck(n=n, kappa=kappa, min_eigenvalues=mins,
-                        thresholds=cuts, passed=passed)
+    return CDGraphCheck(n=n, kappa=kappa, min_eigenvalues=mins, thresholds=cuts,
+                        passed=bool(np.all(mins >= cuts)))
 
 
 @dataclass(frozen=True)
 class CurvatureResult:
     """Optimal curvature at dimension n: per-vertex suprema and their witnesses.
 
-    ``witnesses[x]`` is the minimizing function at vertex x (a generalized
-    eigenvector of the reduced pencil), or the violating kernel direction when
-    per_vertex[x] = -inf, on the 2-ball B2(x): its |B2(x)| values align with
-    form_family(g).block(x).support, and the function is zero elsewhere. To
-    embed it, f = np.zeros(N, complex); f[support] = witnesses[x].
-    ``witness_vertex`` is the lowest vertex whose supremum is within
-    WITNESS_TIE * max(1, |kappa_max|) of kappa_max, or the lowest -inf vertex.
+    ``witnesses[x]`` is a minimising function at vertex x on its 2-ball: its
+    values align with ``supports[x]``, the vertices of B2(x) in ascending
+    order, and it is zero elsewhere; ``witness(x)`` embeds it in all N
+    vertices. ``witness_vertex`` is the lowest vertex whose supremum is within
+    WITNESS_TIE * max(1, |kappa_max|) of kappa_max.
     """
 
     n: float
-    per_vertex: np.ndarray          # (N,) real, possibly -inf
+    per_vertex: np.ndarray          # (N,) real
     kappa_max: float
     witness_vertex: int
     witnesses: tuple[np.ndarray, ...]
+    supports: tuple[np.ndarray, ...]
+
+    def witness(self, x: int) -> np.ndarray:
+        """Vertex x's witness as a function on all N vertices."""
+        f = np.zeros(len(self.per_vertex), dtype=complex)
+        f[self.supports[x]] = self.witnesses[x]
+        return f
 
     def to_json_dict(self) -> dict:
         return {
@@ -155,123 +346,71 @@ class CurvatureResult:
         }
 
 
-def _h(X: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of each matrix in a stack."""
-    return X.conj().swapaxes(-1, -2)
-
-
-def _diagonal(X: np.ndarray) -> np.ndarray:
-    """Writable view of the diagonal of each matrix in a C-contiguous stack."""
-    return X.reshape(len(X), -1)[:, ::X.shape[-1] + 1]
-
-
-def _vertex_kappa(A: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sup{kappa : A[i] - kappa G[i] is PSD} and a witness, for each pair of
-    a (b, k, k) stack of Hermitian A and PSD G.
-
-    Rotates A[i] into the eigenbasis of G[i] and splits it there with relative
-    kernel threshold 1e-10; the d[i] kernel directions come first. On the
-    kernel of G the pencil is constant in kappa, so a negative eigenvalue
-    there (or a coupling of the range into a null direction of the kernel
-    block) means no finite kappa works. Otherwise the kernel block is
-    eliminated by a Schur complement, and the supremum is the smallest
-    eigenvalue of D^-1/2 Ar D^-1/2, D holding G's eigenvalues on its range.
-    Blocks of every d share both eigensolves: the kernel corners are padded
-    to the largest d with 2 scale + 1 on the diagonal, above all of their
-    own eigenvalues, and the kernel rows of the reduced matrix with twice its
-    Gershgorin bound plus 1; a block already found -inf goes through the
-    reduced solve too and keeps its kernel witness. Returns (b,) suprema,
-    possibly -inf, and (b, k) witnesses.
-    """
-    scale = np.maximum(1.0, np.abs(np.linalg.eigvalsh(A)).max(axis=1))  # ||A||_2 without an SVD
-    gw, V = np.linalg.eigh(G)
-    ker = gw <= KERNEL_THRESHOLD * np.maximum(gw[:, -1:], 1e-300)  # a prefix of each row
-    if ker[:, -1].any():
-        raise NumericalError("first form vanished at a vertex; graph invariant broken")
-    At = _h(V) @ A @ V
-    wit = np.empty(A.shape[:2], dtype=complex)
-    dead = np.zeros(len(A), dtype=bool)
-    d = int(ker.sum(axis=1).max())
-    if d:
-        kd = ker[:, :d]
-        corner = At[:, :d, :d] * (kd[:, :, None] & kd[:, None, :])
-        _diagonal(corner)[:] += ~kd * (2.0 * scale[:, None] + 1.0)
-        mu, Wk = np.linalg.eigh(0.5 * (corner + _h(corner)))
-        KW = V[:, :, :d] @ Wk
-        neg = mu[:, 0] < -PSD_TOL * scale
-        wit[neg] = KW[neg, :, 0]
-        B = (At[:, :, :d] @ Wk) * ~ker[:, :, None]  # range rows only
-        pos = kd & (mu > KERNEL_THRESHOLD * scale[:, None])
-        null_sq = (np.abs(B) ** 2).sum(axis=1) * (kd & ~pos)  # per kernel column
-        coupled = ~neg & (np.sqrt(null_sq.sum(axis=1)) > 1e-7 * scale)
-        j = null_sq[coupled].argmax(axis=1)
-        wit[coupled] = KW[coupled, :, j]
-        dead = neg | coupled
-        # Schur step on the positive kernel directions; weight 0 on the null ones
-        Bw = B * (pos / np.where(pos, mu, 1.0))[:, None, :]
-        At = At - Bw @ _h(B)
-    s = np.where(ker, 0.0, 1.0 / np.sqrt(np.where(ker, 1.0, gw)))
-    C = s[:, :, None] * At * s[:, None, :]
-    C = 0.5 * (C + _h(C))
-    _diagonal(C)[:] += ker * (2.0 * np.abs(C).sum(axis=2).max(axis=1, keepdims=True) + 1.0)
+def _positive_definite(A: np.ndarray) -> bool:
+    """Does the Cholesky factorisation of Hermitian A succeed? It decides
+    definiteness accurately even where the diagonal of A spans many orders of
+    magnitude, since its rounding errors do not grow under diagonal scaling."""
     try:
-        vals, Y = np.linalg.eigh(C)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"reduced pencil eigensolver failed: {exc}") from exc
-    vr = (s * Y[:, :, 0])[:, :, None]
-    w = V @ vr
-    if d:
-        # kernel-side component of the null vector eliminated by the Schur step
-        w = w - KW @ (_h(Bw) @ vr)
-    return (np.where(dead, -math.inf, vals[:, 0]),
-            np.where(dead[:, None], wit, w[:, :, 0]))
+        np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _graded_minimum(A: np.ndarray, lam: float, vec: np.ndarray) -> tuple[float, np.ndarray]:
+    """lambda_min(A) and its eigenvector where eigh's absolute error, about
+    eps * ||A||, is large against lambda_min: bisection on _positive_definite
+    from eigh's lam to the last float below which A - kappa I is definite,
+    then up to two steps of inverse iteration from eigh's vector."""
+    eye = np.eye(len(A))
+    step = GRADED_STEP * np.abs(A).sum(axis=1).max()
+    lo, hi = lam - step, lam + step
+    while not _positive_definite(A - lo * eye):
+        lo -= step
+        step *= 2.0
+    while _positive_definite(A - hi * eye):
+        hi += step
+        step *= 2.0
+    while hi - lo > 4.0 * np.finfo(float).eps * max(1.0, abs(lo), abs(hi)):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _positive_definite(A - mid * eye) else (lo, mid)
+    for _ in range(2):
+        try:
+            vec = np.linalg.solve(A - lo * eye, vec)
+        except np.linalg.LinAlgError:   # lo is an eigenvalue to working precision
+            break
+        vec /= np.linalg.norm(vec)
+    return lo, vec
 
 
 def kappa_max(g: MagneticGraph, n: float) -> CurvatureResult:
-    """Optimal kappa(n) per vertex and graph-wide, by the reduced-pencil route."""
-    invn = _inv_n(n)
-    per = np.empty(g.num_vertices)
-    wits = {}
-    for xs, blk in form_family(g).stacks:
-        per[xs], local = _vertex_kappa(blk.gamma2 - invn * blk.lap_square, blk.gamma)
-        wits.update(zip(xs.tolist(), local))
-    kappa = float(per.min())
-    tie = 0.0 if kappa == -math.inf else WITNESS_TIE * max(1.0, abs(kappa))
-    return CurvatureResult(n=n, per_vertex=per, kappa_max=kappa,
-                           witness_vertex=int(np.argmax(per <= kappa + tie)),
-                           witnesses=tuple(wits[x] for x in range(len(per))))
+    """Optimal kappa(n) per vertex, lambda_min(R_x - (1/n) u_x u_x^H), and
+    graph-wide; the minimising eigenvectors are mapped back to the 2-balls.
 
-
-def kappa_max_bisect(g: MagneticGraph, n: float) -> float:
-    """Graph-wide optimal kappa by bisection with cd_check_graph as the oracle.
-
-    Independent of the pencil route. It is never below the pencil's kappa,
-    which passes the check; the two agree to ~1e-6 when gamma[x] is well
-    conditioned. With badly scaled weights the PSD tolerance absorbs
-    directions on which gamma[x] is tiny, and the bisection can sit higher.
+    Where ||R_x|| exceeds 100 max(1, |kappa_x|), as badly scaled weights make
+    it, eigh's answer is refined by _graded_minimum.
     """
-
-    def ok(k: float) -> bool:
-        return cd_check_graph(g, n, k).passed
-
-    hi = 1.0
-    for _ in range(MAX_DOUBLINGS):
-        if not ok(hi):
-            break
-        hi *= 2.0
-    else:
-        raise NumericalError("no failing kappa found; pencil should be +inf")
-    lo = -1.0
-    for _ in range(MAX_DOUBLINGS):
-        if ok(lo):
-            break
-        lo *= 2.0
-    else:
-        return -math.inf
-    while hi - lo > BISECT_TOL * max(1.0, abs(lo), abs(hi)):
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    invn = _inv_n(n)
+    ball = _one_ball(g)
+    edges = g.oriented_edges
+    per = np.empty(g.num_vertices)
+    h = np.empty(len(edges.src), dtype=complex)
+    for xs, R, u in ball.stacks:
+        A = R - invn * u[:, :, None] * u.conj()[:, None, :]
+        vals, vecs = np.linalg.eigh(A)
+        low, vec = vals[:, 0], vecs[:, :, 0]
+        for i in np.flatnonzero(np.abs(vals).max(axis=1) > GRADED * np.maximum(1.0, np.abs(low))):
+            low[i], vec[i] = _graded_minimum(A[i], low[i], vec[i])
+        per[xs] = low
+        h[edges.first[xs, None] + np.arange(R.shape[1])] = vec
+    gy = h / np.sqrt(edges.weight)
+    g0 = np.add.reduceat(ball.elim * gy, edges.first)
+    at_z = _sums(ball.target, ball.spread * (2.0 * gy[ball.via] + g0[edges.src[ball.via]]),
+                 len(ball.order) - len(h) - len(g0))
+    values = np.concatenate((g0, edges.phase.conj() * (gy + g0[edges.src]), at_z))[ball.order]
+    sizes = [len(sup) for sup in ball.supports]
+    kappa = float(per.min())
+    return CurvatureResult(
+        n=n, per_vertex=per, kappa_max=kappa,
+        witness_vertex=int(np.argmax(per <= kappa + WITNESS_TIE * max(1.0, abs(kappa)))),
+        witnesses=tuple(np.split(values, np.cumsum(sizes)[:-1])), supports=ball.supports)

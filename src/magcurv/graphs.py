@@ -58,15 +58,18 @@ class OrientedEdges(NamedTuple):
     rows leaving x gives (Lf)(x), summing weight[r] |(T f)[r]|^2 gives the
     local energy, and half the sum of weight[r] (T u)[r] conj((T v)[r]) gives
     gamma(u, v)(x). ``coef[r]`` is the Laplacian entry
-    M[x, y] = p_xy * sigma_xy / d_x. Every array has at most R entries.
+    M[x, y] = p_xy * sigma_xy / d_x, and ``exponent[r]`` the integer exponent
+    of sigma_xy, for decisions that must not round. Every array has at most R
+    entries.
     """
 
-    src: np.ndarray     # (R,) int, x of each row, nondecreasing
-    dst: np.ndarray     # (R,) int, y of each row
-    first: np.ndarray   # (N,) int, the first row leaving each vertex
-    weight: np.ndarray  # (R,) real, p_xy / d_x
-    phase: np.ndarray   # (R,) complex, sigma_xy
-    coef: np.ndarray    # (R,) complex
+    src: np.ndarray       # (R,) int, x of each row, nondecreasing
+    dst: np.ndarray       # (R,) int, y of each row
+    first: np.ndarray     # (N,) int, the first row leaving each vertex
+    weight: np.ndarray    # (R,) real, p_xy / d_x
+    phase: np.ndarray     # (R,) complex, sigma_xy
+    coef: np.ndarray      # (R,) complex
+    exponent: np.ndarray  # (R,) int, in [0, ell)
 
 
 class SignatureStatus(NamedTuple):
@@ -154,19 +157,20 @@ class MagneticGraph:
     def oriented_edges(self) -> OrientedEdges:
         """The oriented-edge table every operator is assembled from, built once."""
         n, d = self.num_vertices, self.degrees
-        xs, ys, ws, ps = zip(*[(x, y, w, self.phase(s)) for x in range(n)
+        xs, ys, ws, ss = zip(*[(x, y, w, s) for x in range(n)
                                for y, w, s in self.neighbors(x)])
-        src, dst = np.array(xs), np.array(ys)
+        ps = [self.phase(s) for s in ss]
+        src, dst, exponent = np.array(xs), np.array(ys), np.array(ss)
         first = np.searchsorted(src, np.arange(n))
         weight = np.array([w / d[x] for x, w in zip(xs, ws)])
         phase = np.array(ps)
         # Scalar on purpose: a vectorized expression rounds differently, and
         # the verify output is pinned to the bits of these Laplacian entries.
         coef = np.array([w * p / d[x] for x, w, p in zip(xs, ws, ps)])
-        for arr in (src, dst, first, weight, phase, coef):
+        for arr in (src, dst, first, weight, phase, coef, exponent):
             arr.flags.writeable = False
         return OrientedEdges(src=src, dst=dst, first=first, weight=weight,
-                             phase=phase, coef=coef)
+                             phase=phase, coef=coef, exponent=exponent)
 
     def to_document(self) -> dict:
         return {

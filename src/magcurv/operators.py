@@ -1,27 +1,22 @@
-"""Laplacian assembly, local energy, curvature quadratic forms, and spectra.
+"""Laplacian assembly, local energy, the pointwise curvature forms, and spectra.
 
 Everything uses the degree-normalized convention: row x of the magnetic
 Laplacian is M[x][x] = -1, M[x][y] = p_xy * sigma_xy / d_x for y ~ x. There
 is one operator; the plain Laplacian is the magnetic one of g.untwisted().
 All of them are assembled from the graph's cached oriented-edge table
-(MagneticGraph.oriented_edges). The forms of vertex x are Hermitian matrices
-on its 2-ball B2(x), the vertices at most two edges away, outside which they
-vanish, so "for every complex function f" quantifiers downstream reduce to
-positive-semidefiniteness tests of |B2(x)| x |B2(x)| blocks. The blocks are
-stored as one (b, k, k) stack per 2-ball size k, the layout the curvature
-checks read. The spectrum and the forms are computed once per graph and live
-as long as it; their arrays are read-only.
+(MagneticGraph.oriented_edges), which keeps one entry per oriented edge in
+each of its arrays. gamma and gamma2 are evaluated pointwise, for given
+functions; the curvature module decides CD(n, kappa) for every function from
+its own reduction of them on each vertex's 1-ball.
 
 The dense N x N Laplacian serves only the spectrum (target graphs are desk
-scale, so sparse machinery is deliberately omitted). The forms, linear in
-sum_x |B2(x)|^2, and the lift identities read the oriented-edge table,
-which keeps one entry per oriented edge in each of its arrays.
+scale, so sparse machinery is deliberately omitted). The spectrum is computed
+once per graph and lives as long as it; its arrays are read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -29,19 +24,14 @@ from .errors import NumericalError, ValidationError
 from .graphs import MagneticGraph, memoised_on_graph
 
 __all__ = [
-    "FormFamily",
-    "LocalForms",
     "SpectralData",
     "laplacian_matrix",
     "energy",
     "gamma",
     "gamma2",
-    "form_family",
     "spectrum",
     "as_vertex_function",
 ]
-
-HERMITIZE_GUARD = 1e-12
 
 
 def as_vertex_function(g: MagneticGraph, values) -> np.ndarray:
@@ -118,143 +108,6 @@ def gamma2(g: MagneticGraph, u, v=None) -> np.ndarray:
     first = _row_sums(edges, h[edges.dst] - h[edges.src])
     return 0.5 * (first - gamma(g, uu, _apply_laplacian(edges, vv))
                   - gamma(g, _apply_laplacian(edges, uu), vv))
-
-
-class LocalForms(NamedTuple):
-    """The three forms of one vertex x on its 2-ball B = ``support``: for every
-    vertex function f, with f_B = f[support],
-
-        f_B* gamma f_B = gamma(f, f)(x),  f_B* gamma2 f_B = gamma2(f, f)(x),
-        f_B* lap_square f_B = |(Lf)(x)|^2.
-
-    The N x N forms are these blocks padded with zeros outside B.
-    """
-
-    support: np.ndarray     # (k,) int, the vertices of B2(x), ascending
-    gamma: np.ndarray       # (k, k) complex
-    gamma2: np.ndarray      # (k, k) complex
-    lap_square: np.ndarray  # (k, k) complex
-
-
-@dataclass(frozen=True)
-class FormFamily:
-    """The per-vertex forms of a graph, stacked by 2-ball size.
-
-    ``stacks`` holds one (xs, LocalForms) per size k, ascending: the vertices
-    xs whose 2-ball has k vertices, ascending, and their forms stacked, with
-    (b, k) supports and (b, k, k) blocks; row i belongs to vertex xs[i]. All
-    arrays are read-only. Memory is O(sum_x |B2(x)|^2).
-    """
-
-    stacks: tuple[tuple[np.ndarray, LocalForms], ...]
-
-    def block(self, x: int) -> LocalForms:
-        """Vertex x's LocalForms, as views of its row of its size's stack."""
-        for xs, blk in self.stacks:
-            i = np.searchsorted(xs, x)
-            if i < len(xs) and xs[i] == x:
-                return LocalForms(*(a[i] for a in blk))
-        raise IndexError(f"no vertex {x}")
-
-
-def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All pairs (i, j) with j in range(lo[i], hi[i]), ordered by i, then j."""
-    count = hi - lo
-    i = np.repeat(np.arange(len(lo)), count)
-    return i, np.arange(len(i)) - np.repeat(np.cumsum(count) - count, count) + lo[i]
-
-
-@memoised_on_graph
-def form_family(g: MagneticGraph) -> FormFamily:
-    """Assemble each vertex's forms on its 2-ball B from the oriented-edge table.
-
-    With M_B = M[B, B], the rows r = x -> y_r leaving x and the row vectors
-    T_r = phase[r] e_{y_r} - e_x:
-
-        gamma[x]      = sum_r weight[r] T_r^H T_r / 2, supported on B1(x);
-        gamma2[x]     = (sum_r weight[r] gamma[y_r] - gamma[x]
-                         - M_B^H gamma[x] - gamma[x] M_B) / 2;
-        lap_square[x] = conj(M[x, B])^T M[x, B].
-
-    The rows leaving x and the pairs of a row x -> y_r and a row y_r -> z
-    are the rows leaving B1(x); their ends make up B. Their rank-one terms
-    and Laplacian entries are scattered into the blocks of all vertices at
-    once, into flat buffers laid out so that the blocks of each size form
-    one stack; rows of M_B outside B1(x) stay 0, as they meet only zeros of
-    gamma[x]. The products with M_B run on those stacks, where each gamma2
-    block is forced Hermitian by averaging, guarded by a residue check that
-    names the lowest failing vertex.
-    """
-    n = g.num_vertices
-    edges = g.oriented_edges
-    src, dst, rows = edges.src, edges.dst, np.arange(len(edges.src))
-    starts = np.append(edges.first, len(src))
-    weight, phase = edges.weight, edges.phase
-
-    first, second = _ranges(starts[dst], starts[dst + 1])
-    # (x, r) for each row r leaving a vertex of B1(x)
-    ball, ball_rows = np.concatenate((src, src[first])), np.concatenate((rows, second))
-    keys = np.unique(ball * n + dst[ball_rows])
-    support = keys % n
-    sizes = np.bincount(keys // n, minlength=n)
-    support_start = np.concatenate(([0], np.cumsum(sizes)))
-    # Blocks are laid out by (size, vertex): each size's blocks are one stack.
-    area = sizes ** 2
-    by_size = np.argsort(sizes, kind="stable")
-    block_start = np.empty_like(area)
-    block_start[by_size] = np.cumsum(area[by_size]) - area[by_size]
-
-    def local(x, v):
-        """Position of vertex v in the support of vertex x."""
-        return np.searchsorted(keys, x * n + v) - support_start[x]
-
-    def flat(x, i, j):
-        """Position of entry (i, j) of vertex x's block in the flat buffers."""
-        return block_start[x] + i * sizes[x] + j
-
-    def rank_one_sum(x, r, c):
-        """The blocks of sum_i c[i] T_{r[i]}^H T_{r[i]} / 2 at vertices x[i]."""
-        a, b, h, p = local(x, src[r]), local(x, dst[r]), 0.5 * c, phase[r]
-        idx = np.concatenate((flat(x, a, a), flat(x, b, b), flat(x, a, b), flat(x, b, a)))
-        val = np.concatenate((h, h, -h * p, -h * p.conj()))
-        return (np.bincount(idx, val.real, area.sum())
-                + 1j * np.bincount(idx, val.imag, area.sum()))
-
-    G = rank_one_sum(src, rows, weight)
-    # G2 starts as sum_r weight[r] gamma[y_r], over the pairs.
-    G2 = rank_one_sum(src[first], second, weight[first] * weight[second])
-    # M_B on B1(x): coef[r] at (u, dst[r]) and -1 at (u, u) for each row r leaving u
-    M = np.zeros(area.sum(), dtype=complex)
-    u = local(ball, src[ball_rows])
-    M[flat(ball, u, local(ball, dst[ball_rows]))] = edges.coef[ball_rows]
-    M[flat(ball, u, u)] = -1.0
-
-    centre = local(np.arange(n), np.arange(n))
-    resid = np.empty(n)
-    limit = np.empty(n)
-    stacks = []
-    for k in np.unique(sizes).tolist():
-        xs = np.flatnonzero(sizes == k)
-        cut = slice(block_start[xs[0]], block_start[xs[0]] + len(xs) * k * k)
-        Gx, G2x, M_B = (a[cut].reshape(-1, k, k) for a in (G, G2, M))
-        B = support[support_start[xs, None] + np.arange(k)]
-        raw = 0.5 * (G2x - Gx - M_B.conj().swapaxes(1, 2) @ Gx - Gx @ M_B)
-        raw_h = raw.conj().swapaxes(1, 2)
-        resid[xs] = np.linalg.norm(raw - raw_h, axis=(1, 2))
-        limit[xs] = HERMITIZE_GUARD * np.maximum(1.0, np.linalg.norm(raw, axis=(1, 2)))
-        G2x[:] = 0.5 * (raw + raw_h)
-        row = M_B[np.arange(len(xs)), centre[xs]]
-        stacks.append((xs, LocalForms(B, Gx, G2x, row.conj()[:, :, None] * row[:, None, :])))
-    failed = np.flatnonzero(resid > limit)
-    if len(failed):
-        x = failed[0]
-        raise NumericalError(
-            f"anti-Hermitian residue {resid[x]:.3e} in gamma2 form at vertex {x}")
-
-    for xs, blk in stacks:
-        for arr in (xs, *blk):
-            arr.flags.writeable = False
-    return FormFamily(stacks=tuple(stacks))
 
 
 @dataclass(frozen=True)

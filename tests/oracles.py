@@ -1,16 +1,26 @@
-"""Dense reference implementations that the package's fast routes are checked against."""
+"""Reference implementations that the package's fast routes are checked against:
+dense or 2-ball curvature forms, exact PSD decisions, and exhaustive searches."""
 
 import math
 from collections import deque
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
-from magcurv.curvature import KERNEL_THRESHOLD, PSD_TOL, _inv_n
+from magcurv.curvature import PSD_TOL, _inv_n, _ranges
 from magcurv.errors import NumericalError, SizeError
-from magcurv.graphs import SignatureStatus
+from magcurv.graphs import MagneticGraph, SignatureStatus, memoised_on_graph
 from magcurv.lift import LiftIdentityReport, build_lift
 from magcurv.operators import _differences, laplacian_matrix, spectrum
+
+HERMITIZE_GUARD = 1e-12
+KERNEL_THRESHOLD = 1e-10
+# kappa_max_bisect: relative bracket width, and doublings before a side gives up.
+BISECT_TOL = 1e-9
+MAX_DOUBLINGS = 80
 
 
 def dense_rows(g, x):
@@ -49,6 +59,138 @@ def dense_form_family(g):
         raw = 0.5 * (lap_of_g - Mh @ G[x] - G[x] @ M)
         G2[x] = 0.5 * (raw + raw.conj().T)
     return G, G2, Q
+
+
+class LocalForms(NamedTuple):
+    """The three forms of one vertex x on its 2-ball B = ``support``: for every
+    vertex function f, with f_B = f[support],
+
+        f_B* gamma f_B = gamma(f, f)(x),  f_B* gamma2 f_B = gamma2(f, f)(x),
+        f_B* lap_square f_B = |(Lf)(x)|^2.
+
+    The N x N forms are these blocks padded with zeros outside B.
+    """
+
+    support: np.ndarray     # (k,) int, the vertices of B2(x), ascending
+    gamma: np.ndarray       # (k, k) complex
+    gamma2: np.ndarray      # (k, k) complex
+    lap_square: np.ndarray  # (k, k) complex
+
+
+@dataclass(frozen=True)
+class FormFamily:
+    """The per-vertex forms of a graph, stacked by 2-ball size.
+
+    ``stacks`` holds one (xs, LocalForms) per size k, ascending: the vertices
+    xs whose 2-ball has k vertices, ascending, and their forms stacked, with
+    (b, k) supports and (b, k, k) blocks; row i belongs to vertex xs[i]. All
+    arrays are read-only. Memory is O(sum_x |B2(x)|^2).
+    """
+
+    stacks: tuple[tuple[np.ndarray, LocalForms], ...]
+
+    def block(self, x: int) -> LocalForms:
+        """Vertex x's LocalForms, as views of its row of its size's stack."""
+        for xs, blk in self.stacks:
+            i = np.searchsorted(xs, x)
+            if i < len(xs) and xs[i] == x:
+                return LocalForms(*(a[i] for a in blk))
+        raise IndexError(f"no vertex {x}")
+
+
+@memoised_on_graph
+def form_family(g: MagneticGraph) -> FormFamily:
+    """Assemble each vertex's forms on its 2-ball B from the oriented-edge table.
+
+    With M_B = M[B, B], the rows r = x -> y_r leaving x and the row vectors
+    T_r = phase[r] e_{y_r} - e_x:
+
+        gamma[x]      = sum_r weight[r] T_r^H T_r / 2, supported on B1(x);
+        gamma2[x]     = (sum_r weight[r] gamma[y_r] - gamma[x]
+                         - M_B^H gamma[x] - gamma[x] M_B) / 2;
+        lap_square[x] = conj(M[x, B])^T M[x, B].
+
+    The rows leaving x and the pairs of a row x -> y_r and a row y_r -> z
+    are the rows leaving B1(x); their ends make up B. Their rank-one terms
+    and Laplacian entries are scattered into the blocks of all vertices at
+    once, into flat buffers laid out so that the blocks of each size form
+    one stack; rows of M_B outside B1(x) stay 0, as they meet only zeros of
+    gamma[x]. The products with M_B run on those stacks, where each gamma2
+    block is forced Hermitian by averaging, guarded by a residue check that
+    names the lowest failing vertex.
+    """
+    n = g.num_vertices
+    edges = g.oriented_edges
+    src, dst, rows = edges.src, edges.dst, np.arange(len(edges.src))
+    starts = np.append(edges.first, len(src))
+    weight, phase = edges.weight, edges.phase
+
+    first, second = _ranges(starts[dst], starts[dst + 1])
+    # (x, r) for each row r leaving a vertex of B1(x)
+    ball, ball_rows = np.concatenate((src, src[first])), np.concatenate((rows, second))
+    keys = np.unique(ball * n + dst[ball_rows])
+    support = keys % n
+    sizes = np.bincount(keys // n, minlength=n)
+    support_start = np.concatenate(([0], np.cumsum(sizes)))
+    # Blocks are laid out by (size, vertex): each size's blocks are one stack.
+    area = sizes ** 2
+    by_size = np.argsort(sizes, kind="stable")
+    block_start = np.empty_like(area)
+    block_start[by_size] = np.cumsum(area[by_size]) - area[by_size]
+
+    def local(x, v):
+        """Position of vertex v in the support of vertex x."""
+        return np.searchsorted(keys, x * n + v) - support_start[x]
+
+    def flat(x, i, j):
+        """Position of entry (i, j) of vertex x's block in the flat buffers."""
+        return block_start[x] + i * sizes[x] + j
+
+    def rank_one_sum(x, r, c):
+        """The blocks of sum_i c[i] T_{r[i]}^H T_{r[i]} / 2 at vertices x[i]."""
+        a, b, h, p = local(x, src[r]), local(x, dst[r]), 0.5 * c, phase[r]
+        idx = np.concatenate((flat(x, a, a), flat(x, b, b), flat(x, a, b), flat(x, b, a)))
+        val = np.concatenate((h, h, -h * p, -h * p.conj()))
+        return (np.bincount(idx, val.real, area.sum())
+                + 1j * np.bincount(idx, val.imag, area.sum()))
+
+    G = rank_one_sum(src, rows, weight)
+    # G2 starts as sum_r weight[r] gamma[y_r], over the pairs.
+    G2 = rank_one_sum(src[first], second, weight[first] * weight[second])
+    # M_B on B1(x): coef[r] at (u, dst[r]) and -1 at (u, u) for each row r leaving u
+    M = np.zeros(area.sum(), dtype=complex)
+    u = local(ball, src[ball_rows])
+    M[flat(ball, u, local(ball, dst[ball_rows]))] = edges.coef[ball_rows]
+    M[flat(ball, u, u)] = -1.0
+
+    centre = local(np.arange(n), np.arange(n))
+    resid = np.empty(n)
+    limit = np.empty(n)
+    stacks = []
+    for k in np.unique(sizes).tolist():
+        xs = np.flatnonzero(sizes == k)
+        cut = slice(block_start[xs[0]], block_start[xs[0]] + len(xs) * k * k)
+        Gx, G2x, M_B = (a[cut].reshape(-1, k, k) for a in (G, G2, M))
+        B = support[support_start[xs, None] + np.arange(k)]
+        raw = 0.5 * (G2x - Gx - M_B.conj().swapaxes(1, 2) @ Gx - Gx @ M_B)
+        raw_h = raw.conj().swapaxes(1, 2)
+        resid[xs] = np.linalg.norm(raw - raw_h, axis=(1, 2))
+        limit[xs] = HERMITIZE_GUARD * np.maximum(1.0, np.linalg.norm(raw, axis=(1, 2)))
+        G2x[:] = 0.5 * (raw + raw_h)
+        row = M_B[np.arange(len(xs)), centre[xs]]
+        stacks.append((xs, LocalForms(B, Gx, G2x, row.conj()[:, :, None] * row[:, None, :])))
+    failed = np.flatnonzero(resid > limit)
+    if len(failed):
+        x = failed[0]
+        raise NumericalError(
+            f"anti-Hermitian residue {resid[x]:.3e} in gamma2 form at vertex {x}")
+
+    for xs, blk in stacks:
+        for arr in (xs, *blk):
+            arr.flags.writeable = False
+    return FormFamily(stacks=tuple(stacks))
+
+
 
 
 def embedded_forms(forms, x, n):
@@ -129,6 +271,183 @@ def vertex_kappa_reference(A: np.ndarray, G: np.ndarray) -> tuple[float, np.ndar
         wit = wit - KWp @ ((Bp.conj().T @ vr) / mu_pos)
     return float(vals[0]), wit
 
+
+def two_ball_kappa(g, n) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Per-vertex optimal kappa on the 2-ball forms, by the reference solver,
+    and its witnesses aligned with each block's support."""
+    invn = _inv_n(n)
+    forms = form_family(g)
+    solved = [vertex_kappa_reference(blk.gamma2 - invn * blk.lap_square, blk.gamma)
+              for blk in map(forms.block, range(g.num_vertices))]
+    return np.array([k for k, _ in solved]), [w for _, w in solved]
+
+
+def two_ball_cd_passed(g, n, kappa) -> bool:
+    """CD(n, kappa) as the PSD test of each 2-ball block of M_x(n, kappa):
+    minimum eigenvalue >= -1e-9 * max(1, spectral norm)."""
+    invn = _inv_n(n)
+    for _, blk in form_family(g).stacks:
+        eigs = np.linalg.eigvalsh(blk.gamma2 - invn * blk.lap_square - kappa * blk.gamma)
+        if np.any(eigs[:, 0] < -PSD_TOL * np.maximum(1.0, np.abs(eigs).max(axis=1))):
+            return False
+    return True
+
+
+def kappa_max_bisect(g, n) -> float:
+    """Graph-wide optimal kappa by bisection on the 2-ball CD decision.
+
+    Independent of the 1-ball reduction. The two agree to ~1e-6 when gamma[x]
+    is well conditioned; with badly scaled weights the PSD tolerance absorbs
+    directions on which gamma[x] is tiny, and the bisection can sit higher.
+    """
+
+    def ok(k: float) -> bool:
+        return two_ball_cd_passed(g, n, k)
+
+    hi = 1.0
+    for _ in range(MAX_DOUBLINGS):
+        if not ok(hi):
+            break
+        hi *= 2.0
+    else:
+        raise NumericalError("no failing kappa found")
+    lo = -1.0
+    for _ in range(MAX_DOUBLINGS):
+        if ok(lo):
+            break
+        lo *= 2.0
+    else:
+        return -math.inf
+    while hi - lo > BISECT_TOL * max(1.0, abs(lo), abs(hi)):
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+class Quadratic:
+    """Exact element a + b z of Q(i) (z = i, ell in {1, 2, 4}) or of Q(sqrt(-3))
+    (z = exp(2 pi i / 3), ell in {3, 6}), with rational a and b."""
+
+    __slots__ = ("a", "b", "cube")
+
+    def __init__(self, a, b=0, cube=False):
+        self.a, self.b, self.cube = a, b, cube
+
+    def __add__(self, o):
+        return Quadratic(self.a + o.a, self.b + o.b, self.cube)
+
+    def __sub__(self, o):
+        return Quadratic(self.a - o.a, self.b - o.b, self.cube)
+
+    def __mul__(self, o):
+        if not isinstance(o, Quadratic):
+            return Quadratic(self.a * o, self.b * o, self.cube)
+        bd = self.b * o.b   # z^2 = -1, or -1 - z
+        return Quadratic(self.a * o.a - bd, self.a * o.b + self.b * o.a - (bd if self.cube else 0),
+                         self.cube)
+
+    def conj(self):
+        # conj(i) = -i; conj(z) = z^2 = -1 - z
+        if self.cube:
+            return Quadratic(self.a - self.b, -self.b, True)
+        return Quadratic(self.a, -self.b)
+
+    def __bool__(self):
+        return bool(self.a or self.b)
+
+
+def exact_phases(ell: int) -> list[Quadratic]:
+    """exp(2 pi i s / ell) for s in range(ell), exactly."""
+    cube = ell in (3, 6)
+    if not (cube or ell in (1, 2, 4)):
+        raise ValueError(f"no exact phases for ell = {ell}")
+    gen = {1: (1, 0), 2: (-1, 0), 4: (0, 1), 3: (0, 1), 6: (1, 1)}[ell]
+    powers = [Quadratic(1, 0, cube)]
+    for _ in range(ell - 1):
+        powers.append(powers[-1] * Quadratic(*gen, cube))
+    assert not (powers[-1] * Quadratic(*gen, cube) - Quadratic(1, 0, cube))
+    return powers
+
+
+def exact_cd_matrix(g, x, n, kappa) -> list[list[Quadratic]]:
+    """M_x(n, kappa) = gamma2[x] - (1/n) lap_square[x] - kappa gamma[x] on the
+    2-ball of x, from the defining recursion in exact arithmetic: the float
+    weights, n and kappa are read as the rationals they are, and the degrees
+    are their exact sums. With the Laplacian rows m of B1(x),
+
+        gamma2[x] = (sum_y a_xy gamma[y] - gamma[x] - M^H gamma[x] - gamma[x] M) / 2.
+    """
+    phase = exact_phases(g.ell)
+    one1 = [x] + [y for y, _, _ in g.neighbors(x)]
+    ball = sorted(set(one1) | {z for y in one1 for z, _, _ in g.neighbors(y)})
+    idx = {v: i for i, v in enumerate(ball)}
+    rows = {}   # v -> [(index of y, a_vy, sigma_vy)] for v in B1(x)
+    for v in one1:
+        d = sum(Fraction(w) for _, w, _ in g.neighbors(v))
+        rows[v] = [(idx[y], Fraction(w) / d, phase[s]) for y, w, s in g.neighbors(v)]
+    out: dict = {}
+
+    def add(i, j, value):
+        out[i, j] = out[i, j] + value if (i, j) in out else value
+
+    def first_form(v, scale):
+        """gamma[v] * scale, entry by entry."""
+        i = idx[v]
+        entries = []
+        for j, a, p in rows[v]:
+            h = a * scale / 2
+            entries += [(i, i, phase[0] * h), (j, j, phase[0] * h),
+                        (i, j, p * -h), (j, i, p.conj() * -h)]
+        return entries
+
+    kap, inv_n = Fraction(kappa), 0 if n == math.inf else 1 / Fraction(n)
+    for y, (_, a, _) in zip(one1[1:], rows[x]):
+        for entry in first_form(y, a / 2):
+            add(*entry)
+    for entry in first_form(x, -Fraction(1, 2) - kap):
+        add(*entry)
+    laplacian = {v: [(idx[v], phase[0] * -1)] + [(j, p * a) for j, a, p in rows[v]]
+                 for v in one1}
+    for m, j, value in first_form(x, Fraction(1)):
+        for i, entry in laplacian[ball[m]]:
+            term = entry.conj() * value * Fraction(-1, 2)   # -(M^H gamma[x])[i, j] / 2
+            add(i, j, term)
+            add(j, i, term.conj())
+    for i, li in laplacian[x]:
+        for j, lj in laplacian[x]:
+            add(i, j, li.conj() * lj * -inv_n)
+    zero = phase[0] * 0
+    return [[out.get((i, j), zero) for j in range(len(ball))] for i in range(len(ball))]
+
+
+def exact_psd(A: list[list[Quadratic]]) -> bool:
+    """Is the Hermitian matrix A positive semidefinite? Exact LDL^H: eliminate
+    a positive diagonal pivot at a time; a negative diagonal, or a zero one
+    whose row is not zero once no positive pivot is left, decides no."""
+    A = [r[:] for r in A]
+    active = list(range(len(A)))
+    while active:
+        if any(A[i][i].a < 0 for i in active):
+            return False
+        piv = next((i for i in active if A[i][i].a > 0), None)
+        if piv is None:
+            return not any(A[i][j] for i in active for j in active)
+        active.remove(piv)
+        inv = Fraction(1) / A[piv][piv].a
+        for i in active:
+            if A[i][piv]:
+                f = A[i][piv] * inv
+                for j in active:
+                    A[i][j] = A[i][j] - f * A[piv][j]
+    return True
+
+
+def exact_cd_holds(g, x, n, kappa) -> bool:
+    """Exactly: is M_x(n, kappa) PSD, i.e. does CD(n, kappa) hold at x?"""
+    return exact_psd(exact_cd_matrix(g, x, n, kappa))
 
 
 def signature_status_reference(g) -> SignatureStatus:

@@ -16,12 +16,12 @@ from magcurv.bounds import (alpha_bound_check, cheeger_bound_check,
                             lift_diameter_check)
 from magcurv.cli import main as cli_main
 from magcurv.combinatorics import frustration_index, magnetic_girth
-from magcurv.curvature import (cd_check_function, cd_check_graph, kappa_max,
-                               kappa_max_bisect)
+from magcurv.curvature import cd_check_function, cd_check_graph, kappa_max
 from magcurv.graphs import diameter, signature_status
 from magcurv.lift import verify_lift_identities
 
 from .conftest import random_functions, two_n_cycle
+from .oracles import kappa_max_bisect
 from .test_combinatorics import min_deletions_for_balance
 
 _CURVATURE_CACHE: dict = {}

@@ -8,10 +8,10 @@ import magcurv.lift
 from magcurv.bounds import (alpha_bound_check, cheeger_bound_check,
                             eigenvalue_lower_bound, harnack_check,
                             lift_diameter_check, verify_report)
-from magcurv.curvature import kappa_max
+from magcurv.curvature import _one_ball, kappa_max
 from magcurv.errors import DimensionError, PreconditionError, ValidationError
 from magcurv.graphs import from_edge_list, signature_status
-from magcurv.operators import energy, form_family, spectrum
+from magcurv.operators import energy, spectrum
 
 
 @pytest.fixture
@@ -255,8 +255,8 @@ def test_nan_kappa_is_rejected_and_infinite_kept(t3, b3, split4):
 def test_a_disconnected_graph_certifies_no_kappa(split4, monkeypatch):
     # connectivity is checked before kappa_max builds a curvature form
     builds = []
-    build = form_family.__wrapped__
-    monkeypatch.setattr(form_family, "__wrapped__",
+    build = _one_ball.__wrapped__
+    monkeypatch.setattr(_one_ball, "__wrapped__",
                         lambda h: builds.append(h) or build(h))
     for check in (verify_report, harnack_check):
         with pytest.raises(PreconditionError, match="connected"):

@@ -345,6 +345,33 @@ def test_frustration_matches_reference_on_every_subset(corpus):
             assert (res.value, res.tau) == frustration_reference(g, verts)
 
 
+def reversed_and_relabelled(g, perm):
+    """The same magnetic graph with every edge listed v -> u (exponent -s) and
+    vertex x renamed perm[x]: the elimination then meets terms whose first
+    vertex comes later in its order, whose tables it transposes."""
+    return from_edge_list(g.num_vertices, g.ell, [(perm[e.v], perm[e.u], e.w, -e.s % g.ell)
+                                                  for e in g.edges])
+
+
+def test_reversed_edges_match_the_references(corpus):
+    # At ell >= 3 an edge table is not symmetric, so a table read with its
+    # two vertices swapped gives other minima.
+    rng = np.random.default_rng(17)
+    checked = 0
+    for g in corpus[:90]:
+        if g.ell < 3 or g.num_vertices > 8:
+            continue
+        n = g.num_vertices
+        h = reversed_and_relabelled(g, rng.permutation(n).tolist())
+        checked += any(e.u > e.v for e in h.edges)
+        assert cheeger_number(h) == cheeger_reference(h)
+        for mask in rng.choice(np.arange(1, 2 ** n), size=min(12, 2 ** n - 1), replace=False):
+            verts = tuple(x for x in range(n) if (int(mask) >> x) & 1)
+            res = frustration_index(h, verts)
+            assert (res.value, res.tau) == frustration_reference(h, verts)
+    assert checked >= 30
+
+
 # --- Cheeger number ----------------------------------------------------------
 
 def _ratio(g, verts):

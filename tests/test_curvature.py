@@ -6,15 +6,13 @@ import pytest
 from hypothesis import given, settings
 
 from magcurv import curvature
-from magcurv.curvature import (cd_check_function, cd_check_graph, kappa_max,
-                               kappa_max_bisect)
+from magcurv.curvature import _one_ball, cd_check_function, cd_check_graph, kappa_max
 from magcurv.errors import DimensionError
 from magcurv.graphs import from_edge_list, random_magnetic_graph
 from magcurv.lift import build_lift
-from magcurv.operators import form_family
 
 from .conftest import graph_strategy, random_functions, sparse_graph, two_n_cycle
-from .oracles import same_direction, vertex_kappa_reference
+from .oracles import form_family, kappa_max_bisect, same_direction
 
 
 def test_dimension_parameter_validation(t3):
@@ -36,7 +34,7 @@ def test_constant_function_trivial_pass(b3):
 
 
 def test_single_edge_kappa_at_infinity(single_edge):
-    """The reduced pencil gives kappa = 2 on an isolated edge at n = inf;
+    """The 1-ball reduction gives kappa = 2 on an isolated edge at n = inf;
     cross-checked against a dense grid of CD decisions."""
     plain = single_edge.untwisted()
     result = kappa_max(plain, math.inf)
@@ -81,7 +79,8 @@ def test_graph_certificate_controls_functions(t3):
 def test_witness_fails_just_above_kappa_max(t3):
     result = kappa_max(t3, 2.0)
     x = result.witness_vertex
-    wit = result.witnesses[x]
+    wit = result.witness(x)
+    assert np.array_equal(wit, result.witnesses[x])   # B2(x) is every vertex of t3
     chk = cd_check_function(t3, wit, 2.0, result.kappa_max + 1.0)
     assert not bool(chk.passed[x])
 
@@ -101,13 +100,13 @@ def test_witness_vertex_is_the_lowest_tied_vertex(corpus):
 def test_lift_witness_lives_on_the_two_ball():
     lift = build_lift(sparse_graph(30, 5, seed=3)).graph
     result = kappa_max(lift, 2.0)
-    x = result.witness_vertex
     forms = form_family(lift)
-    assert all(w.shape == forms.block(y).support.shape for y, w in enumerate(result.witnesses))
-    support = forms.block(x).support
-    assert len(support) < lift.num_vertices
-    wit = np.zeros(lift.num_vertices, dtype=complex)
-    wit[support] = result.witnesses[x]
+    assert all(np.array_equal(sup, forms.block(y).support)
+               for y, sup in enumerate(result.supports))
+    assert all(w.shape == sup.shape for w, sup in zip(result.witnesses, result.supports))
+    x = result.witness_vertex
+    assert len(result.supports[x]) < lift.num_vertices
+    wit = result.witness(x)
     kap = float(result.per_vertex[x])
     assert bool(cd_check_function(lift, wit, 2.0, kap).passed[x])
     above = kap + 1e-6 * max(1.0, abs(kap))
@@ -115,8 +114,9 @@ def test_lift_witness_lives_on_the_two_ball():
 
 
 def test_kappa_max_peak_is_below_one_dense_array():
-    # forms and witnesses live on the 2-balls, so on a 2000-vertex lift the
-    # traced peak of kappa_max stays below one N x N complex array (61 MiB)
+    # the reduced matrices live on the 1-balls and the witnesses on the
+    # 2-balls, so on a 2000-vertex lift the traced peak of kappa_max stays
+    # below one N x N complex array (61 MiB)
     lift = build_lift(sparse_graph(500, 4, seed=1)).graph
     n = lift.num_vertices
     tracemalloc.start()
@@ -151,43 +151,39 @@ def test_monotone_in_dimension():
 
 
 def test_one_form_build_serves_every_curvature_check(monkeypatch):
-    # On a 6-cycle every 2-ball misses a vertex, so each check reads blocks
-    # smaller than N x N.
+    # On a 6-cycle every vertex has degree 2, so every reduced matrix is 2 x 2
+    # and the checks read one stack.
     g = two_n_cycle(3, 3)
     builds = []
-    build = form_family.__wrapped__
-    monkeypatch.setattr(form_family, "__wrapped__",
+    build = _one_ball.__wrapped__
+    monkeypatch.setattr(_one_ball, "__wrapped__",
                         lambda h: builds.append(h) or build(h))
     km = kappa_max(g, 2.0).kappa_max
     check = cd_check_graph(g, 2.0, km - 1e-6)
     assert check.passed and check.min_eigenvalues.shape == (6,)
-    assert abs(kappa_max_bisect(g, 2.0) - km) <= 1e-6
+    assert not cd_check_graph(g, 2.0, km + 1e-6).passed
     assert builds == [g]
-    assert [(xs.tolist(), blk.gamma.shape) for xs, blk in form_family(g).stacks] == [
-        ([0, 1, 2, 3, 4, 5], (6, 5, 5))]
+    assert [(xs.tolist(), R.shape, u.shape) for xs, R, u in _one_ball(g).stacks] == [
+        ([0, 1, 2, 3, 4, 5], (6, 2, 2), (6, 2))]
 
 
 def test_curvature_checks_read_the_stored_stacks(monkeypatch):
-    # the stacks are stored, not gathered per call: every access hands out
-    # the arrays of the one build, and the pencil receives them uncopied
-    g = two_n_cycle(3, 3)
-    stored = form_family(g).stacks
-    received = []
-    forms = curvature.form_family
-    monkeypatch.setattr(curvature, "form_family",
-                        lambda h: received.append(forms(h)) or received[-1])
+    # the reduction is stored, not rebuilt per call, and every check takes
+    # one eigensolve per degree, on the stored stack of that degree
+    g = from_edge_list(5, 3, [(0, 1, 1.0, 1), (1, 2, 0.5, 0), (2, 0, 2.0, 2),
+                              (2, 3, 1.0, 1), (3, 4, 1.5, 0)])
+    stored = _one_ball(g).stacks
+    assert [R.shape[1] for _, R, _ in stored] == [1, 2, 3]
     solved = []
-    solve = curvature._vertex_kappa
-    monkeypatch.setattr(curvature, "_vertex_kappa",
-                        lambda A, G: solved.append(G) or solve(A, G))
+    for name in ("eigh", "eigvalsh"):
+        solve = getattr(np.linalg, name)
+        monkeypatch.setattr(curvature.np.linalg, name,
+                            lambda A, solve=solve: solved.append(A.shape) or solve(A))
     kappa_max(g, 2.0)
     cd_check_graph(g, 2.0, 0.0)
-    assert len(received) == 2
-    for got in received:
-        for (xs, blk), (xs0, blk0) in zip(got.stacks, stored, strict=True):
-            assert xs is xs0 and all(a is b for a, b in zip(blk, blk0))
-    assert len(solved) == len(stored)
-    assert all(np.shares_memory(G, blk.gamma) for G, (_, blk) in zip(solved, stored))
+    assert solved == 2 * [R.shape for _, R, _ in stored]
+    assert _one_ball(g).stacks is stored
+    assert all(not a.flags.writeable for st in stored for a in st)
 
 
 @given(graph_strategy(max_vertices=6))
@@ -216,101 +212,82 @@ def test_curvature_json(t3):
     assert len(payload["per_vertex"]) == 3
 
 
-def test_vertex_pencil_kernel_semantics():
-    """Synthetic pencils exercising the supremum solver directly, solved as one
-    stack: a negative block on ker(G) or a coupling into a null kernel
-    direction means no finite kappa works; otherwise the result must match
-    brute-force bisection. Each entry, witness included, matches the
-    one-vertex reference solver, so the masks never mix up blocks."""
-    from magcurv.curvature import _vertex_kappa
-
-    G = np.diag([1.0, 0.5, 0.0, 0.0]).astype(complex)
-    rng = np.random.default_rng(2)
-
-    def hermitian():
-        B = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        return (B + B.conj().T) / 2.0
-
-    # negative eigenvalue on the kernel of G
-    negative = np.diag([1.0, 1.0, -0.3, 0.1]).astype(complex)
-    # PSD kernel block but range couples into its null direction
-    coupled = np.diag([1.0, 1.0, 0.4, 0.0]).astype(complex)
-    coupled[0, 3] = coupled[3, 0] = 0.2
-    # well-posed case with genuine kernel coupling: Schur term active
-    schur = hermitian() + 4.0 * np.eye(4)  # push the kernel block positive definite
-    # plain definite pencil: G of full rank, solved in a rank group of its own
-    F = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    definite = (hermitian(), F @ F.conj().T + np.eye(4))
-    pencils = [(negative, G), (schur, G), (coupled, G), definite]
-
-    kap, wit = _vertex_kappa(np.array([A for A, _ in pencils]),
-                             np.array([B for _, B in pencils]))
-    assert kap.shape == (4,) and wit.shape == (4, 4)
-    for (A, B), k, w in zip(pencils, kap, wit):
-        want, want_wit = vertex_kappa_reference(A, B)
-        if want == -math.inf:
-            assert k == -math.inf
-        else:
-            assert abs(k - want) <= 1e-12 * max(1.0, abs(want))
-        assert same_direction(w, want_wit)
-
-    assert kap[0] == -math.inf
-    assert abs(wit[0].conj() @ negative @ wit[0]) > 0.0
-    assert kap[2] == -math.inf
-
-    for (A, B), k, w in zip(pencils[1::2], kap[1::2], wit[1::2]):
-        def psd(t):
-            return np.linalg.eigvalsh(A - t * B)[0] >= -1e-12
-
-        lo, hi = -64.0, 64.0
-        assert psd(lo) and not psd(hi)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if psd(mid) else (lo, mid)
-        assert abs(k - lo) <= 1e-7
-        resid = np.linalg.norm((A - k * B) @ w)
-        assert resid <= 1e-6 * np.linalg.norm(A)
 
 
-def test_merged_stack_matches_each_block_alone():
-    """One stack holding every kernel dimension 0..k-1 of gamma, with a
-    negative kernel block, a coupling into a null kernel direction and an
-    active Schur step, gives each block what it gets as a stack of one: the
-    padding of the shared eigensolves never reaches another block."""
-    from magcurv.curvature import _vertex_kappa
+def locally_balanced(g, x):
+    """Exponent potentials on B2(x) that every edge with an end in S1(x)
+    respects, from x's star outwards, or None if the edges at S1(x) are not
+    balanced."""
+    star = {y for y, _, _ in g.neighbors(x)}
+    pot = {x: 0}
+    for y, _, s in g.neighbors(x):
+        pot[y] = s
+    for y in star:
+        for z, _, s in g.neighbors(y):
+            pot.setdefault(z, (pot[y] + s) % g.ell)
+    ok = all((pot[y] + s - pot[z]) % g.ell == 0 for y in star for z, _, s in g.neighbors(y))
+    return pot if ok else None
 
-    rng = np.random.default_rng(7)
 
-    def complex_normal():
-        return rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+def test_vertex_pencil_kernel_semantics(corpus):
+    """The g_0 direction: where the edges at S1(x) are balanced, the function
+    that is constant in their gauge is a common kernel vector of gamma, gamma2
+    and |Lf|^2 at x, and no g_0 is eliminated; elsewhere 2 gamma2 along g_0,
+    minimised over S2(x), is positive, as the 2-ball forms confirm."""
+    seen = set()
+    for g in corpus[:80] + [two_n_cycle(3, 3), two_n_cycle(2, 2)]:
+        ball, forms, edges = _one_ball(g), form_family(g), g.oriented_edges
+        for x in range(g.num_vertices):
+            pot = locally_balanced(g, x)
+            rows = slice(edges.first[x], edges.first[x] + len(g.neighbors(x)))
+            blk = forms.block(x)
+            inner = np.isin(blk.support, [x] + [y for y, _, _ in g.neighbors(x)])
+            if pot is not None:
+                f = np.zeros(g.num_vertices, dtype=complex)
+                for v, e in pot.items():
+                    f[v] = np.exp(-2j * np.pi * e / g.ell)
+                for form in (blk.gamma, blk.gamma2, blk.lap_square):
+                    fb = f[blk.support]
+                    assert np.abs(form @ fb).max() <= 1e-12
+                assert not ball.elim[rows].any()
+            else:
+                # f = 1 at x and conj(sigma_xy) at y, free on S2(x)
+                fb = np.zeros(len(blk.support), dtype=complex)
+                fb[np.searchsorted(blk.support, x)] = 1.0
+                for y, _, s in g.neighbors(x):
+                    fb[np.searchsorted(blk.support, y)] = np.exp(-2j * np.pi * s / g.ell)
+                G2 = blk.gamma2
+                out = ~inner
+                free = -np.linalg.solve(G2[np.ix_(out, out)], G2[np.ix_(out, inner)] @ fb[inner])
+                fb[out] = free
+                assert np.real(fb.conj() @ G2 @ fb) > 1e-9
+            seen.add(pot is None)
+    assert seen == {True, False}
 
-    def hermitian():
-        B = complex_normal()
-        return (B + B.conj().T) / 2.0
 
-    def rotated(A, G):
-        U = np.linalg.qr(complex_normal())[0]
-        return U @ A @ U.conj().T, U @ np.diag(G).astype(complex) @ U.conj().T
+def test_merged_stack_matches_each_block_alone(corpus, t3, b3, c4sigma):
+    """The vertices of one degree share a stack whatever their graph: twisted
+    or not, with or without S2(x). In a disjoint union each vertex gets the
+    curvature, witness and PSD margin it gets in its own graph."""
+    parts = [t3, b3, c4sigma, two_n_cycle(3, 3), corpus[1], corpus[6], corpus[48],
+             from_edge_list(4, 1, [(0, 1, 1.0, 0), (1, 2, 2.0, 0), (1, 3, 0.5, 0)])]
+    edges, offset = [], 0
+    ell = 12
+    for h in parts:
+        edges += [(e.u + offset, e.v + offset, e.w, e.s * ell // h.ell) for e in h.edges]
+        offset += h.num_vertices
+    union = from_edge_list(offset, ell, edges)
+    result = kappa_max(union, 2.0)
+    check = cd_check_graph(union, 2.0, 0.25)
+    offset = 0
+    for h in parts:
+        alone, part = kappa_max(h, 2.0), slice(offset, offset + h.num_vertices)
+        assert np.allclose(result.per_vertex[part], alone.per_vertex, rtol=1e-12, atol=1e-12)
+        assert np.allclose(check.min_eigenvalues[part],
+                           cd_check_graph(h, 2.0, 0.25).min_eigenvalues, rtol=1e-12, atol=1e-12)
+        for x in range(h.num_vertices):
+            assert np.array_equal(result.supports[x + offset], alone.supports[x] + offset)
+            assert same_direction(result.witnesses[x + offset], alone.witnesses[x])
+        offset += h.num_vertices
+    assert len({R.shape[1] for _, R, _ in _one_ball(union).stacks}) < len(parts)
 
-    coupled = np.diag([1.0, 1.0, 0.4, 0.0]).astype(complex)
-    coupled[0, 3] = coupled[3, 0] = 0.2
-    F = complex_normal()
-    pencils = [
-        (hermitian(), F @ F.conj().T + np.eye(4)),                           # d = 0
-        rotated(hermitian() + 4.0 * np.eye(4), [1.0, 0.5, 0.25, 0.0]),        # d = 1, Schur
-        rotated(np.diag([1.0, 1.0, -0.3, 0.1]).astype(complex),
-                [1.0, 0.5, 0.0, 0.0]),                                       # d = 2, negative
-        rotated(coupled, [1.0, 0.5, 0.0, 0.0]),                              # d = 2, coupled
-        rotated(hermitian() + 4.0 * np.eye(4), [2.0, 0.0, 0.0, 0.0]),         # d = 3, Schur
-    ]
-    A = np.array([a for a, _ in pencils])
-    G = np.array([b for _, b in pencils])
-    kap, wit = _vertex_kappa(A, G)
-    assert [math.isinf(k) for k in kap] == [False, False, True, True, False]
-    for i in range(len(pencils)):
-        alone, alone_wit = _vertex_kappa(A[i:i + 1], G[i:i + 1])
-        if math.isinf(alone[0]):
-            assert kap[i] == alone[0]
-        else:
-            assert abs(kap[i] - alone[0]) <= 1e-12 * max(1.0, abs(alone[0]))
-        assert same_direction(wit[i], alone_wit[0])

@@ -12,7 +12,8 @@ from magcurv.bounds import lift_diameter_check, verify_report
 from magcurv.errors import ParseError, ValidationError
 from magcurv.graphs import (diameter, from_edge_list, is_connected, load_graph,
                             random_magnetic_graph, signature_status)
-from magcurv.operators import form_family, spectrum
+from magcurv.curvature import _one_ball
+from magcurv.operators import spectrum
 
 from .conftest import graph_strategy
 
@@ -142,16 +143,13 @@ def test_random_graph_rejects_bad_args():
 
 def test_spectrum_and_forms_are_computed_once(t3):
     assert spectrum(t3) is spectrum(t3)
-    assert form_family(t3) is form_family(t3)
+    assert _one_ball(t3) is _one_ball(t3)
     assert spectrum(t3.untwisted()) is not spectrum(t3)
-    # each vertex's blocks are read-only views of its row of the stored stacks
-    forms = form_family(t3)
-    assert sorted(x for xs, _ in forms.stacks for x in xs.tolist()) == [0, 1, 2]
-    for xs, stack in forms.stacks:
-        for i, x in enumerate(xs.tolist()):
-            for local, stacked in zip(forms.block(x), stack):
-                assert np.shares_memory(local, stacked) and not local.flags.writeable
-                assert np.array_equal(local, stacked[i])
+    # the reduced matrices are read-only, one stack per degree
+    ball = _one_ball(t3)
+    assert sorted(x for xs, _, _ in ball.stacks for x in xs.tolist()) == [0, 1, 2]
+    assert all(not a.flags.writeable for stack in ball.stacks for a in stack)
+    assert all(not s.flags.writeable for s in ball.supports)
 
 
 def test_base_diameter_is_computed_once(monkeypatch, t3):

@@ -3,13 +3,15 @@ import pytest
 from hypothesis import given, settings
 
 from magcurv import operators
+from magcurv.curvature import _one_ball, kappa_max
 from magcurv.errors import NumericalError, ValidationError
 from magcurv.lift import build_lift
-from magcurv.operators import (energy, form_family, gamma, gamma2,
-                               laplacian_matrix, spectrum)
+from magcurv.operators import energy, gamma, gamma2, laplacian_matrix, spectrum
 
+from . import oracles
 from .conftest import (LIFT_SHAPES, graph_strategy, random_functions, sparse_graph,
                        two_n_cycle)
+from .oracles import form_family
 
 # The oracles keep their kind argument: they are the reference that the one
 # operator, applied to g or to g.untwisted(), is compared against.
@@ -101,7 +103,7 @@ def test_energy_nonnegative_and_twice_gamma(g):
         assert np.abs(e - two_gamma).max() <= 1e-12 * max(1.0, float(e.max()))
 
 
-# --- forms ------------------------------------------------------------------
+# --- forms: the 2-ball oracle against the pointwise forms, and the 1-ball reduction
 
 def quadratic_forms(forms, x, f):
     """f* F f for vertex x's three local blocks F: (gamma, gamma2, lap_square)."""
@@ -130,25 +132,25 @@ def test_forms_exactly_hermitian(t3, c4sigma):
 
 def test_gamma2_residue_guard_raises(c4sigma, monkeypatch):
     # A negative threshold flags every block, so the first vertex must raise.
-    monkeypatch.setattr(operators, "HERMITIZE_GUARD", -1.0)
+    monkeypatch.setattr(oracles, "HERMITIZE_GUARD", -1.0)
     with pytest.raises(NumericalError, match="gamma2 form at vertex 0"):
         form_family.__wrapped__(c4sigma)
 
 
 def test_forms_need_no_dense_laplacian(monkeypatch):
-    # the blocks, M_B included, come from the oriented-edge table alone
+    # the reduced matrices come from the oriented-edge table alone
     g = build_lift(sparse_graph(*LIFT_SHAPES[0], seed=1)).graph
-    want = form_family(g)
+    want = _one_ball(g)
 
     def dense(_):
-        raise AssertionError("form_family built the dense Laplacian")
+        raise AssertionError("the curvature reduction built the dense Laplacian")
 
     monkeypatch.setattr(operators, "laplacian_matrix", dense)
-    got = form_family.__wrapped__(g)
+    got = _one_ball.__wrapped__(g)
     assert len(got.stacks) == len(want.stacks)
-    for (xs, blk), (ys, ref) in zip(got.stacks, want.stacks):
-        assert np.array_equal(xs, ys)
-        assert all(np.array_equal(a, b) for a, b in zip(blk, ref))
+    for stack, ref in zip(got.stacks, want.stacks):
+        assert all(np.array_equal(a, b) for a, b in zip(stack, ref))
+    assert all(np.array_equal(a, b) for a, b in zip(got.supports, want.supports))
 
 
 def test_forms_psd(t3, c4sigma):
@@ -200,26 +202,28 @@ def test_form_values_match_pointwise(g):
 
 
 def test_supports_are_two_balls(c4sigma):
-    forms = form_family(c4sigma)
-    assert all(forms.block(x).support.tolist() == [0, 1, 2, 3] for x in range(4))
-    forms = form_family(two_n_cycle(3, 2))
-    assert [forms.block(x).support.tolist() for x in range(6)] == [
+    supports = kappa_max(c4sigma, 2.0).supports
+    assert all(supports[x].tolist() == [0, 1, 2, 3] for x in range(4))
+    supports = kappa_max(two_n_cycle(3, 2), 2.0).supports
+    assert [s.tolist() for s in supports] == [
         [0, 1, 2, 4, 5], [0, 1, 2, 3, 5], [0, 1, 2, 3, 4],
         [1, 2, 3, 4, 5], [0, 2, 3, 4, 5], [0, 1, 3, 4, 5]]
+    oracle = form_family(two_n_cycle(3, 2))
+    assert all(np.array_equal(s, oracle.block(x).support) for x, s in enumerate(supports))
 
 
 def test_lift_forms_take_block_memory():
+    # one deg x deg matrix and deg-vector per vertex, and per-row and per-walk
+    # arrays for the witnesses: nothing of size N^2
     lift = build_lift(sparse_graph(40, 4, seed=1)).graph
     n = lift.num_vertices
-    forms = form_family(lift)
-    assert all(blk.support.shape[1] < n for _, blk in forms.stacks)
-    arrays = [a for xs, blk in forms.stacks for a in (xs, *blk)]
-    # the buffers the stacks own or view, each counted once
-    buffers = {id(b): b for b in (a if a.base is None else a.base for a in arrays)}
-    index_bytes = sum(xs.nbytes + blk.support.nbytes for xs, blk in forms.stacks)
-    block_entries = sum(blk.gamma.size for _, blk in forms.stacks)
-    assert sum(b.nbytes for b in buffers.values()) <= 3 * 16 * block_entries + index_bytes
-    assert all(a.size < n ** 3 for a in arrays)
+    ball = _one_ball(lift)
+    stacked = [a for st in ball.stacks for a in st]
+    entries = sum(R.size + u.size for _, R, u in ball.stacks)
+    assert sum(a.nbytes for a in stacked) <= 16 * entries + 8 * n
+    arrays = stacked + [ball.elim, ball.via, ball.target, ball.spread, ball.order]
+    assert all(a.size < n ** 2 // 4 for a in arrays)
+    assert sum(s.size for s in ball.supports) == len(ball.order)
 
 
 def test_oriented_edge_table_keeps_rows_only():
