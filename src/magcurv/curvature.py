@@ -30,7 +30,8 @@ differences of unit phases, so a holonomy that the exponents make trivial
 contributes an exact 0. The matrices are stacked by degree, so each check
 takes one eigensolve per degree, and nothing here is N x N. Badly scaled
 weights take two guarded steps: g_0 eliminated pair by pair where the Schur
-step would cancel digits, and lambda_min refined where R_x is graded.
+step would cancel digits, and lambda_min refined where R_x is graded, by the
+Cholesky test that cd_check_graph decides with.
 """
 
 from __future__ import annotations
@@ -284,33 +285,35 @@ def _one_ball(g: MagneticGraph) -> OneBall:
 @dataclass(frozen=True)
 class CDGraphCheck:
     """Graph-wide CD certificate: per vertex, the smallest eigenvalue of the
-    reduced matrix R_x - (1/n) u_x u_x^H - kappa I and its PSD cut."""
+    reduced matrix R_x - (1/n) u_x u_x^H - kappa I, and the cut it is held to."""
 
     n: float
     kappa: float
     min_eigenvalues: np.ndarray   # (N,) real
-    thresholds: np.ndarray        # (N,) real, PSD acceptance cutoffs (negative)
+    thresholds: np.ndarray        # (N,) real, -1e-9 * max(1, |kappa|)
     passed: bool
 
 
 def cd_check_graph(g: MagneticGraph, n: float, kappa: float) -> CDGraphCheck:
-    """Exact graph-wide CD(n, kappa) decision via per-vertex PSD tests.
+    """Graph-wide CD(n, kappa) decision via per-vertex PSD tests.
 
     M_x(n, kappa) is congruent to 0 + (R_x - (1/n) u_x u_x^H - kappa I), or
     to a positive scalar plus it, so it is PSD exactly when the reduced
-    matrix is. That is accepted when its minimum eigenvalue is >= -1e-9 *
-    max(1, spectral norm).
+    matrix is. That is accepted when the matrix plus 1e-9 * max(1, |kappa|) I
+    is positive definite by _positive_definite, the test kappa_max refines
+    with, which stays accurate where badly scaled weights make R_x graded.
     """
     invn = _inv_n(n)
     mins = np.empty(g.num_vertices)
-    cuts = np.empty(g.num_vertices)
+    cut = PSD_TOL * max(1.0, abs(kappa))
+    passed = True
     for xs, R, u in _one_ball(g).stacks:
         eye = np.eye(R.shape[1])
-        eigs = np.linalg.eigvalsh(R - invn * u[:, :, None] * u.conj()[:, None, :] - kappa * eye)
-        mins[xs] = eigs[:, 0]
-        cuts[xs] = -PSD_TOL * np.maximum(1.0, np.abs(eigs).max(axis=1))
-    return CDGraphCheck(n=n, kappa=kappa, min_eigenvalues=mins, thresholds=cuts,
-                        passed=bool(np.all(mins >= cuts)))
+        A = R - invn * u[:, :, None] * u.conj()[:, None, :] - kappa * eye
+        mins[xs] = np.linalg.eigvalsh(A)[:, 0]
+        passed = passed and _positive_definite(A + cut * eye)
+    return CDGraphCheck(n=n, kappa=kappa, min_eigenvalues=mins,
+                        thresholds=np.full(g.num_vertices, -cut), passed=passed)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from magcurv.curvature import cd_check_graph, kappa_max
+from magcurv import curvature
+from magcurv.curvature import cd_check_function, cd_check_graph, kappa_max
 from magcurv.graphs import from_edge_list
 from magcurv.lift import build_lift
 
@@ -132,17 +133,79 @@ BADLY_SCALED_LEVEL = 1e-3
 # A path whose two weights differ by 1e16: at the middle vertex a_y is 1e-16
 # on one side, so the reduced matrix is graded.
 @example(from_edge_list(3, 2, [(0, 1, 1e-8, 1), (1, 2, 1e8, 0)]))
+# At vertex 5 the reduced matrix is graded, and eigh's eigenvector alone, not
+# refined by inverse iteration, is 0.2 s away from a null direction.
+@example(from_edge_list(7, 3, [
+    (0, 1, 126.87418669030156, 1), (0, 2, 0.0006753447777385913, 0),
+    (0, 3, 45297.035191862786, 0), (0, 4, 300690.66109632445, 2),
+    (0, 5, 0.00030590423042271733, 1), (0, 6, 0.0037786518630023073, 1),
+    (1, 2, 150364.9670024538, 1), (1, 3, 5422182.76827492, 2),
+    (1, 4, 1914586.5488149899, 2), (1, 6, 114.18251468287674, 0),
+    (2, 3, 1.6902927055033876e-05, 1), (2, 4, 85144366.94376658, 1),
+    (2, 5, 1.350995557084398e-08, 0), (3, 5, 0.0007774930154806764, 1),
+    (4, 5, 32895453.6842967, 2), (4, 6, 0.009137317280925896, 1),
+    (5, 6, 4.075238360491931, 2)]))
+# At vertex 4, a_y = 1.6e-7 on the edge to 2, and nearly all of 2's weight is
+# on its edge to 5, so the reduced matrix has norm 2.6e6. Its least eigenvalue
+# is accurate only to about eps times that norm, and a PSD cut relative to the
+# norm would accept CD(2, kappa_max + 1e-3), which vertex 4 fails exactly.
+@example(from_edge_list(6, 4, [
+    (0, 1, 833958.72678278, 1), (0, 2, 1.543964250948393e-08, 0),
+    (0, 5, 1418404.3293725848, 2), (1, 4, 3.251330075968762, 2),
+    (2, 3, 5.354859650606114e-07, 1), (2, 4, 1.0945077053506912e-05, 1),
+    (2, 5, 77726370.0352237, 1), (3, 4, 5.954235611185723, 2),
+    (3, 5, 1552336.7567662501, 1), (4, 5, 59.32570343212359, 0)]))
 @given(badly_scaled_graphs())
 @settings(max_examples=30, deadline=None)
 def test_badly_scaled_weights(g):
     # at every vertex, in rational arithmetic: CD(2, kappa_x - level s)
-    # holds and CD(2, kappa_x + level s) fails, s = max(1, |kappa_x|)
-    per = kappa_max(g, N_DIM).per_vertex
+    # holds and CD(2, kappa_x + level s) fails, s = max(1, |kappa_x|); the
+    # witness, to the same level, is a null direction of M_x(2, kappa_x)
+    result = kappa_max(g, N_DIM)
+    per = result.per_vertex
     assert np.all(np.isfinite(per))
     for x, kappa in enumerate(per.tolist()):
         tol = BADLY_SCALED_LEVEL * max(1.0, abs(kappa))
         assert exact_cd_holds(g, x, N_DIM, kappa - tol)
         assert not exact_cd_holds(g, x, N_DIM, kappa + tol)
+        w = result.witness(x)
+        assert cd_check_function(g, w, N_DIM, kappa - tol).passed[x]
+        assert not cd_check_function(g, w, N_DIM, kappa + tol).passed[x]
+    # cd_check_graph decides on the matrices kappa_max solves, so it holds
+    # at kappa_max and fails 1e-6 s above it
+    km = result.kappa_max
+    assert cd_check_graph(g, N_DIM, km).passed
+    assert not cd_check_graph(g, N_DIM, km + 1e-6 * max(1.0, abs(km))).passed
+
+
+def test_dense_badly_scaled_graph_past_the_pair_limit(monkeypatch):
+    # K_11 at ell = 3 with weights 2^k, k in -26..26 (exact in binary, which
+    # keeps the rational arithmetic fast): a vertex with t twisted triangle
+    # terms takes them pair by pair only if t (t - 1) / 2 <= PAIR_LIMIT; the
+    # others keep the Schur step on g_0, and must stay as accurate.
+    rng = np.random.default_rng(2)
+    n, ell = 11, 3
+    edges = [(u, v, 2.0 ** int(rng.integers(-26, 27)), int(rng.integers(0, ell)))
+             for u in range(n) for v in range(u + 1, n)]
+    exps = {}
+    for u, v, _, s in edges:
+        exps[u, v], exps[v, u] = s, -s
+    twisted = np.array([sum((exps[x, y] + exps[y, z] - exps[x, z]) % ell != 0
+                            for y in range(n) for z in range(n) if len({x, y, z}) == 3)
+                        for x in range(n)])
+    past = np.flatnonzero(twisted * (twisted - 1) > 2 * curvature.PAIR_LIMIT)
+    assert 0 < len(past) < n
+    g = from_edge_list(n, ell, edges)
+    per = kappa_max(g, N_DIM).per_vertex
+    monkeypatch.setattr(curvature, "PAIR_LIMIT", 10 ** 9)
+    paired = kappa_max(from_edge_list(n, ell, edges), N_DIM).per_vertex
+    # the vertices past the limit took the other route, to the same values
+    assert not np.array_equal(per[past], paired[past])
+    assert np.all(np.abs(per - paired) <= 1e-12 * np.maximum(1.0, np.abs(paired)))
+    for x in past.tolist():
+        s = max(1.0, abs(per[x]))
+        assert exact_cd_holds(g, x, N_DIM, per[x] - 1e-9 * s)
+        assert not exact_cd_holds(g, x, N_DIM, per[x] + 1e-9 * s)
 
 
 # Three graphs drawn as badly_scaled_graphs draws them, with kappa at one
