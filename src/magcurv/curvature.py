@@ -120,6 +120,13 @@ def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return i, np.arange(len(i)) - np.repeat(np.cumsum(count) - count, count) + lo[i]
 
 
+def _pieces(values: np.ndarray, sizes) -> tuple[np.ndarray, ...]:
+    """``values`` cut into consecutive views of the given sizes, as np.split
+    cuts it, without its per-piece overhead."""
+    ends = np.cumsum(sizes).tolist()
+    return tuple(values[a:b] for a, b in zip([0, *ends], ends))
+
+
 def _sums(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
     """np.bincount for complex values."""
     return (np.bincount(index, values.real, size)
@@ -274,12 +281,12 @@ def _one_ball(g: MagneticGraph) -> OneBall:
     ends = np.concatenate((np.arange(n) * (n + 1), key, pair_key[new]))
     order = np.argsort(ends)
     sizes = 1 + deg + np.bincount(x[far][new], minlength=n)
-    supports = np.split(ends[order] % n, np.cumsum(sizes)[:-1])
+    supports = _pieces(ends[order] % n, sizes)
     spread = c[far] * pi / D[target]
     for arr in (elim, via, target, spread, order, *supports, *(a for st in stacks for a in st)):
         arr.flags.writeable = False
     return OneBall(stacks=tuple(stacks), elim=elim, via=via, target=target,
-                   spread=spread, order=order, supports=tuple(supports))
+                   spread=spread, order=order, supports=supports)
 
 
 @dataclass(frozen=True)
@@ -416,4 +423,4 @@ def kappa_max(g: MagneticGraph, n: float) -> CurvatureResult:
     return CurvatureResult(
         n=n, per_vertex=per, kappa_max=kappa,
         witness_vertex=int(np.argmax(per <= kappa + WITNESS_TIE * max(1.0, abs(kappa)))),
-        witnesses=tuple(np.split(values, np.cumsum(sizes)[:-1])), supports=ball.supports)
+        witnesses=_pieces(values, sizes), supports=ball.supports)

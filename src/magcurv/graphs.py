@@ -156,17 +156,32 @@ class MagneticGraph:
     @cached_property
     def oriented_edges(self) -> OrientedEdges:
         """The oriented-edge table every operator is assembled from, built once."""
-        n, d = self.num_vertices, self.degrees
-        xs, ys, ws, ss = zip(*[(x, y, w, s) for x in range(n)
-                               for y, w, s in self.neighbors(x)])
-        ps = [self.phase(s) for s in ss]
-        src, dst, exponent = np.array(xs), np.array(ys), np.array(ss)
+        n, ell = self.num_vertices, self.ell
+        u, v, s = np.array([(e.u, e.v, e.s) for e in self.edges]).T
+        w = np.array([e.w for e in self.edges])
+        # Rows u -> v, v -> u interleaved in edge order; a stable sort by source
+        # keeps each vertex's rows in neighbors() order.
+        ends = np.column_stack((u, v)).ravel()
+        order = np.argsort(ends, kind="stable")
+        src = ends[order]
+        dst = np.column_stack((v, u)).ravel()[order]
+        exponent = np.column_stack((s, (ell - s) % ell)).ravel()[order]
+        ws, d = np.repeat(w, 2)[order], self.degrees[src]
         first = np.searchsorted(src, np.arange(n))
-        weight = np.array([w / d[x] for x, w in zip(xs, ws)])
-        phase = np.array(ps)
-        # Scalar on purpose: a vectorized expression rounds differently, and
-        # the verify output is pinned to the bits of these Laplacian entries.
-        coef = np.array([w * p / d[x] for x, w, p in zip(xs, ws, ps)])
+        weight = ws / d
+        present, at = np.unique(exponent, return_inverse=True)   # at most R, not ell
+        phase = np.array([self.phase(k) for k in present.tolist()])[at]
+        # The verify output is pinned to the bits these Laplacian entries get
+        # in Python scalar arithmetic (oriented_edges_reference in the tests'
+        # oracles). numpy's complex division multiplies by 1 / d_x and rounds
+        # differently, so coef is w * phase / d_x written out as CPython
+        # computes it: float * complex multiplies by w + 0j, and complex / float
+        # divides by d_x + 0j with the ratio 0 / d_x.
+        re = ws * phase.real - 0.0 * phase.imag
+        im = ws * phase.imag + 0.0 * phase.real
+        coef = np.empty(len(src), dtype=complex)
+        coef.real = (re + im * 0.0) / d
+        coef.imag = (im - re * 0.0) / d
         for arr in (src, dst, first, weight, phase, coef, exponent):
             arr.flags.writeable = False
         return OrientedEdges(src=src, dst=dst, first=first, weight=weight,
@@ -255,15 +270,15 @@ def load_graph(text: str) -> MagneticGraph:
     _require(isinstance(n, int) and not isinstance(n, bool), "num_vertices must be an integer")
     _require(isinstance(edges, list), "edges must be a list")
     parsed = []
-    for item in edges:
-        _require(isinstance(item, dict) and set(item) == {"u", "v", "w", "s"},
-                 f"edge entries must be objects with keys u, v, w, s: {item!r}")
+    for item in edges:   # messages are formatted only on failure
+        if not (isinstance(item, dict) and set(item) == {"u", "v", "w", "s"}):
+            raise ParseError(f"edge entries must be objects with keys u, v, w, s: {item!r}")
         u, v, w, s = item["u"], item["v"], item["w"], item["s"]
         for name, val in (("u", u), ("v", v), ("s", s)):
-            _require(isinstance(val, int) and not isinstance(val, bool),
-                     f"edge field {name} must be an integer: {item!r}")
-        _require(isinstance(w, (int, float)) and not isinstance(w, bool),
-                 f"edge weight must be a number: {item!r}")
+            if not isinstance(val, int) or isinstance(val, bool):
+                raise ParseError(f"edge field {name} must be an integer: {item!r}")
+        if not isinstance(w, (int, float)) or isinstance(w, bool):
+            raise ParseError(f"edge weight must be a number: {item!r}")
         parsed.append(Edge(u, v, float(w), s))
     return MagneticGraph(num_vertices=n, ell=ell, edges=tuple(parsed))
 

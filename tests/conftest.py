@@ -112,3 +112,13 @@ def graph_strategy(draw, max_vertices: int = 7, max_ell: int = 4):
         s = draw(st.integers(0, ell - 1))
         edges.append((u, v, w, s))
     return from_edge_list(n, ell, edges)
+
+
+@st.composite
+def badly_scaled_graphs(draw):
+    """graph_strategy's graphs with every weight redrawn from 1e-8..1e8."""
+    g = draw(graph_strategy())
+    exps = draw(st.lists(st.floats(-8.0, 8.0), min_size=len(g.edges),
+                         max_size=len(g.edges)))
+    return from_edge_list(g.num_vertices, g.ell,
+                          [(e.u, e.v, 10.0 ** p, e.s) for e, p in zip(g.edges, exps)])

@@ -12,7 +12,7 @@ import scipy.linalg
 
 from magcurv.curvature import PSD_TOL, _inv_n, _ranges
 from magcurv.errors import NumericalError, SizeError
-from magcurv.graphs import MagneticGraph, SignatureStatus, memoised_on_graph
+from magcurv.graphs import MagneticGraph, OrientedEdges, SignatureStatus, memoised_on_graph
 from magcurv.lift import LiftIdentityReport, build_lift
 from magcurv.operators import _differences, laplacian_matrix, spectrum
 
@@ -21,6 +21,21 @@ KERNEL_THRESHOLD = 1e-10
 # kappa_max_bisect: relative bracket width, and doublings before a side gives up.
 BISECT_TOL = 1e-9
 MAX_DOUBLINGS = 80
+
+
+def oriented_edges_reference(g) -> OrientedEdges:
+    """The oriented-edge table built row by row from ``neighbors``, with each
+    entry computed in Python scalars: ``coef`` is w * sigma_xy / d_x in
+    CPython's float * complex and complex / float arithmetic."""
+    n, d = g.num_vertices, g.degrees
+    xs, ys, ws, ss = zip(*[(x, y, w, s) for x in range(n) for y, w, s in g.neighbors(x)])
+    ps = [g.phase(s) for s in ss]
+    src = np.array(xs)
+    return OrientedEdges(src=src, dst=np.array(ys), first=np.searchsorted(src, np.arange(n)),
+                         weight=np.array([w / d[x] for x, w in zip(xs, ws)]),
+                         phase=np.array(ps),
+                         coef=np.array([w * p / d[x] for x, w, p in zip(xs, ws, ps)]),
+                         exponent=np.array(ss))
 
 
 def dense_rows(g, x):

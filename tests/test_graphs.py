@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import re
 import tracemalloc
 import weakref
 
@@ -13,9 +14,11 @@ from magcurv.errors import ParseError, ValidationError
 from magcurv.graphs import (diameter, from_edge_list, is_connected, load_graph,
                             random_magnetic_graph, signature_status)
 from magcurv.curvature import _one_ball
+from magcurv.lift import build_lift
 from magcurv.operators import spectrum
 
-from .conftest import graph_strategy
+from .conftest import LIFT_SHAPES, badly_scaled_graphs, graph_strategy, sparse_graph
+from .oracles import oriented_edges_reference
 
 T3_DOC = json.dumps({
     "ell": 2, "num_vertices": 3,
@@ -79,6 +82,63 @@ def test_load_rejects_malformed_documents():
     with pytest.raises(ParseError):
         load_graph(json.dumps({"ell": 2, "num_vertices": 2,
                                "edges": [{"u": 0, "v": 1, "w": 1.0}]}))
+
+
+EDGE = {"u": 0, "v": 1, "w": 1.0, "s": 0}
+
+
+@pytest.mark.parametrize("entry, message", [
+    (1, "edge entries must be objects with keys u, v, w, s: 1"),
+    ({"u": 0, "v": 1, "w": 1.0},
+     "edge entries must be objects with keys u, v, w, s: {'u': 0, 'v': 1, 'w': 1.0}"),
+    ({**EDGE, "u": True},
+     "edge field u must be an integer: {'u': True, 'v': 1, 'w': 1.0, 's': 0}"),
+    ({**EDGE, "s": 0.0},
+     "edge field s must be an integer: {'u': 0, 'v': 1, 'w': 1.0, 's': 0.0}"),
+    ({**EDGE, "w": "1"},
+     "edge weight must be a number: {'u': 0, 'v': 1, 'w': '1', 's': 0}"),
+])
+def test_load_rejects_a_malformed_edge_with_its_text(entry, message):
+    # a well-formed edge first: the failing entry is named, not the first one
+    doc = {"ell": 2, "num_vertices": 2, "edges": [EDGE, entry]}
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        load_graph(json.dumps(doc))
+
+
+def assert_table_matches_reference(g):
+    """Every array of the oriented-edge table equals the row-by-row reference
+    byte for byte, and each vertex's rows list neighbors() in order."""
+    got, want = g.oriented_edges, oriented_edges_reference(g)
+    for name in got._fields:
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    ends = [*got.first[1:].tolist(), len(got.src)]
+    for x, (lo, hi) in enumerate(zip(got.first.tolist(), ends)):
+        assert [(y, s) for y, _, s in g.neighbors(x)] == list(
+            zip(got.dst[lo:hi].tolist(), got.exponent[lo:hi].tolist()))
+
+
+def test_oriented_edges_match_the_reference(corpus):
+    for g in corpus:
+        assert_table_matches_reference(g)
+    for shape in LIFT_SHAPES:
+        base = sparse_graph(*shape, seed=sum(shape))
+        assert_table_matches_reference(base)
+        assert_table_matches_reference(build_lift(base).graph)
+
+
+@given(badly_scaled_graphs())
+@settings(max_examples=60, deadline=None)
+def test_oriented_edges_match_the_reference_on_badly_scaled_weights(g):
+    assert_table_matches_reference(g)
+    assert_table_matches_reference(build_lift(g).graph)
+
+
+def test_edge_table_computes_only_the_phases_present():
+    # one edge and ell = 10**9: two phases, not one per group element
+    g = from_edge_list(2, 10**9, [(0, 1, 1.0, 5)])
+    assert_table_matches_reference(g)
+    assert g.oriented_edges.phase.tolist() == [g.phase(5), g.phase(10**9 - 5)]
 
 
 def test_document_round_trip(t3):
@@ -164,13 +224,14 @@ def test_base_diameter_is_computed_once(monkeypatch, t3):
 
 def test_stored_results_die_with_their_graph():
     # Everything stored on the graph must be free of references back to it
-    # (a lift is not stored: LiftGraph.base would close a cycle), so the
-    # graph and its spectrum, forms, girth, diameter, lift diameter,
-    # connectivity and signature status go by reference counting alone.
+    # (the lift is stored as its graph: LiftGraph.base would close a cycle),
+    # so the graph and its spectrum, forms, girth, diameter, lift diameter,
+    # connectivity, signature status and lift go by reference counting alone.
     g = from_edge_list(3, 2, [(0, 1, 1.0, 0), (1, 2, 1.0, 0), (0, 2, 1.0, 1)])
     verify_report(g)
     lift_diameter_check(g)
-    assert len(vars(g)["_memo"]) == 7
+    build_lift(g)
+    assert len(vars(g)["_memo"]) == 8
     ref = weakref.ref(g)
     gc.disable()
     try:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,6 +151,40 @@ def test_lift_identities_reject_a_wrong_lift(monkeypatch, t3, wrong):
     assert rep.max_laplacian_residual > lift_module.LAPLACIAN_TOL
     assert rep.max_eigenpair_residual > lift_module.EIGENPAIR_TOL
     assert not rep.all_ok
+
+
+def test_build_lift_and_the_identities_share_one_lift(monkeypatch, t3):
+    builds = []
+    build = lift_module._lifted.__wrapped__
+    monkeypatch.setattr(lift_module._lifted, "__wrapped__",
+                        lambda h: builds.append(h) or build(h))
+    lift = build_lift(t3)
+    assert verify_lift_identities(t3).all_ok
+    assert builds == [t3]
+    assert build_lift(t3).graph is lift.graph
+
+
+def test_eigenpair_check_memory_does_not_grow_with_the_eigenpairs():
+    # 500 eigenpairs on a lift of 6000 rows: lifted all at once, they and
+    # their row differences would peak near 126 MiB; in blocks of columns the
+    # peak is the lift, its tables and one block, about 5 MiB.
+    g = sparse_graph(500, 4, seed=1)
+    spectrum(g)   # the dense eigensolve of the base is not the check's
+    tracemalloc.start()
+    try:
+        assert verify_lift_identities(g).all_ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+
+
+def test_eigenpair_check_in_narrow_blocks_keeps_every_bit(monkeypatch, corpus):
+    # the corpus lifts fit in one block; blocks of two or three columns must
+    # give the same residuals, bit for bit, and miss no column
+    whole = [verify_lift_identities(g) for g in corpus]
+    monkeypatch.setattr(lift_module, "EIGENPAIR_BLOCK", 1)
+    assert [verify_lift_identities(g) for g in corpus] == whole
 
 
 def assert_matches_dense_reference(g):

@@ -7,14 +7,13 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from magcurv import curvature
 from magcurv.curvature import cd_check_function, cd_check_graph, kappa_max
 from magcurv.graphs import from_edge_list
 from magcurv.lift import build_lift
 
-from .conftest import LIFT_SHAPES, build_corpus, graph_strategy, sparse_graph
+from .conftest import LIFT_SHAPES, badly_scaled_graphs, build_corpus, sparse_graph
 from .oracles import (dense_form_family, dense_kappa_per_vertex, embedded_forms,
                       exact_cd_holds, form_family, two_ball_kappa)
 
@@ -109,16 +108,6 @@ def test_exact_cd_decision_at_the_witness_vertex(corpus):
         s = max(1.0, abs(km))
         assert exact_cd_holds(g, x, N_DIM, km - 1e-9 * s)
         assert not exact_cd_holds(g, x, N_DIM, km + 1e-6 * s)
-
-
-@st.composite
-def badly_scaled_graphs(draw):
-    """graph_strategy's graphs with every weight redrawn from 1e-8..1e8."""
-    g = draw(graph_strategy())
-    exps = draw(st.lists(st.floats(-8.0, 8.0), min_size=len(g.edges),
-                         max_size=len(g.edges)))
-    return from_edge_list(g.num_vertices, g.ell,
-                          [(e.u, e.v, 10.0 ** p, e.s) for e, p in zip(g.edges, exps)])
 
 
 # Relative error of kappa_x that badly scaled weights may cause, judged exactly.
