@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .combinatorics import DEFAULT_BUDGET, cheeger_number, magnetic_girth
-from .curvature import _inv_n, kappa_max
-from .errors import PreconditionError, SizeError, ValidationError
+from .curvature import _inv_n, _not_nan, kappa_max
+from .errors import PreconditionError, SizeError
 from .graphs import MagneticGraph, Record, diameter, is_connected, signature_status
 from .lift import lift_diameter
 from .operators import energy, spectrum
@@ -65,13 +65,6 @@ def _record_or_skip(check, *args):
         return None, f"hypothesis failed: {exc.hypothesis}"
     except SizeError as exc:
         return None, f"budget: {exc}"
-
-
-def _not_nan(name: str, value: float) -> float:
-    """value itself; a NaN is rejected, +-inf kept."""
-    if math.isnan(value):
-        raise ValidationError(f"{name} must be a number, got nan")
-    return value
 
 
 def _normalized_eigenpairs(g: MagneticGraph):

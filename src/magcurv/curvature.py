@@ -27,11 +27,11 @@ with u_y = sqrt(2 a_y), so |u|^2 = 2. Every kappa_x is finite. R_x is
 assembled once per graph from the oriented-edge table, over the rows x -> y
 and the pairs of rows x -> y -> z, as a sum of weighted squares of
 differences of unit phases, so a holonomy that the exponents make trivial
-contributes an exact 0. The matrices are stacked by degree, so each check
-takes one eigensolve per degree, and nothing here is N x N. Badly scaled
-weights take two guarded steps: g_0 eliminated pair by pair where the Schur
-step would cancel digits, and lambda_min refined where R_x is graded, by the
-Cholesky test that cd_check_graph decides with.
+contributes an exact 0. The matrices are stacked by degree, and nothing
+here is N x N. kappa_max is stored per (graph, n); every certificate reads it.
+Badly scaled weights take two guarded steps: g_0 eliminated pair by pair
+where the Schur step would cancel digits, and lambda_min refined by a
+Cholesky bisection where R_x is graded.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, ValidationError
 from .graphs import MagneticGraph, memoised_on_graph
 from .operators import _apply_laplacian, as_vertex_function, gamma, gamma2
 
@@ -81,6 +81,13 @@ def _inv_n(n: float) -> float:
     return 1.0 / float(n)
 
 
+def _not_nan(name: str, value: float) -> float:
+    """value itself; a NaN is rejected, +-inf kept."""
+    if math.isnan(value):
+        raise ValidationError(f"{name} must be a number, got nan")
+    return value
+
+
 @dataclass(frozen=True)
 class CDFunctionCheck:
     """Pointwise CD check for one function (or a batch): slack per vertex."""
@@ -100,9 +107,9 @@ def cd_check_function(g: MagneticGraph, f, n: float, kappa: float) -> CDFunction
 
     slack(x) = gamma2(f)(x) - (1/n)|Lf(x)|^2 - kappa * gamma(f)(x); a vertex
     passes when slack >= -1e-9 * scale, scale being the magnitude of the three
-    terms. Accepts a single function of shape (N,) or a batch (N, B).
+    terms. Accepts a single function (N,) or a batch (N, B); a NaN kappa is rejected.
     """
-    invn = _inv_n(n)
+    invn, kappa = _inv_n(n), _not_nan("kappa", kappa)
     vals = as_vertex_function(g, f)
     g2 = np.real(gamma2(g, vals))
     g1 = np.real(gamma(g, vals))
@@ -191,7 +198,6 @@ def _one_ball(g: MagneticGraph) -> OneBall:
     starts = np.append(edges.first, rows)
     deg = np.diff(starts)
     local = np.arange(rows) - edges.first[src]
-    roots = np.exp(2j * np.pi * np.arange(ell) / ell)
     area = deg ** 2
     by_deg = np.argsort(deg, kind="stable")
     block_start = np.empty_like(area)
@@ -216,11 +222,11 @@ def _one_ball(g: MagneticGraph) -> OneBall:
     D = np.bincount(target, c[far])
     k, m = _ranges(np.arange(len(far)) + 1, group_end[target])
     via, exp = r1[far], -(s[r1] + s[r2])[far] % ell
-    pi = roots[exp]
+    pi = np.exp(2j * np.pi * exp / ell)
 
     # the squared terms h |tp g_p + tq g_q + t0 g_0|^2 at vertex w
     e = (s[r1] + s[r2] - s[r3])[tri] % ell
-    tau = roots[e]
+    tau = np.exp(2j * np.pi * e / ell)
     w, p, q, h, tp, tq, t0, twist = (np.concatenate(pair) for pair in zip(
         (x[tri], r1[tri], r3[tri], 0.5 * c[tri], np.full(len(e), -2.0 + 0j), tau,
          tau - 1.0, e != 0),
@@ -302,25 +308,18 @@ class CDGraphCheck:
 
 
 def cd_check_graph(g: MagneticGraph, n: float, kappa: float) -> CDGraphCheck:
-    """Graph-wide CD(n, kappa) decision via per-vertex PSD tests.
+    """Graph-wide CD(n, kappa) decision, read from the stored kappa_max(g, n).
 
-    M_x(n, kappa) is congruent to 0 + (R_x - (1/n) u_x u_x^H - kappa I), or
-    to a positive scalar plus it, so it is PSD exactly when the reduced
-    matrix is. That is accepted when the matrix plus 1e-9 * max(1, |kappa|) I
-    is positive definite by _positive_definite, the test kappa_max refines
-    with, which stays accurate where badly scaled weights make R_x graded.
+    M_x(n, kappa) is PSD exactly when kappa_x(n) - kappa, the least eigenvalue
+    of its reduced matrix, is >= 0; it is accepted down to -1e-9 max(1, |kappa|).
+    An infinite kappa takes the cut of the largest float, so -inf passes and
+    +inf fails; a NaN kappa is rejected.
     """
-    invn = _inv_n(n)
-    mins = np.empty(g.num_vertices)
-    cut = PSD_TOL * max(1.0, abs(kappa))
-    passed = True
-    for xs, R, u in _one_ball(g).stacks:
-        eye = np.eye(R.shape[1])
-        A = R - invn * u[:, :, None] * u.conj()[:, None, :] - kappa * eye
-        mins[xs] = np.linalg.eigvalsh(A)[:, 0]
-        passed = passed and _positive_definite(A + cut * eye)
+    mins = kappa_max(g, n).per_vertex - _not_nan("kappa", kappa)
+    cut = PSD_TOL * min(max(1.0, abs(kappa)), np.finfo(float).max)
     return CDGraphCheck(n=n, kappa=kappa, min_eigenvalues=mins,
-                        thresholds=np.full(g.num_vertices, -cut), passed=passed)
+                        thresholds=np.full(g.num_vertices, -cut),
+                        passed=bool(np.all(mins >= -cut)))
 
 
 @dataclass(frozen=True)
@@ -393,9 +392,11 @@ def _graded_minimum(A: np.ndarray, lam: float, vec: np.ndarray) -> tuple[float, 
     return lo, vec
 
 
+@memoised_on_graph
 def kappa_max(g: MagneticGraph, n: float) -> CurvatureResult:
     """Optimal kappa(n) per vertex, lambda_min(R_x - (1/n) u_x u_x^H), and
     graph-wide; the minimising eigenvectors are mapped back to the 2-balls.
+    Stored per (g, n), with n as a float, so n = 2 and n = 2.0 share it.
 
     Where ||R_x|| exceeds 100 max(1, |kappa_x|), as badly scaled weights make
     it, eigh's answer is refined by _graded_minimum.
@@ -418,9 +419,9 @@ def kappa_max(g: MagneticGraph, n: float) -> CurvatureResult:
     at_z = _sums(ball.target, ball.spread * (2.0 * gy[ball.via] + g0[edges.src[ball.via]]),
                  len(ball.order) - len(h) - len(g0))
     values = np.concatenate((g0, edges.phase.conj() * (gy + g0[edges.src]), at_z))[ball.order]
-    sizes = [len(sup) for sup in ball.supports]
     kappa = float(per.min())
+    per.flags.writeable = values.flags.writeable = False
     return CurvatureResult(
-        n=n, per_vertex=per, kappa_max=kappa,
+        n=float(n), per_vertex=per, kappa_max=kappa,
         witness_vertex=int(np.argmax(per <= kappa + WITNESS_TIE * max(1.0, abs(kappa)))),
-        witnesses=_pieces(values, sizes), supports=ball.supports)
+        witnesses=_pieces(values, [len(sup) for sup in ball.supports]), supports=ball.supports)

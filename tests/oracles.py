@@ -10,7 +10,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from magcurv.curvature import PSD_TOL, _inv_n, _ranges
+from magcurv.curvature import (PSD_TOL, CDGraphCheck, _inv_n, _one_ball, _positive_definite,
+                               _ranges)
 from magcurv.errors import NumericalError, SizeError
 from magcurv.graphs import MagneticGraph, OrientedEdges, SignatureStatus, memoised_on_graph
 from magcurv.lift import LiftIdentityReport, build_lift
@@ -306,6 +307,24 @@ def two_ball_cd_passed(g, n, kappa) -> bool:
         if np.any(eigs[:, 0] < -PSD_TOL * np.maximum(1.0, np.abs(eigs).max(axis=1))):
             return False
     return True
+
+
+def cd_check_reference(g, n, kappa) -> CDGraphCheck:
+    """CD(n, kappa) decided on the reduced matrices themselves, not read from
+    kappa_max: per vertex, eigvalsh's least eigenvalue of
+    A = R_x - (1/n) u_x u_x^H - kappa I, and a pass when every A plus
+    1e-9 * max(1, |kappa|) I has a Cholesky factor."""
+    invn = _inv_n(n)
+    mins = np.empty(g.num_vertices)
+    cut = PSD_TOL * max(1.0, abs(kappa))
+    passed = True
+    for xs, R, u in _one_ball(g).stacks:
+        eye = np.eye(R.shape[1])
+        A = R - invn * u[:, :, None] * u.conj()[:, None, :] - kappa * eye
+        mins[xs] = np.linalg.eigvalsh(A)[:, 0]
+        passed = passed and _positive_definite(A + cut * eye)
+    return CDGraphCheck(n=n, kappa=kappa, min_eigenvalues=mins,
+                        thresholds=np.full(g.num_vertices, -cut), passed=passed)
 
 
 def kappa_max_bisect(g, n) -> float:

@@ -1,13 +1,15 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from magcurv import curvature
+from magcurv.bounds import cheeger_bound_check, eigenvalue_lower_bound, harnack_check
 from magcurv.curvature import _one_ball, cd_check_function, cd_check_graph, kappa_max
-from magcurv.errors import DimensionError
+from magcurv.errors import DimensionError, ValidationError
 from magcurv.graphs import from_edge_list, random_magnetic_graph
 from magcurv.lift import build_lift
 
@@ -168,8 +170,9 @@ def test_one_form_build_serves_every_curvature_check(monkeypatch):
 
 
 def test_curvature_checks_read_the_stored_stacks(monkeypatch):
-    # the reduction is stored, not rebuilt per call, and every check takes
-    # one eigensolve per degree, on the stored stack of that degree
+    # the reduction is stored, not rebuilt per call; kappa_max takes one
+    # eigensolve per degree, on the stored stack of that degree, and
+    # cd_check_graph reads the stored kappa_max without solving anything
     g = from_edge_list(5, 3, [(0, 1, 1.0, 1), (1, 2, 0.5, 0), (2, 0, 2.0, 2),
                               (2, 3, 1.0, 1), (3, 4, 1.5, 0)])
     stored = _one_ball(g).stacks
@@ -181,9 +184,65 @@ def test_curvature_checks_read_the_stored_stacks(monkeypatch):
                             lambda A, solve=solve: solved.append(A.shape) or solve(A))
     kappa_max(g, 2.0)
     cd_check_graph(g, 2.0, 0.0)
-    assert solved == 2 * [R.shape for _, R, _ in stored]
+    assert solved == [R.shape for _, R, _ in stored]
     assert _one_ball(g).stacks is stored
     assert all(not a.flags.writeable for st in stored for a in st)
+
+
+def test_one_kappa_max_build_serves_every_certificate(monkeypatch, t3):
+    # the "auto" kappa of the bounds and every cd_check_graph read one stored
+    # kappa_max(g, n), and n = 2 and n = 2.0 share it
+    builds = []
+    build = kappa_max.__wrapped__
+    monkeypatch.setattr(kappa_max, "__wrapped__",
+                        lambda h, n: builds.append(h) or build(h, n))
+    harnack_check(t3, 2)
+    eigenvalue_lower_bound(t3, 2.0)
+    cheeger_bound_check(t3, 2)
+    km = kappa_max(t3, 2.0).kappa_max
+    for kappa in (km - 1e-6, km, km + 1e-6):
+        cd_check_graph(t3, 2, kappa)
+    assert len(builds) == 1 and builds[0] is t3
+    result = kappa_max(t3, 2)
+    assert result is kappa_max(t3, 2.0) and type(result.n) is float
+    assert not result.per_vertex.flags.writeable
+    assert not any(w.flags.writeable for w in result.witnesses)
+
+
+@pytest.mark.parametrize("n", [2.0, math.inf])
+def test_both_cd_checks_reject_a_nan_kappa(t3, n):
+    # cd_check_graph holds CD(n, -inf), not CD(n, +inf), and decides by its
+    # own per-vertex comparison; no infinite kappa raises a warning
+    f = np.arange(3, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="kappa must be a number, got nan"):
+            cd_check_graph(t3, n, math.nan)
+        with pytest.raises(ValidationError, match="kappa must be a number, got nan"):
+            cd_check_function(t3, f, n, math.nan)
+        for kappa, want in ((-math.inf, True), (math.inf, False)):
+            check = cd_check_graph(t3, n, kappa)
+            assert check.passed is want
+            assert check.passed == bool(np.all(check.min_eigenvalues >= check.thresholds))
+
+
+def test_kappa_max_allocates_nothing_of_length_ell():
+    # the phases are evaluated on the exponents that occur, not on all of
+    # Z_ell: at ell = 10^9 a 4-vertex graph stays under 1 MiB. A first call
+    # at ell = 5 loads the modules numpy imports lazily, outside the trace.
+    def graph(ell):
+        return from_edge_list(4, ell, [(0, 1, 1.0, 1), (1, 2, 0.5, 2), (0, 2, 2.0, ell - 1),
+                                       (2, 3, 1.5, 123_456_789 % ell)])
+
+    kappa_max(graph(5), 2.0)
+    g = graph(10 ** 9)
+    tracemalloc.start()
+    try:
+        kappa_max(g, 2.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 @given(graph_strategy(max_vertices=6))

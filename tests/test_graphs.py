@@ -225,13 +225,14 @@ def test_base_diameter_is_computed_once(monkeypatch, t3):
 def test_stored_results_die_with_their_graph():
     # Everything stored on the graph must be free of references back to it
     # (the lift is stored as its graph: LiftGraph.base would close a cycle),
-    # so the graph and its spectrum, forms, girth, diameter, lift diameter,
-    # connectivity, signature status and lift go by reference counting alone.
+    # so the graph and its spectrum, forms, curvature, girth, diameter, lift
+    # diameter, connectivity, signature status and lift go by reference
+    # counting alone.
     g = from_edge_list(3, 2, [(0, 1, 1.0, 0), (1, 2, 1.0, 0), (0, 2, 1.0, 1)])
     verify_report(g)
     lift_diameter_check(g)
     build_lift(g)
-    assert len(vars(g)["_memo"]) == 8
+    assert len(vars(g)["_memo"]) == 9
     ref = weakref.ref(g)
     gc.disable()
     try:

@@ -9,13 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 
 from magcurv import curvature
-from magcurv.curvature import cd_check_function, cd_check_graph, kappa_max
+from magcurv.curvature import GRADED, _one_ball, cd_check_function, cd_check_graph, kappa_max
 from magcurv.graphs import from_edge_list
 from magcurv.lift import build_lift
 
 from .conftest import LIFT_SHAPES, badly_scaled_graphs, build_corpus, sparse_graph
-from .oracles import (dense_form_family, dense_kappa_per_vertex, embedded_forms,
-                      exact_cd_holds, form_family, two_ball_kappa)
+from .oracles import (cd_check_reference, dense_form_family, dense_kappa_per_vertex,
+                      embedded_forms, exact_cd_holds, form_family, two_ball_kappa)
 
 N_DIM = 2.0
 
@@ -75,6 +75,37 @@ def assert_matches_dense_oracle(g):
                       <= 1e-12 * np.maximum(1.0, np.abs(got)))
         assert np.all(check.thresholds <= -1e-9)
         assert check.passed == bool(np.all(check.min_eigenvalues >= check.thresholds))
+
+
+def assert_matches_cd_reference(g):
+    """cd_check_graph, which reads kappa_max, against cd_check_reference, which
+    solves A_x = R_x - (1/n) u_x u_x^H - kappa I itself, at kappa_max and
+    1e-6 s on either side, s = max(1, |kappa_max|): the same decisions, and
+    least eigenvalues within 1e-12 * max(1, |kappa_x|), or within eigvalsh's
+    own error, 1e-14 ||A_x||, where ||A_x|| exceeds GRADED * max(1, |kappa_x|)."""
+    result = kappa_max(g, N_DIM)
+    norms = np.empty(g.num_vertices)
+    for xs, R, u in _one_ball(g).stacks:
+        norms[xs] = np.linalg.norm(R - u[:, :, None] * u.conj()[:, None, :] / N_DIM, 2,
+                                   axis=(1, 2))
+    tol = 1e-12 * np.maximum(np.maximum(1.0, np.abs(result.per_vertex)), norms / GRADED)
+    km = result.kappa_max
+    step = 1e-6 * max(1.0, abs(km))
+    for kappa in (km - step, km, km + step):
+        got, want = cd_check_graph(g, N_DIM, kappa), cd_check_reference(g, N_DIM, kappa)
+        assert got.passed == want.passed == (kappa <= km)
+        assert np.all(np.abs(got.min_eigenvalues - want.min_eigenvalues) <= tol)
+        assert np.array_equal(got.thresholds, want.thresholds)
+
+
+def test_corpus_matches_the_cd_reference(corpus):
+    for g in corpus:
+        assert_matches_cd_reference(g)
+
+
+@pytest.mark.parametrize("shape", LIFT_SHAPES)
+def test_lift_matches_the_cd_reference(shape):
+    assert_matches_cd_reference(build_lift(sparse_graph(*shape, seed=sum(shape))).graph)
 
 
 def test_corpus_matches_dense_oracle(corpus):
@@ -165,6 +196,13 @@ def test_badly_scaled_weights(g):
     km = result.kappa_max
     assert cd_check_graph(g, N_DIM, km).passed
     assert not cd_check_graph(g, N_DIM, km + 1e-6 * max(1.0, abs(km))).passed
+
+
+@example(from_edge_list(3, 2, [(0, 1, 1e-8, 1), (1, 2, 1e8, 0)]))
+@given(badly_scaled_graphs())
+@settings(max_examples=30, deadline=None)
+def test_badly_scaled_weights_match_the_cd_reference(g):
+    assert_matches_cd_reference(g)
 
 
 def test_dense_badly_scaled_graph_past_the_pair_limit(monkeypatch):
