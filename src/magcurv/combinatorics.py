@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptySubsetError, SizeError, ValidationError
-from .graphs import MagneticGraph, Record, memoised_on_graph, signature_status
+from .graphs import MagneticGraph, Record, _forest, memoised_on_graph, signature_status
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -218,11 +218,8 @@ def _frustration(g: MagneticGraph, verts: tuple[int, ...],
     # Rotating one component of the induced graph leaves every edge term
     # unchanged. The first vertex keeps exponent 0, as does the last vertex of
     # each other component, where the first minimiser (last vertex most
-    # significant) puts it. comp[i] ends as the first vertex of i's component.
-    comp = list(range(k))
-    for _ in range(k):
-        for iu, iv, _, _ in edges:
-            comp[iu] = comp[iv] = min(comp[iu], comp[iv])
+    # significant) puts it. comp[i] is the first vertex of i's component.
+    comp, _ = _forest(k, 1, [(iu, iv, 0) for iu, iv, _, _ in edges])
     domains = [ell] * k
     for first, last in {c: i for i, c in enumerate(comp)}.items():
         domains[0 if first == 0 else last] = 1

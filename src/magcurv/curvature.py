@@ -107,15 +107,18 @@ def cd_check_function(g: MagneticGraph, f, n: float, kappa: float) -> CDFunction
 
     slack(x) = gamma2(f)(x) - (1/n)|Lf(x)|^2 - kappa * gamma(f)(x); a vertex
     passes when slack >= -1e-9 * scale, scale being the magnitude of the three
-    terms. Accepts a single function (N,) or a batch (N, B); a NaN kappa is rejected.
+    terms, capped at the largest float. The kappa term is 0 where gamma(f)(x)
+    is, so an infinite kappa fails (+inf) or passes (-inf) only where f varies.
+    Accepts a single function (N,) or a batch (N, B); a NaN kappa is rejected.
     """
     invn, kappa = _inv_n(n), _not_nan("kappa", kappa)
     vals = as_vertex_function(g, f)
     g2 = np.real(gamma2(g, vals))
     g1 = np.real(gamma(g, vals))
     lf2 = np.abs(_apply_laplacian(g.oriented_edges, vals)) ** 2
-    slack = g2 - invn * lf2 - kappa * g1
-    scale = np.maximum(1.0, np.abs(g2) + invn * lf2 + abs(kappa) * g1)
+    kg1 = np.multiply(kappa, g1, out=np.zeros_like(g1), where=g1 != 0)
+    slack = g2 - invn * lf2 - kg1
+    scale = np.clip(np.abs(g2) + invn * lf2 + np.abs(kg1), 1.0, np.finfo(float).max)
     passed = slack >= -SLACK_TOL * scale
     return CDFunctionCheck(n=n, kappa=kappa, slack=slack, passed=passed)
 

@@ -2,11 +2,11 @@
 
 The phase of an oriented edge lives in the cyclic group of ell-th roots of
 unity and is stored as an integer exponent, never as a floating-point complex
-number, so group operations along walks stay exact: every path quantity is
-read off one BFS over (vertex, exponent) states. The complex value
-exp(2*pi*1j*s/ell) is materialized only in the oriented-edge table, one row
-per oriented edge, that every operator is assembled from. A plain graph is one
-whose exponents are all 0; ``untwisted()`` gives that graph for any signature.
+number, so group operations along walks stay exact: components and holonomies
+are read off one spanning forest, distances off a BFS over (vertex, exponent)
+states. exp(2*pi*1j*s/ell) is materialized only in the oriented-edge table
+that every operator is assembled from. A plain graph is one whose exponents
+are all 0; ``untwisted()`` gives that graph for any signature.
 
 Vertices are 0-indexed integers; the edge order of the input document fixes
 the summation / matrix-row order everywhere downstream. Graphs are immutable
@@ -19,6 +19,7 @@ from __future__ import annotations
 import inspect
 import json
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass, field, fields
 from functools import cached_property, wraps
@@ -106,8 +107,11 @@ class MagneticGraph:
         deg: dict[int, float] = {}
         norm: list[Edge] = []
         for e in self.edges:
-            try:
-                u, v, w, s = int(e[0]), int(e[1]), float(e[2]), int(e[3])
+            try:   # integer fields are taken as they are, never truncated
+                u, v, w, s = e[0], e[1], float(e[2]), e[3]
+                if bool in (type(u), type(v), type(s)):
+                    raise TypeError("a bool is not an edge field")
+                u, v, s = operator.index(u), operator.index(v), operator.index(s)
             except (TypeError, ValueError) as exc:
                 raise ValidationError(f"malformed edge tuple {e!r}") from exc
             if not (0 <= u < n and 0 <= v < n):
@@ -295,8 +299,8 @@ def _walk_lengths(g: MagneticGraph, root: int, modulus: int) -> np.ndarray:
 
     Entry y * modulus + e is the fewest edges of a walk from ``root`` to ``y``
     whose exponents sum to e mod ``modulus``, or -1 if there is no such walk.
-    With modulus 1 these are hop distances; with modulus ell they are hop
-    distances in the lift, from (root, 0) to (y, e).
+    With modulus 1 these are hop distances, with modulus ell hop distances in
+    the lift; components and holonomies come from ``_forest`` instead.
     """
     dist = [-1] * (g.num_vertices * modulus)
     dist[root * modulus] = 0
@@ -339,16 +343,38 @@ def diameter(g: MagneticGraph) -> int | float:
     return _farthest_walk(g, 1)
 
 
+def _forest(n: int, ell: int, triples) -> tuple[list[int], list[int]]:
+    """BFS spanning forest of the edges (u, v, s), s the exponent of u -> v:
+    comp[x] is the least vertex of x's component, and pot[x] the exponent sum
+    mod ell along the tree path to x. Gauging the tree edges to 0 leaves an
+    edge (u, v, s) the holonomy pot[u] + s - pot[v] of its fundamental cycle."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for u, v, s in triples:
+        adj[u].append((v, s))
+        adj[v].append((u, -s))
+    comp, pot = [-1] * n, [0] * n
+    for root in range(n):
+        if comp[root] < 0:
+            comp[root], queue = root, [root]
+            for x in queue:   # the queue grows while it is read
+                for y, s in adj[x]:
+                    if comp[y] < 0:
+                        comp[y], pot[y] = root, (pot[x] + s) % ell
+                        queue.append(y)
+    return comp, pot
+
+
+def _groups(comp: list[int]) -> list[list[int]]:
+    """The vertices of each component, ascending, ordered by least vertex."""
+    groups: dict[int, list[int]] = {}
+    for x, r in enumerate(comp):
+        groups.setdefault(r, []).append(x)
+    return list(groups.values())
+
+
 def connected_components(g: MagneticGraph) -> list[list[int]]:
     """Vertex sets of the components, each sorted, ordered by least vertex."""
-    comps = []
-    seen = np.zeros(g.num_vertices, dtype=bool)
-    for root in range(g.num_vertices):
-        if not seen[root]:
-            comp = np.flatnonzero(hop_distances(g, root) >= 0)
-            seen[comp] = True
-            comps.append([int(x) for x in comp])
-    return comps
+    return _groups(_forest(g.num_vertices, 1, [(e.u, e.v, 0) for e in g.edges])[0])
 
 
 @memoised_on_graph
@@ -358,20 +384,21 @@ def is_connected(g: MagneticGraph) -> bool:
 
 @memoised_on_graph
 def signature_status(g: MagneticGraph) -> SignatureStatus:
-    """Decide balancedness and entirety of the signature from the closed walks.
+    """Decide balancedness and entirety of the signature on a spanning forest.
 
-    The exponent sums of the closed walks at a vertex r are the states (r, e)
-    that r reaches in the (vertex, exponent) BFS; they form a subgroup of
-    Z_ell, and a gauge change leaves them unchanged. Balanced: that subgroup
-    is trivial for the first vertex r of every component, i.e. every cycle's
-    phase product is 1. Entire: the closed-walk holonomies generate Z_ell,
-    a gauge-invariant property, i.e. some component's r reaches (r, 1).
+    The fundamental-cycle holonomies of a component generate the subgroup
+    of Z_ell its closed walks carry, gcd(ell, holonomies) Z_ell, which a gauge
+    change leaves unchanged. Balanced: that subgroup is trivial in every
+    component, i.e. every cycle's phase product is 1. Entire: the closed-walk
+    holonomies generate Z_ell, i.e. some component's gcd is 1.
     """
     ell = g.ell
-    closed = [_walk_lengths(g, r, ell)[r * ell:(r + 1) * ell] >= 0
-              for r, *_ in connected_components(g)]
-    return SignatureStatus(balanced=not any(c[1:].any() for c in closed),
-                           entire=any(c[1 % ell] for c in closed))
+    comp, pot = _forest(g.num_vertices, ell, [(e.u, e.v, e.s) for e in g.edges])
+    gcd = dict.fromkeys(comp, ell)
+    for e in g.edges:
+        gcd[comp[e.u]] = math.gcd(gcd[comp[e.u]], pot[e.u] + e.s - pot[e.v])
+    return SignatureStatus(balanced=all(d == ell for d in gcd.values()),
+                           entire=1 in gcd.values())
 
 
 def random_magnetic_graph(num_vertices: int, edge_prob: float, ell: int,
@@ -398,30 +425,11 @@ def random_magnetic_graph(num_vertices: int, edge_prob: float, ell: int,
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     kept = [p for p in pairs if rng.random() < edge_prob]
 
-    # Union-find over the sampled pairs, then link components in index order.
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
+    # Components of the sampled pairs, linked in order of least vertex.
     present = set(kept)
-    for u, v in kept:
-        union(u, v)
-    comps: dict[int, list[int]] = {}
-    for x in range(n):
-        comps.setdefault(find(x), []).append(x)
-    roots = sorted(comps)
-    base = comps[roots[0]]
-    for r in roots[1:]:
-        other = comps[r]
+    comps = _groups(_forest(n, 1, [(u, v, 0) for u, v in kept])[0])
+    base = comps[0]
+    for other in comps[1:]:
         while True:
             a = base[int(rng.integers(0, len(base)))]
             b = other[int(rng.integers(0, len(other)))]

@@ -485,28 +485,32 @@ def exact_cd_holds(g, x, n, kappa) -> bool:
 
 
 def signature_status_reference(g) -> SignatureStatus:
-    """Balancedness by a spanning-tree potential: give each vertex a group
-    exponent along a BFS tree, then test every edge for consistency. The
-    edge defects generate each component's closed-walk holonomies, so the
-    signature is entire when some component has gcd(ell, its defects) = 1."""
+    """Balancedness and entirety from the closed walks themselves: a BFS over
+    (vertex, exponent) states from (r, 0), r the first vertex of a component,
+    reaches (r, e) exactly when some closed walk at r has exponent sum e.
+    Those e are the component's holonomy subgroup of Z_ell. The signature is
+    balanced when every such subgroup is {0}, and entire when one contains 1.
+    Time and memory grow as N * ell."""
     ell = g.ell
-    pot, comp = [None] * g.num_vertices, [None] * g.num_vertices
+    seen = [False] * g.num_vertices
+    balanced, entire = True, False
     for root in range(g.num_vertices):
-        if pot[root] is not None:
+        if seen[root]:
             continue
-        pot[root], comp[root] = 0, root
-        queue = deque([root])
+        reached = {(root, 0)}
+        queue = deque([(root, 0)])
         while queue:
-            x = queue.popleft()
+            x, e = queue.popleft()
+            seen[x] = True
             for y, _, s in g.neighbors(x):
-                if pot[y] is None:
-                    pot[y], comp[y] = (pot[x] + s) % ell, root
-                    queue.append(y)
-    defects = {r: [] for r in set(comp)}
-    for e in g.edges:
-        defects[comp[e.u]].append((pot[e.u] + e.s - pot[e.v]) % ell)
-    return SignatureStatus(balanced=not any(any(d) for d in defects.values()),
-                           entire=any(math.gcd(ell, *d) == 1 for d in defects.values()))
+                state = (y, (e + s) % ell)
+                if state not in reached:
+                    reached.add(state)
+                    queue.append(state)
+        closed = {e for x, e in reached if x == root}
+        balanced = balanced and closed == {0}
+        entire = entire or 1 % ell in closed
+    return SignatureStatus(balanced=balanced, entire=entire)
 
 
 def shortest_generating_closed_walk_reference(g) -> int | float:

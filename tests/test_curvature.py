@@ -12,6 +12,7 @@ from magcurv.curvature import _one_ball, cd_check_function, cd_check_graph, kapp
 from magcurv.errors import DimensionError, ValidationError
 from magcurv.graphs import from_edge_list, random_magnetic_graph
 from magcurv.lift import build_lift
+from magcurv.operators import gamma
 
 from .conftest import graph_strategy, random_functions, sparse_graph, two_n_cycle
 from .oracles import form_family, kappa_max_bisect, same_direction
@@ -224,6 +225,25 @@ def test_both_cd_checks_reject_a_nan_kappa(t3, n):
             check = cd_check_graph(t3, n, kappa)
             assert check.passed is want
             assert check.passed == bool(np.all(check.min_eigenvalues >= check.thresholds))
+
+
+@pytest.mark.parametrize("n", [2.0, math.inf])
+@pytest.mark.parametrize("f, flat", [((0, 1, 2), [False, False, False]),
+                                     ((1, 1, 1), [False, True, False])])
+def test_function_check_holds_an_infinite_kappa_only_where_f_varies(t3, f, flat, n):
+    # gamma(f)(x) = 0 exactly at the flat vertices: (1, 1, 1) varies across
+    # the edge 0-2, which carries the phase -1. Where gamma(f) > 0, kappa = +inf
+    # fails and -inf passes; where it is 0, the kappa term is 0.
+    f, flat = np.array(f, dtype=complex), np.array(flat)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ((np.real(gamma(t3, f)) == 0) == flat).all()
+        at_zero = cd_check_function(t3, f, n, 0.0)
+        for kappa in (math.inf, -math.inf):
+            check = cd_check_function(t3, f, n, kappa)
+            assert (check.passed[~flat] == (kappa < 0)).all()
+            np.testing.assert_array_equal(check.slack[flat], at_zero.slack[flat])
+            np.testing.assert_array_equal(check.passed[flat], at_zero.passed[flat])
 
 
 def test_kappa_max_allocates_nothing_of_length_ell():

@@ -1,8 +1,10 @@
 """The walk queries of magcurv.graphs and magcurv.lift against independent
 oracles: networkx, and the reference searches in tests/oracles.py that share
-no code with the package's (vertex, exponent) BFS."""
+no code with the package's spanning forest or its (vertex, exponent) BFS."""
 
 import math
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -79,3 +81,27 @@ def test_walk_queries_on_disconnected_and_trivial_group_examples(t3, b3, single_
     assert shortest_generating_closed_walk_reference(both_balanced) == math.inf
     for g in (single_edge, triangle, mixed, both_balanced):
         assert_matches_oracles(g)
+
+
+def test_signature_status_per_component_and_at_a_huge_ell():
+    # ell = 6: one component's holonomies generate 2Z_6, the other's 3Z_6.
+    # Together they would generate Z_6, but no single component does.
+    def triangle(ell, holonomy):
+        return from_edge_list(3, ell, [(0, 1, 1.0, 0), (1, 2, 1.0, 0), (0, 2, 1.0, holonomy)])
+
+    split = disjoint_union(triangle(6, 2), triangle(6, 3))
+    assert signature_status(split) == signature_status_reference(split) == (False, False)
+    assert_matches_oracles(split)
+    # the spanning forest allocates nothing of length ell (the reference would
+    # ask for N * ell states)
+    for holonomy, want in ((1, (False, True)), (2, (False, False))):
+        g = triangle(10 ** 9, holonomy)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            assert signature_status(g) == want
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.05 and peak < 1 << 20
