@@ -1,5 +1,7 @@
 """Inequality verification: Harnack, eigenvalue, covering-diameter and
-Cheeger bounds (the path bounds share one hypothesis check), and BoundsReport.
+Cheeger bounds, and BoundsReport. Every check takes its steps in one order
+(``_steps``), and the path bounds share one hypothesis check that finds their
+path lengths under the budget (``_path_lengths``).
 
 Every record stores both sides of its inequality; pass means
 LHS <= RHS + 1e-9 * max(1, |RHS|). Eigenpairs are normalized to
@@ -46,14 +48,19 @@ def _passes(lhs: float, rhs: float) -> bool:
     return bool(lhs <= rhs + INEQ_TOL * max(1.0, abs(rhs)))
 
 
-def _arguments(n: float, kappa) -> tuple[float, float | None]:
-    """(1/n, kappa) once both are valid; kappa is None for "auto" or None, to
-    be certified by kappa_max only after the hypotheses hold. A NaN kappa is
-    rejected, +-inf kept."""
+def _steps(g: MagneticGraph, n: float, kappa, hypotheses, *args):
+    """(1/n, kappa, hypotheses(g, *args)) in the order every check takes: n,
+    then kappa (NaN rejected, +-inf kept), then the hypotheses, which raise on
+    a failure, then the certified kappa_max(g, n) for kappa "auto" or None."""
     invn = _inv_n(n)
-    if kappa == "auto" or kappa is None:
-        return invn, None
-    return invn, _not_nan("kappa", float(kappa))
+    kap = None if kappa == "auto" or kappa is None else _not_nan("kappa", float(kappa))
+    found = hypotheses(g, *args)
+    return invn, kappa_max(g, n).kappa_max if kap is None else kap, found
+
+
+def _connected(g: MagneticGraph) -> None:
+    if not is_connected(g):
+        raise PreconditionError("connected")
 
 
 def _record_or_skip(check, *args):
@@ -100,10 +107,7 @@ def harnack_check(g: MagneticGraph, n: float, kappa="auto") -> list[HarnackRecor
     Eigenvalues below 1e-12 are skipped as trivial. Requires a connected
     graph, checked after n and kappa.
     """
-    invn, kap = _arguments(n, kappa)
-    if not is_connected(g):
-        raise PreconditionError("connected")
-    kap = kappa_max(g, n).kappa_max if kap is None else kap
+    invn, kap, _ = _steps(g, n, kappa, _connected)
     return [_harnack_record(invn, kap, *pair) for pair in _normalized_eigenpairs(g)]
 
 
@@ -138,11 +142,10 @@ def alpha_bound_check(g: MagneticGraph, n: float, kappa: float,
     An eigenpair is applicable when alpha > 2 - 2 kappa / lambda; a denominator
     below 1e-8 * max(1, lambda) flags the record ill-conditioned. At
     alpha = 4 - 2 kappa / lambda the right-hand side reduces exactly to the
-    Harnack one. Inapplicable alphas are reported, not raised; a NaN kappa
-    or alpha is rejected.
+    Harnack one. Inapplicable alphas are reported, not raised; n, then a NaN
+    kappa, then a NaN alpha is rejected.
     """
-    kappa, alpha = _not_nan("kappa", kappa), _not_nan("alpha", alpha)
-    invn = _inv_n(n)
+    invn, kappa, alpha = _inv_n(n), _not_nan("kappa", kappa), _not_nan("alpha", alpha)
     return [_alpha_record(invn, kappa, alpha, *pair) for pair in _normalized_eigenpairs(g)]
 
 
@@ -153,12 +156,10 @@ def _alpha_record(invn: float, kappa: float, alpha: float, i: int, lam: float,
     denom = (alpha - 2.0) * lam + 2.0 * kappa
     ill = abs(denom) <= 1e-8 * max(1.0, lam)
     lhs = grad + alpha * lam * np.abs(f) ** 2
-    if applicable and not ill:
-        rhs = ((alpha * alpha - 4.0 * invn) * lam + 2.0 * kappa * alpha) / denom * lam
-        passed = bool(all(_passes(float(v), rhs) for v in lhs))
-    else:
-        rhs = math.nan
-        passed = False
+    ok = applicable and not ill
+    rhs = (((alpha * alpha - 4.0 * invn) * lam + 2.0 * kappa * alpha) / denom * lam
+           if ok else math.nan)
+    passed = ok and all(_passes(float(v), rhs) for v in lhs)
     return AlphaRecord(eigen_index=i, lam=lam, alpha=alpha,
                        applicable=applicable, ill_conditioned=ill,
                        lhs_per_vertex=tuple(float(v) for v in lhs),
@@ -191,14 +192,13 @@ class EigenvalueBoundRecord(Record):
     vacuous_lift: bool
 
 
-def _path_bound_girth(g: MagneticGraph, budget: int) -> int:
-    """Magnetic girth, once the hypotheses of the path bounds hold: connected,
-    unbalanced, entire signature (the closed-walk holonomies generate Z_ell),
-    finite girth. The first to fail is named in PreconditionError, so the
-    girth is searched only on an entire signature; a search over budget
-    raises SizeError."""
-    if not is_connected(g):
-        raise PreconditionError("connected")
+def _path_lengths(g: MagneticGraph, budget: int) -> tuple[int, int, int, int]:
+    """(girth, D, 2D + ell * girth, lift diameter) once the hypotheses of the
+    path bounds hold: connected, unbalanced, entire signature (the closed-walk
+    holonomies generate Z_ell), finite magnetic girth; the first to fail is
+    named in PreconditionError. The girth search and then the N * N * ell
+    states of the lift BFS are held to the budget (SizeError beyond)."""
+    _connected(g)
     status = signature_status(g)
     if status.balanced:
         raise PreconditionError("unbalanced")
@@ -207,7 +207,10 @@ def _path_bound_girth(g: MagneticGraph, budget: int) -> int:
     girth = magnetic_girth(g, budget=budget)
     if girth == math.inf:
         raise PreconditionError("finite magnetic girth")
-    return int(girth)
+    girth, dia, states = int(girth), int(diameter(g)), g.num_vertices ** 2 * g.ell
+    if states > budget:
+        raise SizeError(f"lift diameter needs {states} BFS states, over budget {budget}")
+    return girth, dia, 2 * dia + g.ell * girth, int(lift_diameter(g))
 
 
 @dataclass(frozen=True)
@@ -222,12 +225,10 @@ def lift_diameter_check(g: MagneticGraph, budget: int = DEFAULT_BUDGET) -> LiftD
 
     Hypotheses (connected, unbalanced, entire signature, finite magnetic
     girth) are enforced; the violated one is named in the PreconditionError.
+    The girth search and the lift BFS are held to the budget (SizeError).
     """
-    girth = _path_bound_girth(g, budget)
-    d_lift = lift_diameter(g)
-    bound = 2 * int(diameter(g)) + g.ell * girth
-    return LiftDiameterResult(lift_diameter=int(d_lift), bound=bound,
-                              passed=d_lift <= bound)
+    _, _, bound, d_lift = _path_lengths(g, budget)
+    return LiftDiameterResult(lift_diameter=d_lift, bound=bound, passed=d_lift <= bound)
 
 
 def _curvature_path_bound(kappa: float, d: float, invn: float, length_sq_num: float,
@@ -242,17 +243,13 @@ def eigenvalue_lower_bound(g: MagneticGraph, n: float, kappa="auto",
 
     Hypotheses, checked after n and kappa: connected, unbalanced, entire
     signature, finite magnetic girth; the failed one is named in
-    PreconditionError. Both the (2D + ell*girth)-based bound and the
+    PreconditionError. The girth search and the lift BFS are held to the
+    budget (SizeError). Both the (2D + ell*girth)-based bound and the
     lift-diameter bound are checked.
     """
-    invn, kap = _arguments(n, kappa)
-    girth = _path_bound_girth(g, budget)
-    kap = kappa_max(g, n).kappa_max if kap is None else kap
+    invn, kap, (girth, dia, length, lift_dia) = _steps(g, n, kappa, _path_lengths, budget)
     d = g.max_degree
-    dia = int(diameter(g))
-    length = 2 * dia + g.ell * girth
     lam_min = float(spectrum(g).eigenvalues[0])
-    lift_dia = int(lift_diameter(g))
     bound = _curvature_path_bound(kap, d, invn, length ** 2, length ** 2)
     bound_alt = _curvature_path_bound(kap, d, invn, length ** 2,
                                       (2 + g.ell * girth) ** 2)
@@ -287,8 +284,9 @@ def cheeger_bound_check(g: MagneticGraph, n: float, kappa="auto",
     """Verify the Cheeger sandwich with the exact Cheeger number.
 
     The curvature/path lower bound is half of eigenvalue_lower_bound's bound,
-    since h1 >= lambda / 2; when its hypotheses fail, or the girth search
-    exceeds the budget, it is recorded as not applicable rather than raised.
+    since h1 >= lambda / 2; when its hypotheses fail, or the girth search or
+    the lift BFS exceeds the budget, it is recorded as not applicable rather
+    than raised.
     """
     path, _ = _record_or_skip(eigenvalue_lower_bound, g, n, kappa, budget)
     return _cheeger_record(g, path, budget)
@@ -354,11 +352,9 @@ class BoundsReport:
                            "entire": self.entire, "girth_finite": self.girth_finite},
             "harnack": [r.to_json_dict() for r in self.harnack],
             "alpha": [r.to_json_dict() for r in self.alpha],
-            "eigenvalue_bound": (self.eigenvalue.to_json_dict()
-                                 if self.eigenvalue is not None else None),
+            "eigenvalue_bound": None if self.eigenvalue is None else self.eigenvalue.to_json_dict(),
             "eigenvalue_bound_skipped": self.eigenvalue_skipped,
-            "cheeger": (self.cheeger.to_json_dict()
-                        if self.cheeger is not None else None),
+            "cheeger": None if self.cheeger is None else self.cheeger.to_json_dict(),
             "cheeger_skipped": self.cheeger_skipped,
             "all_passed": self.all_passed,
         }
@@ -423,14 +419,11 @@ def verify_report(g: MagneticGraph, n: float = 2.0, kappa="auto",
     kappa_max. kappa = "auto" uses the certified kappa_max(g, n), and every
     check gets the same kappa; every eigenpair gets one alpha record at the
     reduction value alpha = 4 - 2 kappa / lambda.
-    Bound checks whose hypotheses fail are recorded as skipped; a search over
-    budget skips only the record that needs it (girth_finite is then None).
+    A failed hypothesis or a search over budget skips, with its reason, only
+    the records that need it; a girth overrun also sets girth_finite to None.
     """
-    invn, kap = _arguments(n, kappa)
-    if not is_connected(g):
-        raise PreconditionError("connected")
+    invn, kap, _ = _steps(g, n, kappa, _connected)
     status = signature_status(g)
-    kap = kappa_max(g, n).kappa_max if kap is None else kap
     pairs = _normalized_eigenpairs(g)
     harnack = [_harnack_record(invn, kap, *pair) for pair in pairs]
     alpha_records = [_alpha_record(invn, kap, 4.0 - 2.0 * kap / pair[1], *pair)

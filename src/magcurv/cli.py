@@ -77,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     graph.add_argument("--json", action="store_true", help="emit JSON")
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="search budget: girth states, elimination table entries")
+                        help="search budget: girth and lift BFS states, elimination table entries")
 
     sub.add_parser("spectrum", parents=[graph], help="eigenvalues/eigenvectors of -Laplacian")
 

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptySubsetError, SizeError, ValidationError
-from .graphs import MagneticGraph, Record, _forest, memoised_on_graph, signature_status
+from .graphs import MagneticGraph, Record, _forest, _integer, memoised_on_graph, signature_status
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -247,7 +247,10 @@ def frustration_index(g: MagneticGraph, subset: Sequence[int],
     minimiser with the last vertex most significant. `budget` caps the largest
     table, ell^(width + 1) entries (SizeError beyond).
     """
-    verts = tuple(sorted(set(int(v) for v in subset)))
+    try:
+        verts = tuple(sorted({_integer(v) for v in subset}))
+    except TypeError as exc:
+        raise ValidationError(f"subset vertices must be integers, got {subset!r}") from exc
     if not verts:
         raise EmptySubsetError("frustration index needs a nonempty vertex subset")
     if any(v < 0 or v >= g.num_vertices for v in verts):

@@ -78,13 +78,37 @@ class SignatureStatus(NamedTuple):
     entire: bool
 
 
+def _integer(value) -> int:
+    """``value`` as an int by the one integer rule of the graph boundary:
+    Python and numpy integers pass (``operator.index``); a bool or any other
+    value, an integral float too, raises TypeError, so nothing is truncated."""
+    if isinstance(value, bool):
+        raise TypeError(f"a bool is not an integer: {value!r}")
+    return operator.index(value)
+
+
+def _positive(name: str, value) -> int:
+    """``value`` as an int in [1, 2^62] by ``_integer``'s rule, else
+    ValidationError. Exponents are int64, and a walk x -> y -> z adds two."""
+    try:
+        k = _integer(value)
+    except TypeError:
+        k = 0
+    if k < 1:
+        raise ValidationError(f"{name} must be a positive integer, got {value!r}")
+    if k > 1 << 62:
+        raise ValidationError(f"{name} must be at most 2**62, got {k}")
+    return k
+
+
 @dataclass(frozen=True, eq=False)
 class MagneticGraph:
     """Weighted simple graph with a signature into the cyclic group of order ``ell``.
 
-    Invariants enforced at construction: no loops, no duplicate unordered
-    pairs, strictly positive weights, exponents in [0, ell), no isolated
-    vertices. Each undirected edge stores a single exponent; the reverse
+    Invariants enforced at construction: integer fields by ``_integer``'s
+    rule, ell <= 2^62, no loops, no duplicate unordered pairs, strictly
+    positive weights, exponents in [0, ell), no isolated vertices. Each
+    undirected edge stores a single exponent; the reverse
     orientation carries the inverse phase, i.e. exponent (ell - s) % ell.
     """
 
@@ -97,22 +121,16 @@ class MagneticGraph:
     )
 
     def __post_init__(self):
-        n, ell = self.num_vertices, self.ell
-        if not isinstance(n, int) or n < 1:
-            raise ValidationError(f"num_vertices must be a positive integer, got {n!r}")
-        if not isinstance(ell, int) or ell < 1:
-            raise ValidationError(f"ell must be a positive integer, got {ell!r}")
+        n, ell = _positive("num_vertices", self.num_vertices), _positive("ell", self.ell)
         seen: set[tuple[int, int]] = set()
         adj: dict[int, list[tuple[int, float, int]]] = {}
         deg: dict[int, float] = {}
         norm: list[Edge] = []
         for e in self.edges:
-            try:   # integer fields are taken as they are, never truncated
-                u, v, w, s = e[0], e[1], float(e[2]), e[3]
-                if bool in (type(u), type(v), type(s)):
-                    raise TypeError("a bool is not an edge field")
-                u, v, s = operator.index(u), operator.index(v), operator.index(s)
-            except (TypeError, ValueError) as exc:
+            try:   # the weight is converted here, and only here
+                e = Edge(*e)
+                u, v, w, s = _integer(e.u), _integer(e.v), float(e.w), _integer(e.s)
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ValidationError(f"malformed edge tuple {e!r}") from exc
             if not (0 <= u < n and 0 <= v < n):
                 raise ValidationError(f"edge endpoint out of range: {e}")
@@ -136,6 +154,8 @@ class MagneticGraph:
             raise ValidationError(f"isolated vertex {isolated} (zero degree)")
         degrees = np.array([deg[x] for x in range(n)])
         degrees.flags.writeable = False
+        object.__setattr__(self, "num_vertices", n)
+        object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "edges", tuple(norm))
         object.__setattr__(self, "degrees", degrees)
         object.__setattr__(self, "_adjacency", tuple(tuple(adj[x]) for x in range(n)))
@@ -260,11 +280,11 @@ def load_graph(text: str) -> MagneticGraph:
 
     Raises ParseError for structural problems and ValidationError for
     invariant violations (loops, duplicates, bad weights/exponents,
-    isolated vertices).
+    isolated vertices, ell over 2^62, a weight too large for a float).
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # a JSONDecodeError, or an integer over 4300 digits
         raise ParseError(f"invalid JSON: {exc}") from exc
     _require(isinstance(doc, dict), "document must be a JSON object")
     _require(set(doc) == {"ell", "num_vertices", "edges"},
@@ -283,15 +303,14 @@ def load_graph(text: str) -> MagneticGraph:
                 raise ParseError(f"edge field {name} must be an integer: {item!r}")
         if not isinstance(w, (int, float)) or isinstance(w, bool):
             raise ParseError(f"edge weight must be a number: {item!r}")
-        parsed.append(Edge(u, v, float(w), s))
+        parsed.append(Edge(u, v, w, s))
     return MagneticGraph(num_vertices=n, ell=ell, edges=tuple(parsed))
 
 
 def from_edge_list(num_vertices: int, ell: int,
                    edges: Iterable[tuple[int, int, float, int]]) -> MagneticGraph:
     """Build a validated graph from (u, v, w, s) tuples."""
-    return MagneticGraph(num_vertices=num_vertices, ell=ell,
-                         edges=tuple(Edge(u, v, float(w), s) for u, v, w, s in edges))
+    return MagneticGraph(num_vertices=num_vertices, ell=ell, edges=tuple(edges))
 
 
 def _walk_lengths(g: MagneticGraph, root: int, modulus: int) -> np.ndarray:
@@ -409,16 +428,13 @@ def random_magnetic_graph(num_vertices: int, edge_prob: float, ell: int,
 
     Pairs are kept independently with probability ``edge_prob``; components are
     then stitched together with extra edges so the result is connected.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed; num_vertices and ell are never truncated.
     """
     if rng is None:
         rng = np.random.default_rng(seed)
-    n = int(num_vertices)
-    ell = int(ell)
+    n, ell = _positive("num_vertices", num_vertices), _positive("ell", ell)
     if n < 2:
         raise ValidationError("random graph needs at least 2 vertices")
-    if ell < 1:
-        raise ValidationError(f"ell must be a positive integer, got {ell!r}")
     if not 0.0 <= edge_prob <= 1.0:
         raise ValidationError("edge_prob must lie in [0, 1]")
 

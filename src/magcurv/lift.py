@@ -6,9 +6,8 @@ The lift of a magnetic graph lives on pairs (vertex, level); level k stands
 for the root of unity exp(2*pi*1j*k/ell) and pair (x, k) gets the flat index
 x * ell + k. Edges follow the signature: (x1, k1) ~ (x2, k2) iff x1 ~ x2 and
 k2 = k1 + s(x1 -> x2) mod ell, with the base edge weight. Serialized lifts
-use this index order, so results are byte-reproducible. The lift is built once
-per base and stored on it, so ``build_lift`` and ``verify_lift_identities``
-share it.
+use this index order, so results are byte-reproducible. ``build_lift`` stores
+the lift on its base, so every call and ``verify_lift_identities`` share it.
 """
 
 from __future__ import annotations
@@ -41,40 +40,33 @@ EIGENPAIR_BLOCK = 1 << 16
 class LiftGraph:
     """Plain weighted graph on num_vertices * ell vertices, index (x, k) -> x*ell + k."""
 
-    base: MagneticGraph
+    ell: int               # of the base
     graph: MagneticGraph   # ell = 1, every exponent 0
 
     def vertex_index(self, x: int, k: int) -> int:
-        return x * self.base.ell + k
+        return x * self.ell + k
 
     def vertex_label(self, i: int) -> tuple[int, int]:
-        return divmod(i, self.base.ell)
+        return divmod(i, self.ell)
 
 
 @memoised_on_graph
-def _lifted(g: MagneticGraph) -> MagneticGraph:
-    """The covering graph itself, stored on its base; it holds no reference
-    back to ``g``, so it goes with it."""
-    ell = g.ell
-    edges = []
-    for e in g.edges:
-        for k in range(ell):
-            edges.append(Edge(e.u * ell + k, e.v * ell + (k + e.s) % ell, e.w, 0))
-    return MagneticGraph(num_vertices=g.num_vertices * ell, ell=1, edges=tuple(edges))
-
-
 def build_lift(g: MagneticGraph) -> LiftGraph:
-    """The covering graph, built once per base; every lift vertex inherits its
-    base degree, and its rows of the oriented-edge table follow those of its
-    base vertex."""
-    return LiftGraph(base=g, graph=_lifted(g))
+    """The covering graph, built once per base and stored on it; it holds no
+    reference back to ``g``, so it goes with it. Every lift vertex inherits
+    its base degree, and its rows of the oriented-edge table follow those of
+    its base vertex."""
+    ell = g.ell
+    edges = tuple(Edge(e.u * ell + k, e.v * ell + (k + e.s) % ell, e.w, 0)
+                  for e in g.edges for k in range(ell))
+    return LiftGraph(ell=ell, graph=MagneticGraph(g.num_vertices * ell, 1, edges))
 
 
 @memoised_on_graph
 def lift_diameter(g: MagneticGraph) -> int | float:
     """Diameter of the lift: the farthest (vertex, level) state of the walk
     BFS on the base with modulus ell, so no lift is built; math.inf if the
-    lift is disconnected.
+    lift is disconnected. All N * N * ell states are walked.
 
     (x, k) -> (x, k + j) is an automorphism of the lift, so every vertex above
     x has the eccentricity of (x, 0), and only level 0 is searched from.

@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +11,10 @@ from magcurv.bounds import (alpha_bound_check, cheeger_bound_check,
                             eigenvalue_lower_bound, harnack_check,
                             lift_diameter_check, verify_report)
 from magcurv.curvature import _one_ball, kappa_max
-from magcurv.errors import DimensionError, PreconditionError, ValidationError
+from magcurv.combinatorics import magnetic_girth
+from magcurv.errors import DimensionError, PreconditionError, SizeError, ValidationError
 from magcurv.graphs import from_edge_list, signature_status
+from magcurv.lift import lift_diameter
 from magcurv.operators import energy, spectrum
 
 
@@ -281,3 +285,82 @@ def test_lift_diameter_check_lives_in_bounds(t3):
 def test_verify_report_fails_at_uncertified_kappa(t3):
     report = verify_report(t3, 2.0, kappa=10.0)
     assert not report.all_passed
+
+
+# Every check with an n and a kappa, the rest of its arguments fixed.
+CHECKS = {
+    "harnack": harnack_check,
+    "alpha": lambda g, n, kappa: alpha_bound_check(g, n, kappa, 3.0),
+    "eigenvalue": eigenvalue_lower_bound,
+    "cheeger": cheeger_bound_check,
+    "verify": verify_report,
+}
+
+
+def _t3_at(ell):
+    return from_edge_list(3, ell, [(0, 1, 1.0, 0), (1, 2, 1.0, 0), (0, 2, 1.0, 1)])
+
+
+@pytest.mark.parametrize("name", CHECKS)
+def test_every_check_takes_its_steps_in_one_order(monkeypatch, split4, b3, name):
+    check = CHECKS[name]
+    # n before kappa, kappa before the hypotheses
+    with pytest.raises(DimensionError, match="n > 1"):
+        check(split4, 0.5, math.nan)
+    with pytest.raises(ValidationError, match="kappa must be a number, got nan"):
+        check(split4, 2.0, math.nan)
+    if name == "alpha":
+        return   # it has no hypothesis, and its kappa is always given
+    # a failed hypothesis, raised or (by the Cheeger check) recorded, comes
+    # before any kappa is certified
+    certified = []
+    monkeypatch.setattr(magcurv.bounds, "kappa_max",
+                        lambda g, n: certified.append(g) or kappa_max(g, n))
+    for g in [split4] + ([b3] if name in ("eigenvalue", "cheeger") else []):
+        if name == "cheeger":
+            assert check(g, 2.0, "auto").curvature_lower is None
+        else:
+            with pytest.raises(PreconditionError):
+                check(g, 2.0, "auto")
+    assert certified == []
+
+
+def test_the_lift_bfs_is_held_to_the_budget(monkeypatch):
+    # t3 at ell = 7: the lift BFS walks N * N * ell = 63 states
+    g = _t3_at(7)
+    assert magnetic_girth(g, budget=62) == 3   # the girth search fits 62 states
+    walks = []
+    walk = lift_diameter.__wrapped__
+    monkeypatch.setattr(lift_diameter, "__wrapped__", lambda h: walks.append(h) or walk(h))
+    message = "^lift diameter needs 63 BFS states, over budget 62$"
+    for check in (lambda: eigenvalue_lower_bound(g, 2, budget=62),
+                  lambda: lift_diameter_check(g, budget=62)):
+        with pytest.raises(SizeError, match=message):
+            check()
+    assert walks == []
+    report = verify_report(g, 2, budget=62)
+    assert report.eigenvalue_skipped == "budget: lift diameter needs 63 BFS states, over budget 62"
+    assert report.girth_finite is True
+    rec = eigenvalue_lower_bound(g, 2, budget=63)
+    assert walks == [g]
+    assert rec == eigenvalue_lower_bound(_t3_at(7), 2)
+    assert (rec.girth, rec.diameter, rec.lift_diameter) == (3, 1, 10)   # a 21-cycle
+    assert lift_diameter_check(g, budget=63).passed
+
+
+def test_verify_runs_at_a_billion_levels():
+    # the lift BFS would walk 9 * 10^9 states; its budget check skips it
+    g = _t3_at(10**9)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        report = verify_report(g, 2.0)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0 and peak < 1 << 20
+    assert report.eigenvalue_skipped == ("budget: lift diameter needs 9000000000 BFS "
+                                         "states, over budget 10000000")
+    assert report.cheeger_skipped.startswith("budget: exact Cheeger needs 1000000001^3")
+    assert report.girth_finite is True and report.all_passed

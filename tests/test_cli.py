@@ -323,3 +323,37 @@ def test_verify_and_kappa_max_load_no_scipy(t3_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["all_passed"] is True
     assert proc.stderr.splitlines()[-1] == "False"
+
+
+def _t3_document(ell, weight="1.0"):
+    return ('{"ell": %d, "num_vertices": 3, "edges": [{"u": 0, "v": 1, "w": %s, "s": 0}, '
+            '{"u": 1, "v": 2, "w": 1.0, "s": 0}, {"u": 0, "v": 2, "w": 1.0, "s": 1}]}'
+            % (ell, weight))
+
+
+@pytest.mark.parametrize("ell", [10**9, 2**62])
+@pytest.mark.parametrize("command", ["curvature", "spectrum", "girth", "harnack", "verify"])
+def test_huge_ell_runs(tmp_path, capsys, ell, command):
+    # verify skips the lift BFS (3 * 3 * ell states) and exact Cheeger by budget
+    path = tmp_path / "t3big.json"
+    path.write_text(_t3_document(ell))
+    assert main([command, str(path), "--json"]) == 0
+    if command == "verify":
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["eigenvalue_bound_skipped"] == (
+            f"budget: lift diameter needs {9 * ell} BFS states, over budget 10000000")
+        assert payload["cheeger_skipped"].startswith("budget: exact Cheeger")
+        assert payload["all_passed"] is True
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_t3_document(2, "9" * 401), "malformed edge tuple"),
+    (_t3_document(2**62 + 1), "ell must be at most 2**62"),
+    (_t3_document(2**63), "ell must be at most 2**62"),
+    (_t3_document(2**70), "ell must be at most 2**62"),
+], ids=["weight_401_digits", "ell_2^62+1", "ell_2^63", "ell_2^70"])
+def test_an_outside_value_exits_2(tmp_path, capsys, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(doc)
+    assert main(["verify", str(path), "--json"]) == 2
+    assert message in capsys.readouterr().err

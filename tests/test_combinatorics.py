@@ -259,6 +259,16 @@ def test_frustration_empty_and_invalid(t3):
         frustration_index(t3, [0, 7])
 
 
+@pytest.mark.parametrize("subset", [[0.7, 1.2, 2.9], [True, 2], [0, 1.0], ["1"]])
+def test_frustration_subset_is_validated_not_truncated(t3, subset):
+    with pytest.raises(ValidationError, match="^subset vertices must be integers"):
+        frustration_index(t3, subset)
+
+
+def test_frustration_takes_numpy_integers(t3):
+    assert frustration_index(t3, np.array([2, 0, 1])) == frustration_index(t3, [0, 1, 2])
+
+
 def test_frustration_budget(t3):
     with pytest.raises(SizeError, match="^exact frustration needs 2\\^3 table entries "
                                         "at elimination width 2, over budget 4$"):

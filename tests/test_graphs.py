@@ -12,8 +12,8 @@ from hypothesis import given, settings
 
 from magcurv.bounds import lift_diameter_check, verify_report
 from magcurv.errors import ParseError, ValidationError
-from magcurv.graphs import (Edge, diameter, from_edge_list, is_connected, load_graph,
-                            random_magnetic_graph, signature_status)
+from magcurv.graphs import (Edge, MagneticGraph, diameter, from_edge_list, is_connected,
+                            load_graph, random_magnetic_graph, signature_status)
 from magcurv.curvature import _one_ball
 from magcurv.lift import build_lift
 from magcurv.operators import spectrum
@@ -256,20 +256,21 @@ def test_base_diameter_is_computed_once(monkeypatch, t3):
 
 def test_stored_results_die_with_their_graph():
     # Everything stored on the graph must be free of references back to it
-    # (the lift is stored as its graph: LiftGraph.base would close a cycle),
-    # so the graph and its spectrum, forms, curvature, girth, diameter, lift
-    # diameter, connectivity, signature status and lift go by reference
-    # counting alone.
+    # (the stored LiftGraph keeps the base's ell, not the base), so the graph
+    # and its spectrum, forms, curvature, girth, diameter, lift diameter,
+    # connectivity, signature status and lift go by reference counting alone,
+    # and a lift the caller still holds does not keep its base alive.
     g = from_edge_list(3, 2, [(0, 1, 1.0, 0), (1, 2, 1.0, 0), (0, 2, 1.0, 1)])
     verify_report(g)
     lift_diameter_check(g)
-    build_lift(g)
+    lift = build_lift(g)
     assert len(vars(g)["_memo"]) == 9
     ref = weakref.ref(g)
     gc.disable()
     try:
         del g
         assert ref() is None
+        assert lift.graph.num_vertices == 6 and lift.vertex_label(5) == (2, 1)
     finally:
         gc.enable()
 
@@ -288,3 +289,61 @@ def test_stored_overrun_dies_with_its_graph():
         assert ref() is None
     finally:
         gc.enable()
+
+
+T3_EDGES = ((0, 1, 1.0, 0), (1, 2, 1.0, 0), (0, 2, 1.0, 1))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: MagneticGraph(num_vertices=2, ell=True, edges=((0, 1, 1.0, 0),)),
+     "ell must be a positive integer, got True"),
+    (lambda: MagneticGraph(num_vertices=3.0, ell=2, edges=T3_EDGES),
+     "num_vertices must be a positive integer, got 3.0"),
+    (lambda: MagneticGraph(num_vertices=3, ell=np.float64(2.0), edges=T3_EDGES),
+     f"ell must be a positive integer, got {np.float64(2.0)!r}"),
+    (lambda: random_magnetic_graph(5.7, 0.5, 3, seed=1),
+     "num_vertices must be a positive integer, got 5.7"),
+    (lambda: random_magnetic_graph(5, 0.5, 2.9, seed=1),
+     "ell must be a positive integer, got 2.9"),
+    (lambda: random_magnetic_graph(5, 0.5, True, seed=1),
+     "ell must be a positive integer, got True"),
+])
+def test_a_count_is_an_integer_never_truncated(build, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_numpy_integers_are_counts():
+    g = MagneticGraph(np.int64(3), np.int32(2), T3_EDGES)
+    assert (type(g.num_vertices), type(g.ell)) == (int, int)
+    assert load_graph(g.dumps()).dumps() == g.dumps() == from_edge_list(3, 2, T3_EDGES).dumps()
+    assert (random_magnetic_graph(np.int64(6), 0.5, np.uint8(3), seed=1).dumps()
+            == random_magnetic_graph(6, 0.5, 3, seed=1).dumps())
+
+
+@pytest.mark.parametrize("edge", [(0, 1, 10**400, 0), (0, 1, "x", 0), (0, 1, 1.0),
+                                  (0, 1, 1.0, 0, 0), 7])
+def test_an_edge_that_does_not_convert_is_a_validation_error(edge):
+    for build in (lambda: from_edge_list(2, 1, [edge]),
+                  lambda: MagneticGraph(2, 1, (edge,))):
+        with pytest.raises(ValidationError, match="^malformed edge tuple"):
+            build()
+
+
+def test_a_weight_too_large_for_a_float_is_a_validation_error():
+    doc = '{"ell": 2, "num_vertices": 2, "edges": [{"u": 0, "v": 1, "w": %s, "s": 1}]}'
+    with pytest.raises(ValidationError, match="^malformed edge tuple"):
+        load_graph(doc % ("9" * 401))
+    # past 4300 digits the JSON decoder itself refuses the integer
+    with pytest.raises(ParseError, match="^invalid JSON"):
+        load_graph(doc % ("9" * 5000))
+
+
+def test_ell_is_bounded_by_the_exponent_arithmetic():
+    assert MagneticGraph(3, 2**62, T3_EDGES).ell == 2**62
+    assert random_magnetic_graph(4, 0.5, 2**62, seed=1).ell == 2**62
+    for ell in (2**62 + 1, 2**63, 2**70):
+        for build in (lambda: MagneticGraph(3, ell, T3_EDGES),
+                      lambda: random_magnetic_graph(4, 0.5, ell, seed=1)):
+            with pytest.raises(ValidationError, match=rf"^ell must be at most 2\*\*62, got {ell}$"):
+                build()

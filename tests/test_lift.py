@@ -123,8 +123,8 @@ def test_lift_identities_t3(t3):
 def _relifted(g, change):
     """build_lift(g) with its edge list passed through ``change``."""
     lifted = build_lift(g).graph
-    return LiftGraph(base=g, graph=MagneticGraph(lifted.num_vertices, 1,
-                                                 tuple(change(list(lifted.edges), g.ell))))
+    return LiftGraph(ell=g.ell, graph=MagneticGraph(lifted.num_vertices, 1,
+                                                    tuple(change(list(lifted.edges), g.ell))))
 
 
 def _move_up_one_level(edges, ell):
@@ -155,13 +155,19 @@ def test_lift_identities_reject_a_wrong_lift(monkeypatch, t3, wrong):
 
 def test_build_lift_and_the_identities_share_one_lift(monkeypatch, t3):
     builds = []
-    build = lift_module._lifted.__wrapped__
-    monkeypatch.setattr(lift_module._lifted, "__wrapped__",
+    build = build_lift.__wrapped__
+    monkeypatch.setattr(build_lift, "__wrapped__",
                         lambda h: builds.append(h) or build(h))
     lift = build_lift(t3)
     assert verify_lift_identities(t3).all_ok
     assert builds == [t3]
     assert build_lift(t3).graph is lift.graph
+
+
+def test_build_lift_is_stored_as_built(t3):
+    assert build_lift(t3) is build_lift(t3)
+    assert build_lift(t3) == LiftGraph(ell=2, graph=build_lift(t3).graph)
+    assert build_lift(t3.untwisted()) is not build_lift(t3)
 
 
 def test_eigenpair_check_memory_does_not_grow_with_the_eigenpairs():
