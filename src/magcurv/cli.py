@@ -2,7 +2,7 @@
 
 Exit codes: 0 = success / all checks pass, 1 = at least one verified
 inequality fails (verification commands only), 2 = input or precondition
-error, 3 = enumeration budget exceeded (girth, cheeger, frustration; verify
+error, 3 = budget exceeded (girth, cheeger, frustration, lift; verify
 records an overrun as a skipped check instead). All floating-point output is
 printed with 12 significant digits; JSON output is deterministic for identical
 inputs and seeds.
@@ -77,7 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
     graph.add_argument("--json", action="store_true", help="emit JSON")
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="search budget: girth and lift BFS states, elimination table entries")
+                        help="search budget: girth and lift BFS states, elimination table "
+                             "entries, lift vertices")
 
     sub.add_parser("spectrum", parents=[graph], help="eigenvalues/eigenvectors of -Laplacian")
 
@@ -86,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("girth", parents=[graph, budget], help="magnetic girth")
 
-    p = sub.add_parser("lift", parents=[graph],
+    p = sub.add_parser("lift", parents=[graph, budget],
                        help="covering graph in document format (ell = 1)")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
 
@@ -152,7 +153,7 @@ def _cmd_girth(args) -> int:
 
 def _cmd_lift(args) -> int:
     g = _read_graph(args.input)
-    doc = build_lift(g).graph.to_document()
+    doc = build_lift(g, budget=args.budget).graph.to_document()
     text = json.dumps(_sanitize(doc), indent=2 if args.json else None)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

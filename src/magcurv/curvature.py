@@ -27,8 +27,11 @@ with u_y = sqrt(2 a_y), so |u|^2 = 2. Every kappa_x is finite. R_x is
 assembled once per graph from the oriented-edge table, over the rows x -> y
 and the pairs of rows x -> y -> z, as a sum of weighted squares of
 differences of unit phases, so a holonomy that the exponents make trivial
-contributes an exact 0. The matrices are stacked by degree, and nothing
-here is N x N. kappa_max is stored per (graph, n); every certificate reads it.
+contributes an exact 0. The Schur step, the scaling and the Hermitian part
+are taken once on one flat buffer of every block; each degree's stack is a
+view of it, and nothing here is N x N. kappa_max is stored per (graph, n);
+every certificate reads it. Its witnesses, the minimisers mapped back to the
+2-balls, are built when first read.
 Badly scaled weights take two guarded steps: g_0 eliminated pair by pair
 where the Schur step would cancel digits, and lambda_min refined by a
 Cholesky bisection where R_x is graded.
@@ -37,13 +40,14 @@ Cholesky bisection where R_x is graded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .graphs import MagneticGraph, memoised_on_graph
+from .graphs import MagneticGraph, OrientedEdges, memoised_on_graph
 from .operators import _apply_laplacian, as_vertex_function, gamma, gamma2
 
 __all__ = [
@@ -154,10 +158,8 @@ class OneBall(NamedTuple):
     coordinates g_y = h_y / sqrt(a_y) and g_0 = sum_y elim[y] g_y. Each pair
     of rows x -> y -> z with z in S2(x), y being the end of row ``via``,
     adds ``spread`` * (2 g_y + g_0) to the value at z, which is entry
-    ``target`` of one array over the pairs (x, z). ``supports[x]`` is B2(x),
-    ascending, and ``order`` sorts the values at the vertices, at the row
-    ends and at the pairs (x, z), concatenated, into those supports. The
-    arrays are read-only.
+    ``target`` of one array over the pairs (x, z); ``pairs`` lists them, as
+    x * N + z, ascending. The arrays are read-only.
     """
 
     stacks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
@@ -165,8 +167,7 @@ class OneBall(NamedTuple):
     via: np.ndarray       # (P,) int
     target: np.ndarray    # (P,) int
     spread: np.ndarray    # (P,) complex
-    order: np.ndarray     # (N + R + G,) int
-    supports: tuple[np.ndarray, ...]
+    pairs: np.ndarray     # (G,) int
 
 
 @memoised_on_graph
@@ -186,13 +187,18 @@ def _one_ball(g: MagneticGraph) -> OneBall:
     sigma_yz); the minimising f(z) is l_z / D_z with l_z the sum of
     c pi (2 g_y + g_0). A squared term is twisted when its g_0 coefficient is
     not 0, which the exponents decide. The terms are scattered as rank-one
-    matrices into flat buffers laid out by degree, and g_0 is eliminated by a
-    Schur step on the sums zero[x] |g_0|^2 + 2 Re(conj(g_0) row0 . g) of the
-    twisted ones. Where their weight on a row y exceeds GRADED * a_y, that
-    step would cancel them down to a few digits, so the vertex takes instead
-    the form Lagrange's identity gives, the sum over pairs i < j of its
-    twisted terms of h_i h_j |t0_i (t_j . g) - t0_j (t_i . g)|^2 / zero[x],
-    if they make at most PAIR_LIMIT pairs.
+    matrices into one flat buffer of every block, laid out by degree, and
+    g_0 is eliminated by a Schur step on the sums
+    zero[x] |g_0|^2 + 2 Re(conj(g_0) row0 . g) of the twisted ones. Where
+    their weight on a row y exceeds GRADED * a_y, that step would cancel
+    them down to a few digits, so the vertex takes instead the form
+    Lagrange's identity gives, the sum over pairs i < j of its twisted terms
+    of h_i h_j |t0_i (t_j . g) - t0_j (t_i . g)|^2 / zero[x], if they make
+    at most PAIR_LIMIT pairs; the pairs are built only where some vertex
+    takes them. The Schur step, the scaling by diag(a)^(-1/2) and the
+    Hermitian part are taken once on the flat buffer, each entry reading
+    its row, its column and its transpose, and every degree's stack is a
+    view of it.
     """
     n, ell = g.num_vertices, g.ell
     edges = g.oriented_edges
@@ -205,6 +211,11 @@ def _one_ball(g: MagneticGraph) -> OneBall:
     by_deg = np.argsort(deg, kind="stable")
     block_start = np.empty_like(area)
     block_start[by_deg] = np.cumsum(area[by_deg]) - area[by_deg]
+    row_start = block_start[src] + local * deg[src]
+
+    def flat(r, r2):
+        """Entry (local[r], local[r2]) of the block of their common source."""
+        return row_start[r] + local[r2]
 
     # the pairs of rows r1 = x -> y, r2 = y -> z, and r3 = x -> z where z ~ x
     r1, r2 = _ranges(starts[dst], starts[dst + 1])
@@ -240,15 +251,6 @@ def _one_ball(g: MagneticGraph) -> OneBall:
         (h * np.abs(tp) ** 2, h * np.abs(tq) ** 2)) * np.tile(twist, 2), rows) / a
     twists = np.bincount(w, twist, n)
     paired = (np.bincount(src, load > GRADED, n) > 0) & (twists * (twists - 1) <= 2 * PAIR_LIMIT)
-    tw = np.flatnonzero(twist & paired[w])
-    tw = tw[np.argsort(w[tw], kind="stable")]
-    i, j = (tw[v] for v in _ranges(np.arange(len(tw)) + 1,
-                                      np.searchsorted(w[tw], w[tw], side="right")))
-    plain = ~(twist & paired[w])
-
-    def flat(r, r2):
-        """Entry (local[r], local[r2]) of the block of their common source."""
-        return block_start[src[r]] + local[r] * deg[src[r]] + local[r2]
 
     def squares(weight, coords, coefs):
         """Entries of sum weight |sum_k coefs[k] g_coords[k]|^2. Coefficients
@@ -262,10 +264,19 @@ def _one_ball(g: MagneticGraph) -> OneBall:
                 for ca, sa in zip(coords, coefs) for cb, sb in zip(coords, coefs)]
 
     diag = np.concatenate((np.arange(rows), r1[back]))
-    entries = ([(flat(diag, diag), np.concatenate((-a, 2.0 * c[back])).astype(complex))]
-               + squares(h[plain], (p[plain], q[plain]), (tp[plain], tq[plain]))
-               + squares(h[i] * h[j] / zero[w[i]], (p[j], q[j], p[i], q[i]),
-                         (t0[i] * tp[j], t0[i] * tq[j], -t0[j] * tp[i], -t0[j] * tq[i])))
+    entries = [(flat(diag, diag), np.concatenate((-a, 2.0 * c[back])).astype(complex))]
+    if paired.any():
+        lagrange = twist & paired[w]
+        tw = np.flatnonzero(lagrange)
+        tw = tw[np.argsort(w[tw], kind="stable")]
+        i, j = (tw[v] for v in _ranges(np.arange(len(tw)) + 1,
+                                          np.searchsorted(w[tw], w[tw], side="right")))
+        plain = ~lagrange
+        entries += (squares(h[plain], (p[plain], q[plain]), (tp[plain], tq[plain]))
+                    + squares(h[i] * h[j] / zero[w[i]], (p[j], q[j], p[i], q[i]),
+                              (t0[i] * tp[j], t0[i] * tq[j], -t0[j] * tp[i], -t0[j] * tq[i])))
+    else:
+        entries += squares(h, (p, q), (tp, tq))
     P = _sums(*map(np.concatenate, zip(*entries)), int(area.sum()))
     # the minimising g_0 = sum_y elim[y] g_y
     row0 = _sums(np.concatenate((p, q)), np.concatenate((h * t0.conj() * tp, h * t0.conj() * tq)),
@@ -274,28 +285,28 @@ def _one_ball(g: MagneticGraph) -> OneBall:
     elim = np.where(twisted[src], -row0 / np.where(twisted, zero, 1.0)[src], 0.0)
     schur = np.where(paired[src], 0.0, elim)
 
-    stacks = []
-    for d in np.unique(deg).tolist():
-        xs = np.flatnonzero(deg == d)
-        cut = block_start[xs[0]] + np.arange(len(xs) * d * d)
-        rr = edges.first[xs, None] + np.arange(d)
-        # the Schur step on g_0, where it was not taken pair by pair
-        R = P[cut].reshape(-1, d, d) + row0[rr].conj()[:, :, None] * schur[rr][:, None, :]
-        root = np.sqrt(a[rr])
-        outer = root[:, :, None] * root[:, None, :]
-        R = R / outer + outer
-        R = 0.5 * (R + R.conj().swapaxes(1, 2))
-        stacks.append((xs, R, np.sqrt(2.0) * root))
-
-    ends = np.concatenate((np.arange(n) * (n + 1), key, pair_key[new]))
-    order = np.argsort(ends)
-    sizes = 1 + deg + np.bincount(x[far][new], minlength=n)
-    supports = _pieces(ends[order] % n, sizes)
+    # the rows in block order, and the rows (ri, ci) of each entry of P
+    in_blocks = np.argsort(deg[src], kind="stable")
+    at, ci = _ranges(starts[src[in_blocks]], starts[src[in_blocks] + 1])
+    ri = in_blocks[at]
+    root = np.sqrt(a)
+    outer = root[ri] * root[ci]
+    # the Schur step on g_0 where it was not taken pair by pair, the scaling,
+    # and the Hermitian part, which reads each entry's transpose
+    R = (P + row0[ri].conj() * schur[ci]) / outer + outer
+    R = 0.5 * (R + R[flat(ci, ri)].conj())
+    u = np.sqrt(2.0) * root[in_blocks]
     spread = c[far] * pi / D[target]
-    for arr in (elim, via, target, spread, order, *supports, *(a for st in stacks for a in st)):
+    pairs = pair_key[new]
+    for arr in (R, u, by_deg, elim, via, target, spread, pairs):
         arr.flags.writeable = False
-    return OneBall(stacks=tuple(stacks), elim=elim, via=via, target=target,
-                   spread=spread, order=order, supports=supports)
+    counts = np.bincount(deg)
+    degrees = np.flatnonzero(counts)
+    counts = counts[degrees]
+    stacks = tuple((xs, Rd.reshape(-1, d, d), ud.reshape(-1, d)) for d, xs, Rd, ud in zip(
+        degrees.tolist(), _pieces(by_deg, counts), _pieces(R, counts * degrees ** 2),
+        _pieces(u, counts * degrees)))
+    return OneBall(stacks=stacks, elim=elim, via=via, target=target, spread=spread, pairs=pairs)
 
 
 @dataclass(frozen=True)
@@ -332,16 +343,48 @@ class CurvatureResult:
     ``witnesses[x]`` is a minimising function at vertex x on its 2-ball: its
     values align with ``supports[x]``, the vertices of B2(x) in ascending
     order, and it is zero elsewhere; ``witness(x)`` embeds it in all N
-    vertices. ``witness_vertex`` is the lowest vertex whose supremum is within
-    WITNESS_TIE * max(1, |kappa_max|) of kappa_max.
+    vertices. Both are computed on first read, from the minimising
+    eigenvectors and the reduction, which hold no reference to the graph,
+    and are read-only. ``witness_vertex`` is the lowest vertex whose
+    supremum is within WITNESS_TIE * max(1, |kappa_max|) of kappa_max.
     """
 
     n: float
     per_vertex: np.ndarray          # (N,) real
     kappa_max: float
     witness_vertex: int
-    witnesses: tuple[np.ndarray, ...]
-    supports: tuple[np.ndarray, ...]
+    _minimisers: np.ndarray = field(repr=False, compare=False)   # (R,) complex, per row
+    _ball: OneBall = field(repr=False, compare=False)
+    _edges: OrientedEdges = field(repr=False, compare=False)
+
+    @cached_property
+    def _layout(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """The order that sorts the values at the vertices, at the row ends
+        and at the pairs (x, z), concatenated, into the supports B2(x)."""
+        n, edges, pairs = len(self.per_vertex), self._edges, self._ball.pairs
+        ends = np.concatenate((np.arange(n) * (n + 1), edges.src * n + edges.dst, pairs))
+        order = np.argsort(ends)
+        deg = np.diff(edges.first, append=len(edges.src))
+        sizes = 1 + deg + np.bincount(pairs // n, minlength=n)
+        sorted_ends = ends[order] % n
+        sorted_ends.flags.writeable = False
+        return order, _pieces(sorted_ends, sizes)
+
+    @property
+    def supports(self) -> tuple[np.ndarray, ...]:
+        return self._layout[1]
+
+    @cached_property
+    def witnesses(self) -> tuple[np.ndarray, ...]:
+        ball, edges = self._ball, self._edges
+        gy = self._minimisers / np.sqrt(edges.weight)
+        g0 = np.add.reduceat(ball.elim * gy, edges.first)
+        at_z = _sums(ball.target, ball.spread * (2.0 * gy[ball.via] + g0[edges.src[ball.via]]),
+                     len(ball.pairs))
+        order, supports = self._layout
+        values = np.concatenate((g0, edges.phase.conj() * (gy + g0[edges.src]), at_z))[order]
+        values.flags.writeable = False
+        return _pieces(values, [len(sup) for sup in supports])
 
     def witness(self, x: int) -> np.ndarray:
         """Vertex x's witness as a function on all N vertices."""
@@ -398,8 +441,9 @@ def _graded_minimum(A: np.ndarray, lam: float, vec: np.ndarray) -> tuple[float, 
 @memoised_on_graph
 def kappa_max(g: MagneticGraph, n: float) -> CurvatureResult:
     """Optimal kappa(n) per vertex, lambda_min(R_x - (1/n) u_x u_x^H), and
-    graph-wide; the minimising eigenvectors are mapped back to the 2-balls.
-    Stored per (g, n), with n as a float, so n = 2 and n = 2.0 share it.
+    graph-wide; the witnesses map the minimising eigenvectors back to the
+    2-balls when first read. Stored per (g, n), with n as a float, so n = 2
+    and n = 2.0 share it.
 
     Where ||R_x|| exceeds 100 max(1, |kappa_x|), as badly scaled weights make
     it, eigh's answer is refined by _graded_minimum.
@@ -417,14 +461,9 @@ def kappa_max(g: MagneticGraph, n: float) -> CurvatureResult:
             low[i], vec[i] = _graded_minimum(A[i], low[i], vec[i])
         per[xs] = low
         h[edges.first[xs, None] + np.arange(R.shape[1])] = vec
-    gy = h / np.sqrt(edges.weight)
-    g0 = np.add.reduceat(ball.elim * gy, edges.first)
-    at_z = _sums(ball.target, ball.spread * (2.0 * gy[ball.via] + g0[edges.src[ball.via]]),
-                 len(ball.order) - len(h) - len(g0))
-    values = np.concatenate((g0, edges.phase.conj() * (gy + g0[edges.src]), at_z))[ball.order]
     kappa = float(per.min())
-    per.flags.writeable = values.flags.writeable = False
+    per.flags.writeable = h.flags.writeable = False
     return CurvatureResult(
         n=float(n), per_vertex=per, kappa_max=kappa,
         witness_vertex=int(np.argmax(per <= kappa + WITNESS_TIE * max(1.0, abs(kappa)))),
-        witnesses=_pieces(values, [len(sup) for sup in ball.supports]), supports=ball.supports)
+        _minimisers=h, _ball=ball, _edges=edges)

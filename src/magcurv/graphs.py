@@ -116,14 +116,10 @@ class MagneticGraph:
     ell: int
     edges: tuple[Edge, ...]
     degrees: np.ndarray = field(init=False, repr=False, compare=False)
-    _adjacency: tuple[tuple[tuple[int, float, int], ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         n, ell = _positive("num_vertices", self.num_vertices), _positive("ell", self.ell)
         seen: set[tuple[int, int]] = set()
-        adj: dict[int, list[tuple[int, float, int]]] = {}
         deg: dict[int, float] = {}
         norm: list[Edge] = []
         for e in self.edges:
@@ -145,12 +141,10 @@ class MagneticGraph:
             if not 0 <= s < ell:
                 raise ValidationError(f"exponent {s} out of range [0, {ell})")
             norm.append(Edge(u, v, w, s))
-            adj.setdefault(u, []).append((v, w, s))
-            adj.setdefault(v, []).append((u, w, (ell - s) % ell))
             deg[u] = deg.get(u, 0.0) + w
             deg[v] = deg.get(v, 0.0) + w
-        if len(adj) < n:  # checked before anything of length n is allocated
-            isolated = next(x for x in range(n) if x not in adj)
+        if len(deg) < n:  # checked before anything of length n is allocated
+            isolated = next(x for x in range(n) if x not in deg)
             raise ValidationError(f"isolated vertex {isolated} (zero degree)")
         degrees = np.array([deg[x] for x in range(n)])
         degrees.flags.writeable = False
@@ -158,7 +152,29 @@ class MagneticGraph:
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "edges", tuple(norm))
         object.__setattr__(self, "degrees", degrees)
-        object.__setattr__(self, "_adjacency", tuple(tuple(adj[x]) for x in range(n)))
+
+    @classmethod
+    def _derived(cls, num_vertices: int, ell: int, edges: tuple[Edge, ...],
+                 degrees: np.ndarray) -> MagneticGraph:
+        """A graph derived from a validated one, its fields given as
+        ``__post_init__`` would leave them: int sizes, edges of ints and
+        floats, and read-only degrees summed in edge order. Nothing is
+        checked, so only a derivation that keeps every invariant of its base
+        may call it."""
+        g = object.__new__(cls)
+        for name, value in (("num_vertices", num_vertices), ("ell", ell), ("edges", edges),
+                            ("degrees", degrees)):
+            object.__setattr__(g, name, value)
+        return g
+
+    @cached_property
+    def _adjacency(self) -> tuple[tuple[tuple[int, float, int], ...], ...]:
+        """Each vertex's oriented star in edge order, built on first read."""
+        stars: list[list[tuple[int, float, int]]] = [[] for _ in range(self.num_vertices)]
+        for u, v, w, s in self.edges:
+            stars[u].append((v, w, s))
+            stars[v].append((u, w, (self.ell - s) % self.ell))
+        return tuple(map(tuple, stars))
 
     def neighbors(self, x: int) -> tuple[tuple[int, float, int], ...]:
         """Oriented star at ``x``: tuples (y, weight, exponent of x -> y)."""
@@ -173,9 +189,10 @@ class MagneticGraph:
         return complex(np.exp(2j * np.pi * (s % self.ell) / self.ell))
 
     def untwisted(self) -> MagneticGraph:
-        """The same graph with every exponent 0; its operators are the plain ones."""
-        return MagneticGraph(num_vertices=self.num_vertices, ell=self.ell,
-                             edges=tuple(e._replace(s=0) for e in self.edges))
+        """The same graph with every exponent 0; its operators are the plain ones.
+        It shares the degrees and is derived without validation."""
+        return MagneticGraph._derived(self.num_vertices, self.ell,
+                                      tuple(e._replace(s=0) for e in self.edges), self.degrees)
 
     @cached_property
     def oriented_edges(self) -> OrientedEdges:

@@ -8,14 +8,19 @@ x * ell + k. Edges follow the signature: (x1, k1) ~ (x2, k2) iff x1 ~ x2 and
 k2 = k1 + s(x1 -> x2) mod ell, with the base edge weight. Serialized lifts
 use this index order, so results are byte-reproducible. ``build_lift`` stores
 the lift on its base, so every call and ``verify_lift_identities`` share it.
+The lift is derived from its validated base and not validated again; one of
+more than ``budget`` vertices raises SizeError before anything is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
+from .combinatorics import DEFAULT_BUDGET
+from .errors import SizeError
 from .graphs import Edge, MagneticGraph, Record, _farthest_walk, memoised_on_graph
 from .operators import _apply_laplacian, as_vertex_function, spectrum
 
@@ -50,16 +55,35 @@ class LiftGraph:
         return divmod(i, self.ell)
 
 
-@memoised_on_graph
-def build_lift(g: MagneticGraph) -> LiftGraph:
+def build_lift(g: MagneticGraph, budget: int = DEFAULT_BUDGET) -> LiftGraph:
     """The covering graph, built once per base and stored on it; it holds no
-    reference back to ``g``, so it goes with it. Every lift vertex inherits
-    its base degree, and its rows of the oriented-edge table follow those of
-    its base vertex."""
+    reference back to ``g``, so it goes with it. A lift of more than
+    ``budget`` vertices raises SizeError before anything is built or stored,
+    so the stored lift does not depend on the budget."""
+    size = g.num_vertices * g.ell
+    if size > budget:
+        raise SizeError(f"lift needs {size} vertices, over budget {budget}")
+    return _lift(g)
+
+
+@memoised_on_graph
+def _lift(g: MagneticGraph) -> LiftGraph:
+    """The lift, derived from its valid base without validating it again.
+    Edge (u, v, w, s) lifts to (u * ell + k, v * ell + (k + s) % ell, w, 0)
+    for k = 0..ell-1, in that order, so each lift vertex meets its base
+    vertex's weights in the same order and has its base degree, bit for bit,
+    and its rows of the oriented-edge table follow those of its base vertex."""
     ell = g.ell
-    edges = tuple(Edge(e.u * ell + k, e.v * ell + (k + e.s) % ell, e.w, 0)
-                  for e in g.edges for k in range(ell))
-    return LiftGraph(ell=ell, graph=MagneticGraph(g.num_vertices * ell, 1, edges))
+    u, v, w, s = map(np.array, zip(*g.edges))
+    k = np.arange(ell)
+    lifted = zip((u[:, None] * ell + k).ravel().tolist(),
+                 (v[:, None] * ell + (k + s[:, None]) % ell).ravel().tolist(),
+                 np.repeat(w, ell).tolist(), repeat(0))
+    # tuple.__new__ makes each Edge without NamedTuple's Python-level __new__
+    edges = tuple(map(tuple.__new__, repeat(Edge), lifted))
+    degrees = np.repeat(g.degrees, ell)
+    degrees.flags.writeable = False
+    return LiftGraph(ell=ell, graph=MagneticGraph._derived(g.num_vertices * ell, 1, edges, degrees))
 
 
 @memoised_on_graph

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import strategies as st
 
 from magcurv.graphs import MagneticGraph, from_edge_list, random_magnetic_graph
+from magcurv.lift import build_lift
 
 # Named small graphs used throughout:
 #   t3      triangle, ell=2, exponent 1 on {0,2}: unbalanced, entire
@@ -80,6 +81,16 @@ def sparse_graph(n: int, ell: int, seed: int) -> MagneticGraph:
 @pytest.fixture(scope="session")
 def corpus() -> list[MagneticGraph]:
     return build_corpus(200)
+
+
+@pytest.fixture(scope="session")
+def corpus_and_lifts(corpus) -> list[MagneticGraph]:
+    """The corpus, then each sparse base (seed 1) followed by its lift."""
+    graphs = list(corpus)
+    for shape in LIFT_SHAPES:
+        base = sparse_graph(*shape, seed=1)
+        graphs += [base, build_lift(base).graph]
+    return graphs
 
 
 @pytest.fixture(scope="session")

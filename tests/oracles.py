@@ -10,8 +10,9 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from magcurv.curvature import (PSD_TOL, CDGraphCheck, _inv_n, _one_ball, _positive_definite,
-                               _ranges)
+from magcurv import curvature
+from magcurv.curvature import (GRADED, PSD_TOL, CDGraphCheck, _graded_minimum, _inv_n, _one_ball,
+                               _pieces, _positive_definite, _ranges, _sums)
 from magcurv.errors import NumericalError, SizeError
 from magcurv.graphs import MagneticGraph, OrientedEdges, SignatureStatus, memoised_on_graph
 from magcurv.lift import LiftIdentityReport, build_lift
@@ -325,6 +326,148 @@ def cd_check_reference(g, n, kappa) -> CDGraphCheck:
         passed = passed and _positive_definite(A + cut * eye)
     return CDGraphCheck(n=n, kappa=kappa, min_eigenvalues=mins,
                         thresholds=np.full(g.num_vertices, -cut), passed=passed)
+
+
+class OneBallReference(NamedTuple):
+    """``curvature.OneBall`` with the supports of the witnesses built eagerly:
+    ``order`` sorts the values at the vertices, the row ends and the pairs
+    (x, z), concatenated, into ``supports[x]`` = B2(x), ascending. ``pairs``
+    counts the Lagrange pairs the assembly built."""
+
+    stacks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    elim: np.ndarray
+    via: np.ndarray
+    target: np.ndarray
+    spread: np.ndarray
+    order: np.ndarray
+    supports: tuple[np.ndarray, ...]
+    pairs: int
+
+
+def one_ball_reference(g) -> OneBallReference:
+    """``curvature._one_ball`` as it was first written: R_x assembled degree by
+    degree (the Schur step, the diag(a)^(-1/2) scaling and the Hermitian part
+    taken on each degree's stack), and the pair branch of badly scaled rows
+    built whether or not any vertex takes it."""
+    n, ell = g.num_vertices, g.ell
+    edges = g.oriented_edges
+    src, dst, a, s = edges.src, edges.dst, edges.weight, edges.exponent
+    rows = len(src)
+    starts = np.append(edges.first, rows)
+    deg = np.diff(starts)
+    local = np.arange(rows) - edges.first[src]
+    area = deg ** 2
+    by_deg = np.argsort(deg, kind="stable")
+    block_start = np.empty_like(area)
+    block_start[by_deg] = np.cumsum(area[by_deg]) - area[by_deg]
+
+    r1, r2 = _ranges(starts[dst], starts[dst + 1])
+    x, z = src[r1], dst[r2]
+    key = src * n + dst
+    by_key = np.argsort(key)
+    r3 = by_key[np.minimum(np.searchsorted(key, x * n + z, sorter=by_key), rows - 1)]
+    back = z == x
+    tri = ~back & (key[r3] == x * n + z)
+    c = a[r1] * a[r2]
+
+    far = np.flatnonzero(~back & ~tri)
+    far = far[np.argsort(x[far] * n + z[far], kind="stable")]
+    pair_key = x[far] * n + z[far]
+    new = np.diff(pair_key, prepend=-1) != 0
+    target = np.cumsum(new) - 1
+    group_end = np.append(np.flatnonzero(new)[1:], len(far))
+    D = np.bincount(target, c[far])
+    k, m = _ranges(np.arange(len(far)) + 1, group_end[target])
+    via, exp = r1[far], -(s[r1] + s[r2])[far] % ell
+    pi = np.exp(2j * np.pi * exp / ell)
+
+    e = (s[r1] + s[r2] - s[r3])[tri] % ell
+    tau = np.exp(2j * np.pi * e / ell)
+    w, p, q, h, tp, tq, t0, twist = (np.concatenate(pair) for pair in zip(
+        (x[tri], r1[tri], r3[tri], 0.5 * c[tri], np.full(len(e), -2.0 + 0j), tau,
+         tau - 1.0, e != 0),
+        (x[far][k], via[k], via[m], c[far][k] * c[far][m] / (2.0 * D[target[k]]),
+         2.0 * pi[k], -2.0 * pi[m], pi[k] - pi[m], exp[k] != exp[m])))
+    zero = np.bincount(w, h * np.abs(t0) ** 2, n)
+    load = np.bincount(np.concatenate((p, q)), np.concatenate(
+        (h * np.abs(tp) ** 2, h * np.abs(tq) ** 2)) * np.tile(twist, 2), rows) / a
+    twists = np.bincount(w, twist, n)
+    paired = ((np.bincount(src, load > GRADED, n) > 0)
+              & (twists * (twists - 1) <= 2 * curvature.PAIR_LIMIT))
+    tw = np.flatnonzero(twist & paired[w])
+    tw = tw[np.argsort(w[tw], kind="stable")]
+    i, j = (tw[v] for v in _ranges(np.arange(len(tw)) + 1,
+                                      np.searchsorted(w[tw], w[tw], side="right")))
+    plain = ~(twist & paired[w])
+
+    def flat(r, r2):
+        return block_start[src[r]] + local[r] * deg[src[r]] + local[r2]
+
+    def squares(weight, coords, coefs):
+        coefs = list(coefs)
+        for u in range(len(coords)):
+            for v in range(u + 1, len(coords)):
+                same = coords[u] == coords[v]
+                coefs[u], coefs[v] = coefs[u] + np.where(same, coefs[v], 0.0), coefs[v] * ~same
+        return [(flat(ca, cb), weight * sa.conj() * sb)
+                for ca, sa in zip(coords, coefs) for cb, sb in zip(coords, coefs)]
+
+    diag = np.concatenate((np.arange(rows), r1[back]))
+    entries = ([(flat(diag, diag), np.concatenate((-a, 2.0 * c[back])).astype(complex))]
+               + squares(h[plain], (p[plain], q[plain]), (tp[plain], tq[plain]))
+               + squares(h[i] * h[j] / zero[w[i]], (p[j], q[j], p[i], q[i]),
+                         (t0[i] * tp[j], t0[i] * tq[j], -t0[j] * tp[i], -t0[j] * tq[i])))
+    P = _sums(*map(np.concatenate, zip(*entries)), int(area.sum()))
+    row0 = _sums(np.concatenate((p, q)),
+                 np.concatenate((h * t0.conj() * tp, h * t0.conj() * tq)), rows)
+    twisted = twists > 0
+    elim = np.where(twisted[src], -row0 / np.where(twisted, zero, 1.0)[src], 0.0)
+    schur = np.where(paired[src], 0.0, elim)
+
+    stacks = []
+    for d in np.unique(deg).tolist():
+        xs = np.flatnonzero(deg == d)
+        cut = block_start[xs[0]] + np.arange(len(xs) * d * d)
+        rr = edges.first[xs, None] + np.arange(d)
+        R = P[cut].reshape(-1, d, d) + row0[rr].conj()[:, :, None] * schur[rr][:, None, :]
+        root = np.sqrt(a[rr])
+        outer = root[:, :, None] * root[:, None, :]
+        R = R / outer + outer
+        R = 0.5 * (R + R.conj().swapaxes(1, 2))
+        stacks.append((xs, R, np.sqrt(2.0) * root))
+
+    ends = np.concatenate((np.arange(n) * (n + 1), key, pair_key[new]))
+    order = np.argsort(ends)
+    sizes = 1 + deg + np.bincount(x[far][new], minlength=n)
+    supports = _pieces(ends[order] % n, sizes)
+    spread = c[far] * pi / D[target]
+    return OneBallReference(stacks=tuple(stacks), elim=elim, via=via, target=target,
+                            spread=spread, order=order, supports=supports, pairs=len(i))
+
+
+def witnesses_reference(g, n):
+    """kappa_max's per-vertex suprema, witnesses and supports, the witnesses
+    built eagerly from ``one_ball_reference``: the least eigenvector of each
+    R_x - (1/n) u_x u_x^H (refined as kappa_max refines it), mapped to B2(x)."""
+    invn = _inv_n(n)
+    ball = one_ball_reference(g)
+    edges = g.oriented_edges
+    per = np.empty(g.num_vertices)
+    h = np.empty(len(edges.src), dtype=complex)
+    for xs, R, u in ball.stacks:
+        A = R - invn * u[:, :, None] * u.conj()[:, None, :]
+        vals, vecs = np.linalg.eigh(A)
+        low, vec = vals[:, 0], vecs[:, :, 0]
+        for i in np.flatnonzero(np.abs(vals).max(axis=1) > GRADED * np.maximum(1.0, np.abs(low))):
+            low[i], vec[i] = _graded_minimum(A[i], low[i], vec[i])
+        per[xs] = low
+        h[edges.first[xs, None] + np.arange(R.shape[1])] = vec
+    gy = h / np.sqrt(edges.weight)
+    g0 = np.add.reduceat(ball.elim * gy, edges.first)
+    at_z = _sums(ball.target, ball.spread * (2.0 * gy[ball.via] + g0[edges.src[ball.via]]),
+                 len(ball.order) - len(h) - len(g0))
+    values = np.concatenate((g0, edges.phase.conj() * (gy + g0[edges.src]), at_z))[ball.order]
+    return per, _pieces(values, [len(sup) for sup in ball.supports]), ball.supports
 
 
 def kappa_max_bisect(g, n) -> float:

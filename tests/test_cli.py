@@ -111,7 +111,7 @@ def test_each_subcommand_takes_only_the_options_it_reads():
         "spectrum": {"--json"},
         "curvature": {"--json", "--n"},
         "girth": {"--json", "--budget"},
-        "lift": {"--json", "--out"},
+        "lift": {"--json", "--out", "--budget"},
         "frustration": {"--json", "--subset", "--budget"},
         "cheeger": {"--json", "--budget"},
         "harnack": {"--json", "--n", "--kappa"},
@@ -344,6 +344,23 @@ def test_huge_ell_runs(tmp_path, capsys, ell, command):
             f"budget: lift diameter needs {9 * ell} BFS states, over budget 10000000")
         assert payload["cheeger_skipped"].startswith("budget: exact Cheeger")
         assert payload["all_passed"] is True
+
+
+@pytest.mark.parametrize("ell", [10**9, 2**62])
+def test_huge_ell_lift_exits_3(tmp_path, capsys, ell):
+    # the budget is checked before any of the 3 * ell lift vertices is built
+    path = tmp_path / "t3big.json"
+    path.write_text(_t3_document(ell))
+    assert main(["lift", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: lift needs {3 * ell} vertices, over budget 10000000\n")
+
+
+def test_lift_budget(t3_path, capsys):
+    assert main(["lift", t3_path, "--budget", "5"]) == 3
+    assert "over budget 5" in capsys.readouterr().err
+    assert main(["lift", t3_path, "--budget", "6"]) == 0
+    assert load_graph(capsys.readouterr().out).num_vertices == 6
 
 
 @pytest.mark.parametrize("doc, message", [

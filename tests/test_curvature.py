@@ -1,6 +1,8 @@
+import gc
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from magcurv.lift import build_lift
 from magcurv.operators import gamma
 
 from .conftest import graph_strategy, random_functions, sparse_graph, two_n_cycle
-from .oracles import form_family, kappa_max_bisect, same_direction
+from .oracles import form_family, kappa_max_bisect, same_direction, witnesses_reference
 
 
 def test_dimension_parameter_validation(t3):
@@ -370,3 +372,43 @@ def test_merged_stack_matches_each_block_alone(corpus, t3, b3, c4sigma):
         offset += h.num_vertices
     assert len({R.shape[1] for _, R, _ in _one_ball(union).stacks}) < len(parts)
 
+
+def test_witnesses_are_built_once_on_first_read(t3):
+    result = kappa_max(t3, 2.0)
+    assert "witnesses" not in vars(result) and "_layout" not in vars(result)
+    assert result.witnesses is result.witnesses and result.supports is result.supports
+    assert not any(a.flags.writeable for a in (*result.witnesses, *result.supports))
+    assert kappa_max(t3, 2.0).witnesses is result.witnesses
+
+
+def test_witnesses_match_the_eager_construction(corpus_and_lifts):
+    # per_vertex, witnesses and supports byte for byte against the witnesses
+    # mapped at once from one_ball_reference, as kappa_max first did
+    for g in corpus_and_lifts:
+        for n in (2.0, math.inf):
+            result = kappa_max(g, n)
+            per, witnesses, supports = witnesses_reference(g, n)
+            assert per.tobytes() == result.per_vertex.tobytes()
+            for got, want in ((result.witnesses, witnesses), (result.supports, supports)):
+                assert len(got) == len(want) == g.num_vertices
+                assert all((a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+                           for a, b in zip(got, want))
+
+
+def test_witnesses_outlive_their_graph():
+    # a result holds no reference to its graph, and can still build its
+    # witnesses after the graph is gone
+    edges = [(0, 1, 1.0, 1), (1, 2, 0.5, 0), (2, 0, 2.0, 2), (2, 3, 1.0, 1), (3, 4, 1.5, 0)]
+    g = from_edge_list(5, 3, edges)
+    result = kappa_max(g, 2.0)
+    ref = weakref.ref(g)
+    gc.disable()
+    try:
+        del g
+        assert ref() is None
+        witnesses = result.witnesses
+    finally:
+        gc.enable()
+    want = kappa_max(from_edge_list(5, 3, edges), 2.0)
+    assert all(np.array_equal(a, b) for a, b in zip(witnesses, want.witnesses))
+    assert all(np.array_equal(a, b) for a, b in zip(result.supports, want.supports))

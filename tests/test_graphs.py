@@ -14,7 +14,7 @@ from magcurv.bounds import lift_diameter_check, verify_report
 from magcurv.errors import ParseError, ValidationError
 from magcurv.graphs import (Edge, MagneticGraph, diameter, from_edge_list, is_connected,
                             load_graph, random_magnetic_graph, signature_status)
-from magcurv.curvature import _one_ball
+from magcurv.curvature import _one_ball, kappa_max
 from magcurv.lift import build_lift
 from magcurv.operators import spectrum
 
@@ -150,6 +150,26 @@ def test_oriented_edges_match_the_reference_on_badly_scaled_weights(g):
     assert_table_matches_reference(build_lift(g).graph)
 
 
+def assert_same_graph(got, want):
+    """A derived graph equals its validated construction field by field."""
+    assert (got.num_vertices, got.ell, got.edges) == (want.num_vertices, want.ell, want.edges)
+    assert all(type(a) is type(b) for e, f in zip(got.edges, want.edges) for a, b in zip(e, f))
+    assert got.degrees.tobytes() == want.degrees.tobytes() and not got.degrees.flags.writeable
+    assert got._adjacency == want._adjacency
+    for name in got.oriented_edges._fields:
+        a, b = getattr(got.oriented_edges, name), getattr(want.oriented_edges, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+def test_derived_graphs_equal_validated_ones(corpus_and_lifts):
+    # the lift and untwisted() skip validation, and must build what it builds
+    for g in corpus_and_lifts:
+        lift = build_lift(g).graph
+        assert_same_graph(lift, MagneticGraph(g.num_vertices * g.ell, 1, lift.edges))
+        assert_same_graph(g.untwisted(), from_edge_list(
+            g.num_vertices, g.ell, [(e.u, e.v, e.w, 0) for e in g.edges]))
+
+
 def test_edge_table_computes_only_the_phases_present():
     # one edge and ell = 10**9: two phases, not one per group element
     g = from_edge_list(2, 10**9, [(0, 1, 1.0, 5)])
@@ -241,7 +261,7 @@ def test_spectrum_and_forms_are_computed_once(t3):
     ball = _one_ball(t3)
     assert sorted(x for xs, _, _ in ball.stacks for x in xs.tolist()) == [0, 1, 2]
     assert all(not a.flags.writeable for stack in ball.stacks for a in stack)
-    assert all(not s.flags.writeable for s in ball.supports)
+    assert all(not s.flags.writeable for s in kappa_max(t3, 2.0).supports)
 
 
 def test_base_diameter_is_computed_once(monkeypatch, t3):

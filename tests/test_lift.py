@@ -9,7 +9,7 @@ from magcurv import lift as lift_module
 from magcurv import operators
 from magcurv.bounds import lift_diameter_check
 from magcurv.curvature import cd_check_function, cd_check_graph, kappa_max
-from magcurv.errors import PreconditionError, ValidationError
+from magcurv.errors import PreconditionError, SizeError, ValidationError
 from magcurv.graphs import MagneticGraph, connected_components, diameter, is_connected
 from magcurv.lift import (LiftGraph, build_lift, lift_diameter, lift_function,
                           verify_lift_identities)
@@ -155,13 +155,24 @@ def test_lift_identities_reject_a_wrong_lift(monkeypatch, t3, wrong):
 
 def test_build_lift_and_the_identities_share_one_lift(monkeypatch, t3):
     builds = []
-    build = build_lift.__wrapped__
-    monkeypatch.setattr(build_lift, "__wrapped__",
+    build = lift_module._lift.__wrapped__
+    monkeypatch.setattr(lift_module._lift, "__wrapped__",
                         lambda h: builds.append(h) or build(h))
     lift = build_lift(t3)
     assert verify_lift_identities(t3).all_ok
     assert builds == [t3]
     assert build_lift(t3).graph is lift.graph
+
+
+def test_build_lift_budget_is_checked_before_the_store(t3):
+    # N * ell = 6 lift vertices: a budget of 5 raises and stores nothing, and
+    # the stored lift is the same under every budget that admits it
+    with pytest.raises(SizeError, match="^lift needs 6 vertices, over budget 5$"):
+        build_lift(t3, budget=5)
+    assert not vars(t3).get("_memo")
+    lift = build_lift(t3, budget=6)
+    assert build_lift(t3) is lift and build_lift(t3, budget=10**12) is lift
+    assert len(vars(t3)["_memo"]) == 1
 
 
 def test_build_lift_is_stored_as_built(t3):

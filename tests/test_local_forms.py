@@ -15,7 +15,8 @@ from magcurv.lift import build_lift
 
 from .conftest import LIFT_SHAPES, badly_scaled_graphs, build_corpus, sparse_graph
 from .oracles import (cd_check_reference, dense_form_family, dense_kappa_per_vertex,
-                      embedded_forms, exact_cd_holds, form_family, two_ball_kappa)
+                      embedded_forms, exact_cd_holds, form_family, one_ball_reference,
+                      two_ball_kappa)
 
 N_DIM = 2.0
 
@@ -205,15 +206,20 @@ def test_badly_scaled_weights_match_the_cd_reference(g):
     assert_matches_cd_reference(g)
 
 
-def test_dense_badly_scaled_graph_past_the_pair_limit(monkeypatch):
-    # K_11 at ell = 3 with weights 2^k, k in -26..26 (exact in binary, which
-    # keeps the rational arithmetic fast): a vertex with t twisted triangle
-    # terms takes them pair by pair only if t (t - 1) / 2 <= PAIR_LIMIT; the
-    # others keep the Schur step on g_0, and must stay as accurate.
+def dense_badly_scaled_edges() -> tuple[int, int, list]:
+    """K_11 at ell = 3 with weights 2^k, k in -26..26 (exact in binary, which
+    keeps the rational arithmetic fast): (N, ell, edges)."""
     rng = np.random.default_rng(2)
     n, ell = 11, 3
-    edges = [(u, v, 2.0 ** int(rng.integers(-26, 27)), int(rng.integers(0, ell)))
-             for u in range(n) for v in range(u + 1, n)]
+    return n, ell, [(u, v, 2.0 ** int(rng.integers(-26, 27)), int(rng.integers(0, ell)))
+                    for u in range(n) for v in range(u + 1, n)]
+
+
+def test_dense_badly_scaled_graph_past_the_pair_limit(monkeypatch):
+    # A vertex of dense_badly_scaled_edges' K_11 with t twisted triangle terms
+    # takes them pair by pair only if t (t - 1) / 2 <= PAIR_LIMIT; the others
+    # keep the Schur step on g_0, and must stay as accurate.
+    n, ell, edges = dense_badly_scaled_edges()
     exps = {}
     for u, v, _, s in edges:
         exps[u, v], exps[v, u] = s, -s
@@ -266,3 +272,34 @@ def test_badly_scaled_vertex_against_60_digits(n, ell, edges, x, want):
         s = max(1.0, abs(kappa))
         assert exact_cd_holds(g, x, N_DIM, kappa - 1e-9 * s)
         assert not exact_cd_holds(g, x, N_DIM, kappa + 1e-6 * s)
+
+
+def assert_one_ball_matches_reference(g) -> int:
+    """Every array of _one_ball(g) equals one_ball_reference(g) byte for byte:
+    each degree's xs, R and u, and the map to S2. Returns the reference's
+    count of Lagrange pairs."""
+    got, want = _one_ball(g), one_ball_reference(g)
+    assert len(got.stacks) == len(want.stacks)
+    arrays = [(a, b) for stack, ref in zip(got.stacks, want.stacks) for a, b in zip(stack, ref)]
+    arrays += [(getattr(got, name), getattr(want, name))
+               for name in ("elim", "via", "target", "spread")]
+    for a, b in arrays:
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    return want.pairs
+
+
+def test_one_ball_matches_the_per_degree_reference(corpus_and_lifts):
+    # no corpus graph, sparse base or lift takes the pair branch
+    assert not any(assert_one_ball_matches_reference(g) for g in corpus_and_lifts)
+
+
+@given(badly_scaled_graphs())
+@settings(max_examples=40, deadline=None)
+def test_one_ball_matches_the_per_degree_reference_on_badly_scaled_weights(g):
+    assert_one_ball_matches_reference(g)
+
+
+@pytest.mark.parametrize("limit", [curvature.PAIR_LIMIT, 10 ** 9])
+def test_one_ball_matches_the_per_degree_reference_past_the_pair_limit(monkeypatch, limit):
+    monkeypatch.setattr(curvature, "PAIR_LIMIT", limit)
+    assert assert_one_ball_matches_reference(from_edge_list(*dense_badly_scaled_edges())) > 0

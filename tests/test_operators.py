@@ -150,7 +150,7 @@ def test_forms_need_no_dense_laplacian(monkeypatch):
     assert len(got.stacks) == len(want.stacks)
     for stack, ref in zip(got.stacks, want.stacks):
         assert all(np.array_equal(a, b) for a, b in zip(stack, ref))
-    assert all(np.array_equal(a, b) for a, b in zip(got.supports, want.supports))
+    assert np.array_equal(got.pairs, want.pairs)
 
 
 def test_forms_psd(t3, c4sigma):
@@ -221,9 +221,10 @@ def test_lift_forms_take_block_memory():
     stacked = [a for st in ball.stacks for a in st]
     entries = sum(R.size + u.size for _, R, u in ball.stacks)
     assert sum(a.nbytes for a in stacked) <= 16 * entries + 8 * n
-    arrays = stacked + [ball.elim, ball.via, ball.target, ball.spread, ball.order]
+    arrays = stacked + [ball.elim, ball.via, ball.target, ball.spread, ball.pairs]
     assert all(a.size < n ** 2 // 4 for a in arrays)
-    assert sum(s.size for s in ball.supports) == len(ball.order)
+    supports = kappa_max(lift, 2.0).supports
+    assert sum(s.size for s in supports) == n + len(lift.oriented_edges.src) + len(ball.pairs)
 
 
 def test_oriented_edge_table_keeps_rows_only():
