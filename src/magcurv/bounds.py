@@ -196,8 +196,8 @@ def _path_lengths(g: MagneticGraph, budget: int) -> tuple[int, int, int, int]:
     """(girth, D, 2D + ell * girth, lift diameter) once the hypotheses of the
     path bounds hold: connected, unbalanced, entire signature (the closed-walk
     holonomies generate Z_ell), finite magnetic girth; the first to fail is
-    named in PreconditionError. The girth search and then the N * N * ell
-    states of the lift BFS are held to the budget (SizeError beyond)."""
+    named in PreconditionError. The girth and lift searches check the budget
+    (SizeError); the lift's is asked first, so it refuses before D's BFS."""
     _connected(g)
     status = signature_status(g)
     if status.balanced:
@@ -207,10 +207,8 @@ def _path_lengths(g: MagneticGraph, budget: int) -> tuple[int, int, int, int]:
     girth = magnetic_girth(g, budget=budget)
     if girth == math.inf:
         raise PreconditionError("finite magnetic girth")
-    girth, dia, states = int(girth), int(diameter(g)), g.num_vertices ** 2 * g.ell
-    if states > budget:
-        raise SizeError(f"lift diameter needs {states} BFS states, over budget {budget}")
-    return girth, dia, 2 * dia + g.ell * girth, int(lift_diameter(g))
+    d_lift, dia, girth = int(lift_diameter(g, budget)), int(diameter(g)), int(girth)
+    return girth, dia, 2 * dia + g.ell * girth, d_lift
 
 
 @dataclass(frozen=True)
@@ -225,7 +223,7 @@ def lift_diameter_check(g: MagneticGraph, budget: int = DEFAULT_BUDGET) -> LiftD
 
     Hypotheses (connected, unbalanced, entire signature, finite magnetic
     girth) are enforced; the violated one is named in the PreconditionError.
-    The girth search and the lift BFS are held to the budget (SizeError).
+    The girth search and the lift BFS check the budget themselves (SizeError).
     """
     _, _, bound, d_lift = _path_lengths(g, budget)
     return LiftDiameterResult(lift_diameter=d_lift, bound=bound, passed=d_lift <= bound)
@@ -243,9 +241,9 @@ def eigenvalue_lower_bound(g: MagneticGraph, n: float, kappa="auto",
 
     Hypotheses, checked after n and kappa: connected, unbalanced, entire
     signature, finite magnetic girth; the failed one is named in
-    PreconditionError. The girth search and the lift BFS are held to the
-    budget (SizeError). Both the (2D + ell*girth)-based bound and the
-    lift-diameter bound are checked.
+    PreconditionError. The girth search and the lift BFS check the budget
+    before any curvature is computed (SizeError). Both the (2D +
+    ell*girth)-based bound and the lift-diameter bound are checked.
     """
     invn, kap, (girth, dia, length, lift_dia) = _steps(g, n, kappa, _path_lengths, budget)
     d = g.max_degree

@@ -22,8 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptySubsetError, SizeError, ValidationError
-from .graphs import MagneticGraph, Record, _forest, _integer, memoised_on_graph, signature_status
+from .errors import EmptySubsetError, SizeError
+from .graphs import MagneticGraph, Record, _forest, _vertex, memoised_on_graph, signature_status
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -89,16 +89,14 @@ def _edge_costs(ell: int, exponents: list[int]) -> np.ndarray:
     return table[(a[:, None] - a - s[:, None, None]) % ell]
 
 
-def _min_fill_order(adj: list[set[int]], labels: int,
-                    budget: int) -> tuple[list[int], int]:
-    """Greedy min-fill elimination order, ties to the smallest vertex, and its
-    width: the most neighbours a vertex still has when it is eliminated.
-
-    Stops after the first vertex whose table, labels^(neighbours + 1)
-    entries, exceeds the budget; the width is then that vertex's. Each
-    vertex's (fill, vertex) key is kept: eliminating x joins its neighbours,
-    which changes only their fills and their neighbours', so only those are
-    recomputed.
+def _min_fill_order(adj: list[set[int]], labels: int, budget: int, search: str) -> list[int]:
+    """Greedy min-fill elimination order, ties to the smallest vertex. Its
+    width is the most neighbours a vertex still has when it is eliminated,
+    and the exact ``search`` needs labels^(width + 1) table entries: at the
+    first vertex whose table is over budget, SizeError names that width and
+    the order stops there. Each vertex's (fill, vertex) key is kept:
+    eliminating x joins its neighbours, which changes only their fills and
+    their neighbours', so only those are recomputed.
     """
     adj = [set(a) for a in adj]
     order, width = [], 0
@@ -111,16 +109,17 @@ def _min_fill_order(adj: list[set[int]], labels: int,
         _, x = min(keys.values())
         nbrs = adj[x]
         width = max(width, len(nbrs))
+        if labels ** (width + 1) > budget:
+            raise SizeError(f"exact {search} needs {labels}^{width + 1} table entries "
+                            f"at elimination width {width}, over budget {budget}")
         for y in nbrs:
             adj[y] |= nbrs
             adj[y] -= {x, y}
         del keys[x]
         order.append(x)
-        if labels ** (width + 1) > budget:
-            break
         for v in nbrs.union(*(adj[y] for y in nbrs)):
             keys[v] = (fill(v), v)
-    return order, width
+    return order
 
 
 # Labels of the eliminated variable summed at once: as many as fit in this
@@ -206,15 +205,9 @@ def _frustration(g: MagneticGraph, verts: tuple[int, ...],
     k, ell = len(verts), g.ell
     pos = {v: i for i, v in enumerate(verts)}
     edges = [(pos[e.u], pos[e.v], e.w, e.s) for e in g.edges if e.u in pos and e.v in pos]
-    adj: list[set[int]] = [set() for _ in range(k)]
-    for iu, iv, _, _ in edges:
-        adj[iu].add(iv)
-        adj[iv].add(iu)
-    order, width = _min_fill_order(adj, ell, budget)
-    order = [x for x in order if adj[x]]  # an isolated vertex keeps exponent 0
-    if ell ** (width + 1) > budget:
-        raise SizeError(f"exact frustration needs {ell}^{width + 1} table entries "
-                        f"at elimination width {width}, over budget {budget}")
+    adj = [{pos[y] for y, _, _ in g.neighbors(v) if y in pos} for v in verts]
+    # an isolated vertex keeps exponent 0
+    order = [x for x in _min_fill_order(adj, ell, budget, "frustration") if adj[x]]
     # Rotating one component of the induced graph leaves every edge term
     # unchanged. The first vertex keeps exponent 0, as does the last vertex of
     # each other component, where the first minimiser (last vertex most
@@ -244,17 +237,13 @@ def frustration_index(g: MagneticGraph, subset: Sequence[int],
     subset into the signature group.
 
     Exact, by min-sum elimination on the induced graph; ties go to the first
-    minimiser with the last vertex most significant. `budget` caps the largest
-    table, ell^(width + 1) entries (SizeError beyond).
+    minimiser with the last vertex most significant. An entry that is no
+    vertex raises ValidationError; `budget` caps the largest table,
+    ell^(width + 1) entries (SizeError beyond).
     """
-    try:
-        verts = tuple(sorted({_integer(v) for v in subset}))
-    except TypeError as exc:
-        raise ValidationError(f"subset vertices must be integers, got {subset!r}") from exc
+    verts = tuple(sorted({_vertex(g.num_vertices, v) for v in subset}))
     if not verts:
         raise EmptySubsetError("frustration index needs a nonempty vertex subset")
-    if any(v < 0 or v >= g.num_vertices for v in verts):
-        raise ValidationError(f"subset vertex out of range: {verts}")
     value, tau = _frustration(g, verts, budget)
     return FrustrationResult(value=value, tau=tau, subset=verts)
 
@@ -319,11 +308,8 @@ def cheeger_number(g: MagneticGraph, budget: int = DEFAULT_BUDGET) -> CheegerRes
     the min-fill width, checked before any search (SizeError beyond).
     """
     n, ell = g.num_vertices, g.ell
-    order, width = _min_fill_order([{y for y, _, _ in g.neighbors(x)} for x in range(n)],
-                                   ell + 1, budget)
-    if (ell + 1) ** (width + 1) > budget:
-        raise SizeError(f"exact Cheeger needs {ell + 1}^{width + 1} table entries "
-                        f"at elimination width {width}, over budget {budget}")
+    order = _min_fill_order([{y for y, _, _ in g.neighbors(x)} for x in range(n)],
+                            ell + 1, budget, "Cheeger")
     best = _score(g, tuple(range(n)), budget)
     while True:
         lam = best[0]

@@ -47,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .graphs import MagneticGraph, OrientedEdges, memoised_on_graph
+from .graphs import MagneticGraph, OrientedEdges, _vertex, memoised_on_graph
 from .operators import _apply_laplacian, as_vertex_function, gamma, gamma2
 
 __all__ = [
@@ -387,8 +387,9 @@ class CurvatureResult:
         return _pieces(values, [len(sup) for sup in supports])
 
     def witness(self, x: int) -> np.ndarray:
-        """Vertex x's witness as a function on all N vertices."""
+        """Vertex x's witness as a function on all N vertices (ValidationError if x is none)."""
         f = np.zeros(len(self.per_vertex), dtype=complex)
+        x = _vertex(len(f), x)
         f[self.supports[x]] = self.witnesses[x]
         return f
 

@@ -16,11 +16,11 @@ once per graph and stored on it (``memoised_on_graph``).
 
 from __future__ import annotations
 
-import inspect
 import json
 import math
 import operator
 from collections import deque
+from contextlib import suppress
 from dataclasses import dataclass, field, fields
 from functools import cached_property, wraps
 from typing import Iterable, NamedTuple
@@ -87,13 +87,20 @@ def _integer(value) -> int:
     return operator.index(value)
 
 
+def _vertex(num_vertices: int, x) -> int:
+    """``x`` as a vertex in range by ``_integer``'s rule, else ValidationError."""
+    with suppress(TypeError):
+        if 0 <= (v := _integer(x)) < num_vertices:
+            return v
+    raise ValidationError(f"vertex must be an integer in [0, {num_vertices}), got {x!r}")
+
+
 def _positive(name: str, value) -> int:
     """``value`` as an int in [1, 2^62] by ``_integer``'s rule, else
     ValidationError. Exponents are int64, and a walk x -> y -> z adds two."""
-    try:
+    k = 0
+    with suppress(TypeError):
         k = _integer(value)
-    except TypeError:
-        k = 0
     if k < 1:
         raise ValidationError(f"{name} must be a positive integer, got {value!r}")
     if k > 1 << 62:
@@ -106,10 +113,10 @@ class MagneticGraph:
     """Weighted simple graph with a signature into the cyclic group of order ``ell``.
 
     Invariants enforced at construction: integer fields by ``_integer``'s
-    rule, ell <= 2^62, no loops, no duplicate unordered pairs, strictly
-    positive weights, exponents in [0, ell), no isolated vertices. Each
-    undirected edge stores a single exponent; the reverse
-    orientation carries the inverse phase, i.e. exponent (ell - s) % ell.
+    rule, weights floats or such integers, ell <= 2^62, no loops, no duplicate
+    unordered pairs, strictly positive weights, exponents in [0, ell), no
+    isolated vertices. Each undirected edge stores a single exponent; the
+    reverse orientation carries the inverse phase, i.e. exponent (ell - s) % ell.
     """
 
     num_vertices: int
@@ -125,6 +132,8 @@ class MagneticGraph:
         for e in self.edges:
             try:   # the weight is converted here, and only here
                 e = Edge(*e)
+                if not isinstance(e.w, (float, np.floating)):
+                    _integer(e.w)   # a weight that is no float is an integer; never a bool
                 u, v, w, s = _integer(e.u), _integer(e.v), float(e.w), _integer(e.s)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ValidationError(f"malformed edge tuple {e!r}") from exc
@@ -247,24 +256,28 @@ class _Overrun(NamedTuple):
 
 
 def memoised_on_graph(fn):
-    """Store ``fn(g, ...)`` on ``g`` per argument tuple (defaults bound) while
-    ``g`` lives. A SizeError is stored as its verdict, so a search over budget
-    runs once and every later call raises a fresh SizeError with the same
-    message; any other raise stores nothing. Results are shared: read-only,
-    with no reference back to ``g``. Builds call ``__wrapped__`` so tests can
-    count them.
+    """Store ``fn(g, ...)`` on ``g`` while ``g`` lives. ``fn`` takes g and at
+    most one parameter, so a call is keyed by its value, by position, keyword
+    or default: ``f(g, 2)`` and ``f(g, n=2.0)`` share one entry. A SizeError is
+    stored as its verdict, so a search over budget runs once and every later
+    call raises a fresh SizeError with the same message; any other raise
+    stores nothing. Results are shared: read-only, with no reference back to
+    ``g``. Builds call ``__wrapped__`` so tests can count them.
     """
-    signature = inspect.signature(fn)
+    code = fn.__code__   # no keyword-only parameter, *args (0x04) or **kwargs (0x08)
+    if code.co_argcount > 2 or code.co_kwonlyargcount or code.co_flags & 0x0C:
+        raise TypeError(f"{fn.__qualname__} takes more than g and one parameter")
+    names, default = frozenset(code.co_varnames[1:code.co_argcount]), fn.__defaults__ or ()
 
     @wraps(fn)
     def memoised(g: MagneticGraph, *args, **kwargs):
-        bound = signature.bind(g, *args, **kwargs)
-        bound.apply_defaults()
-        key = (fn, *list(bound.arguments.values())[1:])
+        if len(args) + len(kwargs) > len(names) or not kwargs.keys() <= names:
+            fn(g, *args, **kwargs)   # raises the call's TypeError before the body runs
+        key = (fn, *(args or tuple(kwargs.values()) or default))
         memo = g.__dict__.setdefault("_memo", {})
         if key not in memo:
             try:
-                memo[key] = memoised.__wrapped__(g, *args, **kwargs)
+                memo[key] = memoised.__wrapped__(g, *key[1:])
             except SizeError as exc:
                 memo[key] = _Overrun(str(exc))
         result = memo[key]
@@ -365,12 +378,10 @@ def _farthest_walk(g: MagneticGraph, modulus: int) -> int | float:
 
 
 def hop_distances(g: MagneticGraph, source: int) -> np.ndarray:
-    """Unweighted BFS hop counts from ``source``; -1 marks unreachable vertices.
-
-    Distances are edge counts, not weight sums: the path arguments behind the
-    diameter bounds count edges.
-    """
-    return _walk_lengths(g, source, 1)
+    """Unweighted BFS hop counts from the vertex ``source`` (ValidationError if
+    it is none); -1 marks unreachable vertices. Distances are edge counts, not
+    weight sums: the path arguments behind the diameter bounds count edges."""
+    return _walk_lengths(g, _vertex(g.num_vertices, source), 1)
 
 
 @memoised_on_graph

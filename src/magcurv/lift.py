@@ -87,14 +87,17 @@ def _lift(g: MagneticGraph) -> LiftGraph:
 
 
 @memoised_on_graph
-def lift_diameter(g: MagneticGraph) -> int | float:
+def lift_diameter(g: MagneticGraph, budget: int = DEFAULT_BUDGET) -> int | float:
     """Diameter of the lift: the farthest (vertex, level) state of the walk
     BFS on the base with modulus ell, so no lift is built; math.inf if the
-    lift is disconnected. All N * N * ell states are walked.
+    lift is disconnected. Its N * N * ell states are compared with the budget
+    before one is walked (SizeError), and an overrun is stored per budget.
 
     (x, k) -> (x, k + j) is an automorphism of the lift, so every vertex above
     x has the eccentricity of (x, 0), and only level 0 is searched from.
     """
+    if (states := g.num_vertices ** 2 * g.ell) > budget:
+        raise SizeError(f"lift diameter needs {states} BFS states, over budget {budget}")
     return _farthest_walk(g, g.ell)
 
 

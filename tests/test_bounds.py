@@ -13,7 +13,7 @@ from magcurv.bounds import (alpha_bound_check, cheeger_bound_check,
 from magcurv.curvature import _one_ball, kappa_max
 from magcurv.combinatorics import magnetic_girth
 from magcurv.errors import DimensionError, PreconditionError, SizeError, ValidationError
-from magcurv.graphs import from_edge_list, signature_status
+from magcurv.graphs import diameter, from_edge_list, random_magnetic_graph, signature_status
 from magcurv.lift import lift_diameter
 from magcurv.operators import energy, spectrum
 
@@ -329,9 +329,12 @@ def test_the_lift_bfs_is_held_to_the_budget(monkeypatch):
     # t3 at ell = 7: the lift BFS walks N * N * ell = 63 states
     g = _t3_at(7)
     assert magnetic_girth(g, budget=62) == 3   # the girth search fits 62 states
+    # every walk BFS, the lift's (modulus 7) and D's (modulus 1), is counted
     walks = []
-    walk = lift_diameter.__wrapped__
-    monkeypatch.setattr(lift_diameter, "__wrapped__", lambda h: walks.append(h) or walk(h))
+    walk = magcurv.graphs._farthest_walk
+    counted = lambda h, modulus: walks.append(modulus) or walk(h, modulus)   # noqa: E731
+    for module in (magcurv.graphs, magcurv.lift):
+        monkeypatch.setattr(module, "_farthest_walk", counted)
     message = "^lift diameter needs 63 BFS states, over budget 62$"
     for check in (lambda: eigenvalue_lower_bound(g, 2, budget=62),
                   lambda: lift_diameter_check(g, budget=62)):
@@ -342,10 +345,23 @@ def test_the_lift_bfs_is_held_to_the_budget(monkeypatch):
     assert report.eigenvalue_skipped == "budget: lift diameter needs 63 BFS states, over budget 62"
     assert report.girth_finite is True
     rec = eigenvalue_lower_bound(g, 2, budget=63)
-    assert walks == [g]
+    assert walks == [7, 1]   # the lift BFS is held to the budget before D's
     assert rec == eigenvalue_lower_bound(_t3_at(7), 2)
     assert (rec.girth, rec.diameter, rec.lift_diameter) == (3, 1, 10)   # a 21-cycle
     assert lift_diameter_check(g, budget=63).passed
+
+
+def test_the_lift_bfs_refuses_before_the_diameter_walks():
+    # 2500 vertices, entire with girth 4: the lift BFS needs 12.5 * 10^6
+    # states, and D's 6.25 * 10^6-state BFS is not walked before it refuses
+    g = random_magnetic_graph(2500, 3 / 2499, 2, seed=1)
+    start = time.perf_counter()
+    with pytest.raises(SizeError, match="^lift diameter needs 12500000 BFS states, "
+                                        "over budget 10000000$"):
+        lift_diameter_check(g)
+    assert time.perf_counter() - start < 1.0
+    assert magnetic_girth(g) == 4 and "_memo" in vars(g)
+    assert all(key[0] is not diameter.__wrapped__ for key in vars(g)["_memo"])
 
 
 def test_verify_runs_at_a_billion_levels():

@@ -153,6 +153,17 @@ def test_cheeger_exact_and_budget(t3_path, tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("args, message", [
+    (["cheeger"], "exact Cheeger needs 3^3 table entries at elimination width 2, over budget 1"),
+    (["frustration", "--subset", "0,1,2"],
+     "exact frustration needs 2^3 table entries at elimination width 2, over budget 1"),
+])
+def test_an_elimination_table_over_budget_exits_3(t3_path, capsys, args, message):
+    assert main([args[0], t3_path, *args[1:], "--budget", "1"]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 def test_frustration_subcommand(t3_path, capsys):
     code, out = run(capsys, "frustration", t3_path, "--subset", "0,1,2", "--json")
     assert code == 0

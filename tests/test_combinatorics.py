@@ -261,7 +261,7 @@ def test_frustration_empty_and_invalid(t3):
 
 @pytest.mark.parametrize("subset", [[0.7, 1.2, 2.9], [True, 2], [0, 1.0], ["1"]])
 def test_frustration_subset_is_validated_not_truncated(t3, subset):
-    with pytest.raises(ValidationError, match="^subset vertices must be integers"):
+    with pytest.raises(ValidationError, match=r"^vertex must be an integer in \[0, 3\), got "):
         frustration_index(t3, subset)
 
 
@@ -525,16 +525,50 @@ def test_the_decode_of_tied_labellings_has_its_own_budget():
     assert cheeger_number(c7, budget=28).h1 == 1 / 7
 
 
+C5 = ((0, 1, 1.0, 1), (1, 2, 1.0, 0), (2, 3, 1.0, 0), (3, 4, 1.0, 0), (0, 4, 1.0, 0))
+
+
+@pytest.mark.parametrize("g", [from_edge_list(3, 2, [(0, 1, 1.0, 0), (1, 2, 1.0, 0),
+                                                     (0, 2, 1.0, 1)]),
+                               from_edge_list(5, 3, C5)], ids=["t3", "c5"])
+def test_the_elimination_table_is_held_to_the_budget_at_its_width(g):
+    # a cycle's min-fill width is 2: one table entry short of labels^3 raises
+    # the width's message, and labels^3 entries give the unbounded result
+    everything = range(g.num_vertices)
+    for search, labels, run in (("Cheeger", g.ell + 1, lambda b: cheeger_number(g, budget=b)),
+                                ("frustration", g.ell,
+                                 lambda b: frustration_index(g, everything, budget=b))):
+        assert min_fill_order_reference(adjacency(g), labels, math.inf)[1] == 2
+        budget = labels ** 3
+        with pytest.raises(SizeError, match=f"^exact {search} needs {labels}\\^3 table entries "
+                                            f"at elimination width 2, over budget {budget - 1}$"):
+            run(budget - 1)
+        assert run(budget) == run(DEFAULT_BUDGET)
+
+
+def min_fill_order_matches_reference(adj, labels, budget):
+    """_min_fill_order against the reference: the same order when every
+    table fits, else the SizeError naming the width where the reference
+    stops. Returns the reference's (order, width)."""
+    order, width = min_fill_order_reference(adj, labels, budget)
+    if labels ** (width + 1) > budget:
+        message = (f"^exact search needs {labels}\\^{width + 1} table entries "
+                   f"at elimination width {width}, over budget {budget}$")
+        with pytest.raises(SizeError, match=message):
+            _min_fill_order(adj, labels, budget, "search")
+    else:
+        assert _min_fill_order(adj, labels, budget, "search") == order
+    return order, width
+
+
 def test_min_fill_order_stops_at_the_first_table_over_budget():
-    # the order is a prefix of the unbounded one that ends at the first vertex
-    # whose table is over budget, long before every vertex is ordered
+    # the reference stops at the first vertex whose table is over budget,
+    # long before every vertex is ordered, and that vertex's width is raised
     g = sparse_graph(200, 2, seed=1)
     adj = [{y for y, _, _ in g.neighbors(x)} for x in range(g.num_vertices)]
-    full, full_width = _min_fill_order(adj, 3, math.inf)
-    order, width = _min_fill_order(adj, 3, DEFAULT_BUDGET)
     # long orders, where the fills kept from earlier steps must stay exact
-    assert (full, full_width) == min_fill_order_reference(adj, 3, math.inf)
-    assert (order, width) == min_fill_order_reference(adj, 3, DEFAULT_BUDGET)
+    full, full_width = min_fill_order_matches_reference(adj, 3, math.inf)
+    order, width = min_fill_order_matches_reference(adj, 3, DEFAULT_BUDGET)
     assert len(order) < len(full) == g.num_vertices
     assert order == full[:len(order)]
     assert 3 ** (width + 1) > DEFAULT_BUDGET and width <= full_width
@@ -549,15 +583,13 @@ def test_min_fill_order_matches_reference_on_corpus(corpus):
     for g in corpus:
         adj = adjacency(g)
         for budget in (1, 5 ** 4, math.inf):
-            assert _min_fill_order(adj, g.ell + 1, budget) == \
-                min_fill_order_reference(adj, g.ell + 1, budget)
+            min_fill_order_matches_reference(adj, g.ell + 1, budget)
 
 
 @given(graph_strategy(max_vertices=12))
 @settings(max_examples=40, deadline=None)
 def test_min_fill_order_matches_reference(g):
-    adj = adjacency(g)
-    assert _min_fill_order(adj, 2, math.inf) == min_fill_order_reference(adj, 2, math.inf)
+    min_fill_order_matches_reference(adjacency(g), 2, math.inf)
 
 
 def test_cheeger_matches_reference_on_corpus(corpus):

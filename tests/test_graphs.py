@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 
 from magcurv.bounds import lift_diameter_check, verify_report
+from magcurv.combinatorics import DEFAULT_BUDGET, frustration_index, magnetic_girth
 from magcurv.errors import ParseError, ValidationError
-from magcurv.graphs import (Edge, MagneticGraph, diameter, from_edge_list, is_connected,
-                            load_graph, random_magnetic_graph, signature_status)
+from magcurv.graphs import (Edge, MagneticGraph, diameter, from_edge_list, hop_distances,
+                            is_connected, load_graph, memoised_on_graph, random_magnetic_graph,
+                            signature_status)
 from magcurv.curvature import _one_ball, kappa_max
 from magcurv.lift import build_lift
 from magcurv.operators import spectrum
@@ -293,6 +295,78 @@ def test_stored_results_die_with_their_graph():
         assert lift.graph.num_vertices == 6 and lift.vertex_label(5) == (2, 1)
     finally:
         gc.enable()
+
+
+def _entries(g, fn):
+    """The stored results of ``fn`` on ``g``, keyed by their arguments."""
+    return {key[1:]: value for key, value in vars(g).get("_memo", {}).items()
+            if key[0] is fn.__wrapped__}
+
+
+def test_one_call_has_one_entry_however_it_is_written():
+    g = from_edge_list(3, 2, T3_EDGES)
+    girth = magnetic_girth(g)
+    assert magnetic_girth(g, DEFAULT_BUDGET) == magnetic_girth(g, budget=DEFAULT_BUDGET) == girth
+    assert _entries(g, magnetic_girth) == {(DEFAULT_BUDGET,): 3}
+    assert magnetic_girth(g, 100) == 3
+    assert set(_entries(g, magnetic_girth)) == {(DEFAULT_BUDGET,), (100,)}
+    assert kappa_max(g, 2) is kappa_max(g, n=2.0) is kappa_max(g, 2.0)
+    assert len(_entries(g, kappa_max)) == 1
+    assert _entries(g, diameter) == {} and diameter(g) == 1 and _entries(g, diameter) == {(): 1}
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: magnetic_girth(g, budgte=DEFAULT_BUDGET),
+    lambda g: magnetic_girth(g, DEFAULT_BUDGET, budget=DEFAULT_BUDGET),
+    lambda g: magnetic_girth(g, DEFAULT_BUDGET, 1),
+    lambda g: kappa_max(g),
+    lambda g: diameter(g, 1),
+])
+def test_a_wrong_call_raises_even_when_its_value_is_stored(t3, call):
+    magnetic_girth(t3), kappa_max(t3, 2.0), diameter(t3)
+    stored = dict(vars(t3)["_memo"])
+    with pytest.raises(TypeError):
+        call(t3)
+    assert vars(t3)["_memo"] == stored
+
+
+@pytest.mark.parametrize("fn", [lambda g, a, b: 0, lambda g, a=1, b=2: 0, lambda g, *a: 0,
+                                lambda g, **k: 0, lambda g, *, a: 0])
+def test_only_g_and_one_parameter_can_be_stored(fn):
+    with pytest.raises(TypeError, match="takes more than g and one parameter$"):
+        memoised_on_graph(fn)
+
+
+@pytest.mark.parametrize("w", [2, 1.5, np.int64(2), np.uint8(2), np.float32(1.5), np.float64(1.5)])
+def test_a_weight_is_a_python_or_numpy_number(w):
+    g = from_edge_list(2, 1, [(0, 1, w, 0)])
+    assert type(g.edges[0].w) is float and g.edges[0].w == float(w)
+
+
+@pytest.mark.parametrize("w", ["1.5", True, np.True_, b"2", None, 1 + 0j, [1.0],
+                               np.array([1.0]), 10**400])
+def test_a_weight_of_any_other_type_is_rejected(w):
+    for build in (lambda: from_edge_list(2, 1, [(0, 1, w, 0)]),
+                  lambda: MagneticGraph(2, 1, ((0, 1, w, 0),))):
+        with pytest.raises(ValidationError, match="^malformed edge tuple"):
+            build()
+
+
+@pytest.mark.parametrize("x", [-1, 3, True, np.True_, 1.0, "1", None])
+def test_a_vertex_argument_is_checked(t3, x):
+    # -1 is not read as vertex 2, True not as vertex 1, and 3 is no IndexError;
+    # hop_distances, witness and frustration_index follow one rule
+    message = f"vertex must be an integer in [0, 3), got {x!r}"
+    for call in (lambda: hop_distances(t3, x), lambda: kappa_max(t3, 2).witness(x),
+                 lambda: frustration_index(t3, [0, x])):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            call()
+
+
+def test_a_vertex_argument_may_be_a_numpy_integer(t3):
+    assert hop_distances(t3, np.int64(2)).tolist() == hop_distances(t3, 2).tolist() == [1, 1, 0]
+    result = kappa_max(t3, 2)
+    assert np.array_equal(result.witness(np.int32(1)), result.witness(1))
 
 
 def test_stored_overrun_dies_with_its_graph():

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -173,6 +174,42 @@ def test_build_lift_budget_is_checked_before_the_store(t3):
     lift = build_lift(t3, budget=6)
     assert build_lift(t3) is lift and build_lift(t3, budget=10**12) is lift
     assert len(vars(t3)["_memo"]) == 1
+
+
+def _t3_at(ell):
+    return MagneticGraph(3, ell, ((0, 1, 1.0, 0), (1, 2, 1.0, 0), (0, 2, 1.0, 1)))
+
+
+def test_lift_diameter_checks_its_states_before_it_walks(monkeypatch):
+    # t3 at ell = 7: N * N * ell = 63 states; an overrun is stored as its
+    # verdict under its budget, and the diameter under another
+    g = _t3_at(7)
+    walks = []
+    walk = lift_module._farthest_walk
+    monkeypatch.setattr(lift_module, "_farthest_walk",
+                        lambda h, modulus: walks.append(modulus) or walk(h, modulus))
+    for _ in range(2):
+        with pytest.raises(SizeError, match="^lift diameter needs 63 BFS states, over budget 62$"):
+            lift_diameter(g, 62)
+    assert walks == []
+    assert lift_diameter(g, 63) == lift_diameter(g, budget=63) == 10 and walks == [7]
+    assert lift_diameter(g) == 10 and walks == [7, 7]
+
+
+def test_lift_diameter_refuses_a_billion_levels_at_once():
+    # walking would allocate a list of 3 * 10^9 states for each root
+    g = _t3_at(10**9)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(SizeError, match="^lift diameter needs 9000000000 BFS states, "
+                                            "over budget 10000000$"):
+            lift_diameter(g)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.05 and peak < 1 << 20
 
 
 def test_build_lift_is_stored_as_built(t3):
